@@ -7,6 +7,7 @@ per line.  All outputs are deterministic byte-for-byte.
 """
 
 import argparse
+import os
 import random
 import sys
 
@@ -72,7 +73,7 @@ def read_cluster_file(path):
     return out
 
 
-def _print_cluster(cluster, cells=False):
+def _print_cluster(cluster, cells=False, max_dim=None):
     print("cluster: %s" % render_cluster_line(cluster))
     print("vertices: %d" % len(cluster.vertices))
     for v in sorted(cluster.vertices):
@@ -81,7 +82,10 @@ def _print_cluster(cluster, cells=False):
     for e in sorted(map(sorted, cluster.edges)):
         print("  %s ; %s" % (render_vertex(e[0]), render_vertex(e[1])))
     if cells:
-        piece = enumerate_cells(cluster)
+        if max_dim is None:
+            piece = enumerate_cells(cluster)
+        else:
+            piece = enumerate_cells(cluster, max_dim)
         print("f-vector: %s" % " ".join(map(str, piece.f_vector())))
 
 
@@ -131,7 +135,9 @@ def cmd_special(args):
 
 
 def cmd_cluster(args):
-    _print_cluster(parse_cluster_line(args.spec), cells=args.cells)
+    _print_cluster(
+        parse_cluster_line(args.spec), cells=args.cells, max_dim=args.max_dim
+    )
 
 
 def cmd_intersect(args):
@@ -243,6 +249,11 @@ def run(argv):
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return PARSE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early: not an error of the input, and
+        # the flush at interpreter exit must not report it either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print("domain error: %s" % exc, file=sys.stderr)
         return DOMAIN_ERROR

@@ -136,3 +136,38 @@ def test_cluster_line_round_trip(capsys):
     line = "1 ; y[01] ; y[10]^-1"
     c = commands.parse_cluster_line(line)
     assert commands.render_cluster_line(c) == line
+
+
+SPEC6 = "1 ; y[00001] ; y[00011] ; y[00101] ; y[00111] ; y[01001] ; y[01011]"
+SPEC10 = SPEC6 + " ; y[01101] ; y[01111] ; y[10001] ; y[10011]"
+
+
+def test_cluster_cells_obeys_max_dim(capsys):
+    code, out = run(capsys, "--max-dim", "8", "cluster", SPEC6, "--cells")
+    assert code == 0
+    assert out.splitlines()[-1] == "f-vector: 64 192 240 160 60 12 1"
+    # without --max-dim the filling keeps its default bound of 4
+    assert run(capsys, "cluster", SPEC6, "--cells")[0] == 2
+
+
+def test_closed_stdout_pipe_is_not_an_error():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cantorg.cli", "cluster", SPEC10],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # the output is far larger than a pipe buffer, so the writer is still
+    # busy when the reader goes away
+    assert proc.stdout.readline().startswith(b"cluster: ")
+    assert proc.stdout.readline() == b"vertices: 1024\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
