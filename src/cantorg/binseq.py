@@ -68,10 +68,6 @@ def lex_compare(s, t):
 lex_key = functools.cmp_to_key(lex_compare)
 
 
-def lex_less(s, t):
-    return lex_compare(s, t) < 0
-
-
 # ---------------------------------------------------------------------------
 # eventually periodic sequences
 
@@ -162,11 +158,6 @@ class RationalSeq:
 
 ZEROS = RationalSeq("", "0")
 ONES = RationalSeq("", "1")
-
-
-def cone_point(s, tail="0"):
-    """A canonical rational point inside cone(s): s followed by tail repeated."""
-    return RationalSeq(s, tail)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 digit/symbol calculation strings with their exponents.
 
 This module is the independent oracle: it evaluates words letter by letter
-using only the defining substitutions, with cycle detection on the periodic
-tail, and never consults the rewriting engine.
+using only the defining substitution of y, read from the table
+`thompson.Y_RULES` (through its lookup `Y_STEP`), with cycle detection on
+the periodic tail.  It never consults the rewriting engine; from `rewrite`
+it takes only the word and normal-form types.
 """
 
 from typing import NamedTuple
 
 from .binseq import ConeSet, RationalSeq
-from .rewrite import FToken, GNormal, Letter, _outer_reduce
-from .thompson import x_gen
+from .rewrite import FToken, GNormal, Letter
+from .thompson import Y_STEP, x_gen
 
 
 class PotentialCancellationFlag:
@@ -40,6 +42,9 @@ def eval_letter(sign, xi):
     seen = {}
     pre_len = len(xi.pre)
     per_len = len(xi.per)
+    # past the preperiod the state repeats within 2 * per_len steps of at
+    # most two digits each, so no step reads past 4 * per_len + 1 of them
+    digits = xi.pre + xi.per * 5
     pos = 0
     s = sign
     while True:
@@ -49,29 +54,9 @@ def eval_letter(sign, xi):
                 cut = seen[key]
                 return RationalSeq("".join(out[:cut]), "".join(out[cut:]))
             seen[key] = len(out)
-        a = xi.digit(pos)
-        if s > 0:
-            if a == "0":
-                if xi.digit(pos + 1) == "0":
-                    out.append("0")
-                else:
-                    out.append("10")
-                    s = -s
-                pos += 2
-            else:
-                out.append("11")
-                pos += 1
-        else:
-            if a == "0":
-                out.append("00")
-                pos += 1
-            else:
-                if xi.digit(pos + 1) == "0":
-                    out.append("01")
-                    s = -s
-                else:
-                    out.append("1")
-                pos += 2
+        n, written, s = Y_STEP[s, digits[pos:pos + 2]]
+        out.append(written)
+        pos += n
 
 
 def _apply_y(sub, exp, xi):
@@ -150,6 +135,19 @@ def calc_string(ys, xi):
     return CalcString(tuple(segs), xi.drop(prev))
 
 
+def _consume_emitting(o, buf):
+    """Greedily let a symbol of sign o consume the digit buffer to its
+    right; returns its sign after, the digits it wrote and the leftover."""
+    emitted = []
+    while True:
+        row = Y_STEP.get((o, buf[:2]))
+        if row is None:
+            return o, "".join(emitted), buf
+        n, written, o = row
+        emitted.append(written)
+        buf = buf[n:]
+
+
 def exponent(c, max_steps=200_000, max_buffer=512):
     """Run the substitution process on a calculation with cycle detection.
     Returns the number of surviving symbols, or the potential-cancellation
@@ -184,38 +182,6 @@ def exponent(c, max_steps=200_000, max_buffer=512):
                     return True
         return False
 
-    def _consume_emitting(o, buf):
-        emitted = []
-        while True:
-            if o > 0:
-                if buf.startswith("00"):
-                    emitted.append("0")
-                    buf = buf[2:]
-                elif buf.startswith("01"):
-                    emitted.append("10")
-                    buf = buf[2:]
-                    o = -o
-                elif buf.startswith("1"):
-                    emitted.append("11")
-                    buf = buf[1:]
-                else:
-                    break
-            else:
-                if buf.startswith("10"):
-                    emitted.append("01")
-                    buf = buf[2:]
-                    o = -o
-                elif buf.startswith("11"):
-                    emitted.append("1")
-                    buf = buf[2:]
-                else:
-                    if buf.startswith("0"):
-                        emitted.append("00")
-                        buf = buf[1:]
-                    else:
-                        break
-        return o, "".join(emitted), buf
-
     # initial adjacency check
     for j in range(k - 1):
         if buffers[j] == "" and signs[j] == -signs[j + 1]:
@@ -230,26 +196,10 @@ def exponent(c, max_steps=200_000, max_buffer=512):
                 return k
             seen.add(key)
         # innermost symbol consumes from the tail
-        a = c.tail.digit(pos)
-        i = signs[k - 1]
-        if i > 0:
-            if a == "0":
-                if c.tail.digit(pos + 1) == "0":
-                    emit, pos = "0", pos + 2
-                else:
-                    emit, pos = "10", pos + 2
-                    signs[k - 1] = -i
-            else:
-                emit, pos = "11", pos + 1
-        else:
-            if a == "0":
-                emit, pos = "00", pos + 1
-            else:
-                if c.tail.digit(pos + 1) == "0":
-                    emit, pos = "01", pos + 2
-                    signs[k - 1] = -i
-                else:
-                    emit, pos = "1", pos + 2
+        n, emit, signs[k - 1] = Y_STEP[
+            signs[k - 1], c.tail.digit(pos) + c.tail.digit(pos + 1)
+        ]
+        pos += n
         if k >= 2:
             buffers[k - 2] += emit
             if len(buffers[k - 2]) > max_buffer:

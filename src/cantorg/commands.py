@@ -8,7 +8,6 @@ per line.  All outputs are deterministic byte-for-byte.
 
 import argparse
 import os
-import random
 import sys
 
 from .calculus import calc_string, evaluate, exponent, supp_y
@@ -184,7 +183,6 @@ def cmd_contract_loop(args):
 
 def _parser():
     p = argparse.ArgumentParser(prog="cantorg")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-iters", type=int, default=8)
     p.add_argument("--max-dim", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
@@ -241,8 +239,6 @@ def run(argv):
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else PARSE_ERROR
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         args.func(args)
         return 0

@@ -33,12 +33,14 @@ from .special import (
     coset_vertex,
     from_letters,
     independent,
+    invert_form,
     is_special,
     pair_consecutive,
     parity_of,
     to_letters,
     type_of,
 )
+from .thompson import InternalError
 
 FACE = "Face"
 DIAGONAL = "Diagonal"
@@ -62,10 +64,6 @@ def is_one_cell(u, v):
     if u == v:
         return False
     return is_special(from_letters(quotient_form(u, v)))
-
-
-def _flip(form):
-    return tuple((s, -t) for s, t in form)
 
 
 def _concat_forms(forms):
@@ -168,11 +166,12 @@ class Cluster:
             self.params[i] for i in sorted(subset)
         ) + self.base.to_items()
         params = tuple(
-            _flip(f) if i in subset else f for i, f in enumerate(self.params)
+            invert_form(f) if i in subset else f
+            for i, f in enumerate(self.params)
         )
         out = Cluster(normalize(word), params)
         if out.vertices != self.vertices:
-            raise AssertionError("reparametrization changed the vertex set")
+            raise InternalError("reparametrization changed the vertex set")
         return out
 
     def facial_edges_at(self, vertex):

@@ -16,16 +16,18 @@ from .rewrite import (
     Letter,
     _is_xish,
     _is_y,
+    _merge,
+    contraction,
     expand_unit,
+    find_merge,
+    find_misordered,
     find_potential_contraction,
+    has_potential_cancellation,
     inverse_word,
-    neighboring_pairs,
     normalize,
-    pair_potential_cancellation,
-    x_gen,
 )
 from .special import from_letters, independent, is_special
-from .thompson import compose
+from .thompson import InternalError, compose, x_gen
 
 TRIVIAL = ()
 
@@ -107,7 +109,7 @@ def contract_loop(loop, max_moves=20_000):
     li = 0
     for start, k in spans:
         if fine[li] != path[pos]:
-            raise AssertionError("split phase lost track of the path")
+            raise InternalError("split phase lost track of the path")
         if k > 1:
             psi = _tail_pair(letters[start + k:])
             parts = [_conj_form(lt, psi) for lt in letters[start:start + k]]
@@ -124,7 +126,7 @@ def contract_loop(loop, max_moves=20_000):
 
     items = letters
     if path_of(items) != path:
-        raise AssertionError("split phase lost track of the path")
+        raise InternalError("split phase lost track of the path")
 
     # phase 2: drive the single-letter word to the empty word
     while True:
@@ -132,26 +134,13 @@ def contract_loop(loop, max_moves=20_000):
         items = _remove_cancellations_moves(items, state)
         items = _sort_moves(items, state)
         ys = [it for it in items if _is_y(it)]
-        found = find_potential_contraction(_merged(ys))
+        found = find_potential_contraction(_merge(ys))
         if found is None:
             break
         items = _contract_moves(items, state, *found)
     if any(_is_y(it) for it in items):
-        raise AssertionError("loop word did not reduce inside F")
+        raise InternalError("loop word did not reduce inside F")
     return state.moves
-
-
-def _merged(ys):
-    out = []
-    for lt in ys:
-        if out and out[-1].sub == lt.sub:
-            e = out[-1].exp + lt.exp
-            out.pop()
-            if e:
-                out.append(Letter("y", lt.sub, e))
-        else:
-            out.append(lt)
-    return out
 
 
 def _as_pair(item):
@@ -219,40 +208,16 @@ def _standardize_moves(items, state):
         if changed:
             continue
         # merge equal subscripts separated by incompatible y-letters
-        for i in range(len(items)):
-            if not _is_y(items[i]):
-                continue
-            for j in range(i + 1, len(items)):
-                if not _is_y(items[j]):
-                    break
-                if items[j].sub == items[i].sub:
-                    if j > i + 1 and all(
-                        incompatible(items[k].sub, items[i].sub)
-                        for k in range(i + 1, j)
-                    ):
-                        _commute_to(items, state, j, i + 1)
-                        changed = True
-                    break
-            if changed:
-                break
-        if changed:
+        found = find_merge(items)
+        if found is not None:
+            i, j = found
+            _commute_to(items, state, j, i + 1)
             continue
         # ordering: expand a y-letter preceding an extension of its subscript
-        for i in range(len(items)):
-            if not _is_y(items[i]):
-                continue
-            for j in range(i + 1, len(items)):
-                if not _is_y(items[j]):
-                    continue
-                si, sj = items[i].sub, items[j].sub
-                if si != sj and sj.startswith(si):
-                    _expand_item(items, state, i)
-                    changed = True
-                    break
-            if changed:
-                break
-        if not changed:
+        i = find_misordered(items)
+        if i is None:
             return items
+        _expand_item(items, state, i)
 
 
 def _commute_to(items, state, src, dst):
@@ -263,7 +228,7 @@ def _commute_to(items, state, src, dst):
     while k != dst:
         other = items[k + step]
         if not incompatible(items[k].sub, other.sub):
-            raise AssertionError("tried to commute a compatible pair")
+            raise InternalError("tried to commute a compatible pair")
         lo = min(k, k + step)
         second = items[lo + 1]
         items[k], items[k + step] = items[k + step], items[k]
@@ -278,19 +243,11 @@ def _commute_to(items, state, src, dst):
 
 def _remove_cancellations_moves(items, state):
     while True:
-        ys = _merged([it for it in items if _is_y(it)])
-        flagged = []
-        for j, i in neighboring_pairs(ys):
-            outer, inner = ys[j], ys[i]
-            if pair_potential_cancellation(
-                (outer.sub, 1 if outer.exp > 0 else -1),
-                (inner.sub, 1 if inner.exp > 0 else -1),
-            ):
-                flagged.append((len(inner.sub) - len(outer.sub), j, i))
-        if not flagged:
+        ys = _merge([it for it in items if _is_y(it)])
+        found = has_potential_cancellation(ys)
+        if found is None:
             return items
-        _, j, _ = min(flagged)
-        target = ys[j].sub
+        target = ys[found[0]].sub
         pos = next(
             k for k, it in enumerate(items) if _is_y(it) and it.sub == target
         )
@@ -315,14 +272,8 @@ def _sort_moves(items, state):
 def _contract_moves(items, state, case, s):
     """Bring a contractible triple together by commuting moves and replace
     it by its one-letter equivalent (a reverse expansion)."""
-    if case == 1:
-        subs = (s + "0", s + "10", s + "11")
-        signs = (1, -1, 1)
-        repl = [FToken(x_gen(s).invert()), Letter("y", s, 1)]
-    else:
-        subs = (s + "00", s + "01", s + "1")
-        signs = (-1, 1, -1)
-        repl = [FToken(x_gen(s)), Letter("y", s, -1)]
+    triple, repl = contraction(case, s)
+    (sub1, sign1), (sub2, sign2), (sub3, sign3) = triple
 
     def unit_pos(sub, sign, last):
         idx = [
@@ -333,16 +284,15 @@ def _contract_moves(items, state, case, s):
         return idx[-1] if last else idx[0]
 
     # move the middle unit next to the third, then the first next to them
-    p3 = unit_pos(subs[2], signs[2], last=False)
-    p2 = unit_pos(subs[1], signs[1], last=True)
+    p3 = unit_pos(sub3, sign3, last=False)
+    p2 = unit_pos(sub2, sign2, last=True)
     _commute_to(items, state, p2, p3 - 1)
     p2 = p3 - 1
-    p1 = unit_pos(subs[0], signs[0], last=True)
+    p1 = unit_pos(sub1, sign1, last=True)
     _commute_to(items, state, p1, p2 - 1)
     base = p2 - 1
-    assert [
-        (it.sub, it.exp) for it in items[base:base + 3]
-    ] == list(zip(subs, signs))
+    if [(it.sub, it.exp) for it in items[base:base + 3]] != list(triple):
+        raise InternalError("contraction triple did not come together")
     psi = _tail_pair(items[base + 3:])
     params = tuple(_conj_form(c, psi) for c in items[base:base + 3])
     items[base:base + 3] = repl

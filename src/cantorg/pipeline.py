@@ -12,6 +12,7 @@ clusters that assemble into a nonpositively curved cube complex.
 import itertools
 
 from .binseq import ConeSet, incompatible
+from .calculus import supp_y
 from .complexes import (
     FACE,
     Cluster,
@@ -31,18 +32,16 @@ from .special import (
     expand_letter,
     from_letters,
     independent,
+    invert_form,
     is_special,
     minimal_form,
     to_letters,
 )
+from .thompson import InternalError
 
 DISPARATE = "Disparate"
 EQUIVALENT_AT = "EquivalentCellAt"
 NEITHER = "Neither"
-
-
-class InternalError(RuntimeError):
-    """A structural guarantee of the pipeline failed to hold."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -60,10 +59,6 @@ def supp(form):
     return ConeSet([s for s, _ in check_special(form)])
 
 
-def _supp_y(n):
-    return ConeSet([lt.sub for lt in n.ys])
-
-
 def null_intersect(cones, g):
     """Whether a group element pointwise-fixes every cone of the set: no
     percolating letter of its normal form meets a cone, and the tree-pair
@@ -78,12 +73,6 @@ def null_intersect(cones, g):
         if not g.f.fixes_cone(c):
             return False
     return True
-
-
-def _flip(form):
-    """The inverse of a special form: its letters commute pairwise, so the
-    inverse is the same list with all signs flipped."""
-    return tuple((s, -t) for s, t in form)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +136,7 @@ def _orientations(cell):
     """The two exact parametrizations of a cell: over its base, and over
     the opposite endpoint with the inverted form."""
     yield cell.form, cell.tau, cell.bottom, cell.top
-    yield _flip(cell.form), cell.top_base(), cell.top, cell.bottom
+    yield invert_form(cell.form), cell.top_base(), cell.top, cell.bottom
 
 
 def _criterion_cell(form, tau, v):
@@ -155,7 +144,7 @@ def _criterion_cell(form, tau, v):
     whenever the parameter support misses the percolating support of the
     coset quotient; None when the supports meet."""
     g = normalize(list(v) + inverse_word(tau.to_items()))
-    if not supp(form).intersect(_supp_y(g)).is_null():
+    if not supp(form).intersect(supp_y(g)).is_null():
         return None
     tau3 = normalize([FToken(g.f.invert())] + list(v))
     return ParamCell(form, tau3)
@@ -183,7 +172,7 @@ def disparate_cell_vertex(cell, u):
     cones = supp(cell.form)
     g1 = normalize(list(u) + inverse_word(cell.tau.to_items()))
     g2 = normalize(list(u) + inverse_word(cell.top_base().to_items()))
-    if cones.subset_of(_supp_y(g1)) and cones.subset_of(_supp_y(g2)):
+    if cones.subset_of(supp_y(g1)) and cones.subset_of(supp_y(g2)):
         return DISPARATE, None
     for form, tau, _, _ in _orientations(cell):
         cand = _criterion_cell(form, tau, u)
@@ -251,7 +240,7 @@ def expand_cell(cell, at, decomposition):
     if at == cell.bottom:
         target, tau = cell.form, cell.tau
     elif at == cell.top:
-        target, tau = _flip(cell.form), cell.top_base()
+        target, tau = invert_form(cell.form), cell.top_base()
     else:
         raise ValueError("expansion base is not an endpoint of the cell")
     forms = check_decomposition(decomposition, target)
@@ -265,7 +254,7 @@ def op_expand_cell(cell, at, decomposition):
     if at == cell.bottom:
         target, tau = cell.form, cell.tau
     elif at == cell.top:
-        target, tau = _flip(cell.form), cell.top_base()
+        target, tau = invert_form(cell.form), cell.top_base()
     else:
         raise ValueError("expansion base is not an endpoint of the cell")
     forms = check_decomposition(decomposition, target)
@@ -471,8 +460,8 @@ def _two_sided_offsprings(cell, vertices):
     top = cell.top_base()
     supports = []
     for v in vertices:
-        supports.append(_supp_y(normalize(list(v) + inverse_word(cell.tau.to_items()))))
-        supports.append(_supp_y(normalize(list(v) + inverse_word(top.to_items()))))
+        supports.append(supp_y(normalize(list(v) + inverse_word(cell.tau.to_items()))))
+        supports.append(supp_y(normalize(list(v) + inverse_word(top.to_items()))))
     letters = _deep_singles(cell, supports)
     out = [ParamCell((lt,), cell.tau) for lt in letters]
     out.extend(ParamCell(((s, -t),), top) for s, t in letters)

@@ -17,7 +17,16 @@ The rewriting rules used are exactly the group identities:
 from typing import NamedTuple
 
 from .binseq import incompatible, is_constant, lex_key
-from .thompson import IDENTITY, TreePair, compose, x_gen
+from .thompson import (
+    IDENTITY,
+    Y_RULES,
+    Y_STEP,
+    InternalError,
+    TreePair,
+    compose,
+    expand_letter,
+    x_gen,
+)
 
 
 class BudgetExceeded(RuntimeError):
@@ -94,44 +103,27 @@ def _merge(items):
     return out
 
 
-def _expand_pos(sub):
-    return [
-        Letter("x", sub, 1),
-        Letter("y", sub + "0", 1),
-        Letter("y", sub + "10", -1),
-        Letter("y", sub + "11", 1),
-    ]
-
-
-def _expand_neg(sub):
-    return [
-        Letter("y", sub + "11", -1),
-        Letter("y", sub + "10", 1),
-        Letter("y", sub + "0", -1),
-        Letter("x", sub, -1),
-    ]
+_Y_TRIPLE = expand_letter("", 1)
 
 
 def expand_unit(sub, sign):
-    """One expansion step of y_sub^sign as a letter list."""
-    return _expand_pos(sub) if sign > 0 else _expand_neg(sub)
+    """One expansion step of y_sub^sign as a letter list: y_s is x_s times
+    the letters of `expand_letter(s, 1)`, and y_s^-1 is the inverse word."""
+    (w0, a0), (w1, a1), (w2, a2) = _Y_TRIPLE
+    if sign > 0:
+        return [Letter("x", sub, 1), Letter("y", sub + w0, a0),
+                Letter("y", sub + w1, a1), Letter("y", sub + w2, a2)]
+    return [Letter("y", sub + w2, -a2), Letter("y", sub + w1, -a1),
+            Letter("y", sub + w0, -a0), Letter("x", sub, -1)]
 
 
-def _expand_leftmost(lt):
+def _expand_end(lt, leftmost):
+    """Expand the leftmost or the rightmost unit of a y-letter power."""
     sign = 1 if lt.exp > 0 else -1
-    rest = lt.exp - sign
     out = expand_unit(lt.sub, sign)
-    if rest:
-        out = out + [Letter("y", lt.sub, rest)]
-    return out
-
-
-def _expand_rightmost(lt):
-    sign = 1 if lt.exp > 0 else -1
-    rest = lt.exp - sign
-    out = expand_unit(lt.sub, sign)
-    if rest:
-        out = [Letter("y", lt.sub, rest)] + out
+    if lt.exp != sign:
+        rest = [Letter("y", lt.sub, lt.exp - sign)]
+        out = out + rest if leftmost else rest + out
     return out
 
 
@@ -174,7 +166,7 @@ def standardize(items, budget=None):
                     if t2 is not None:
                         items[i:i + 2] = [b, Letter("y", t2, a.exp)]
                     else:
-                        items[i:i + 1] = _expand_rightmost(a)
+                        items[i:i + 1] = _expand_end(a, False)
                 else:
                     xsign = 1 if b.exp > 0 else -1
                     g = x_gen(b.sub)
@@ -189,58 +181,65 @@ def standardize(items, budget=None):
                             repl.append(Letter("x", b.sub, rest))
                         items[i:i + 2] = repl
                     else:
-                        items[i:i + 1] = _expand_rightmost(a)
+                        items[i:i + 1] = _expand_end(a, False)
                 changed = True
                 break
         if changed:
             items = _merge(items)
             continue
         # 2: merge equal-subscript y-letters separated by incompatible letters
-        for i in range(len(items)):
-            if not _is_y(items[i]):
-                continue
-            for j in range(i + 1, len(items)):
-                if not _is_y(items[j]):
-                    break
-                if items[j].sub == items[i].sub:
-                    if all(
-                        incompatible(items[k].sub, items[i].sub)
-                        for k in range(i + 1, j)
-                    ):
-                        budget.spend()
-                        e = items[i].exp + items[j].exp
-                        del items[j]
-                        if e:
-                            items[i] = Letter("y", items[i].sub, e)
-                        else:
-                            del items[i]
-                        changed = True
-                    break
-            if changed:
-                break
-        if changed:
+        # (adjacent ones were merged already)
+        found = find_merge(items)
+        if found is not None:
+            i, j = found
+            budget.spend()
+            e = items[i].exp + items[j].exp
+            del items[j]
+            if e:
+                items[i] = Letter("y", items[i].sub, e)
+            else:
+                del items[i]
             items = _merge(items)
             continue
-        # 3: ordering: a y-letter must not precede a y-letter whose subscript
-        # it properly prefixes; expand the shallow one
-        for i in range(len(items)):
-            if not _is_y(items[i]):
-                continue
-            for j in range(i + 1, len(items)):
-                if not _is_y(items[j]):
-                    continue
-                si, sj = items[i].sub, items[j].sub
-                if si != sj and sj.startswith(si):
-                    budget.spend()
-                    items[i:i + 1] = _expand_leftmost(items[i])
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            items = _merge(items)
+        # 3: ordering: expand the shallow letter of a misordered pair
+        i = find_misordered(items)
+        if i is None:
+            return items
+        budget.spend()
+        items[i:i + 1] = _expand_end(items[i], True)
+        items = _merge(items)
+
+
+def find_merge(items):
+    """The first pair (i, j) of y-letters with equal subscripts, j > i + 1,
+    separated only by y-letters incompatible with them, or None."""
+    for i, a in enumerate(items):
+        if not _is_y(a):
             continue
-        return items
+        for j in range(i + 1, len(items)):
+            b = items[j]
+            if not _is_y(b):
+                break
+            if b.sub == a.sub:
+                if j > i + 1 and all(
+                    incompatible(items[k].sub, a.sub) for k in range(i + 1, j)
+                ):
+                    return i, j
+                break
+    return None
+
+
+def find_misordered(items):
+    """The index of the first y-letter that precedes a y-letter whose
+    subscript it properly prefixes, or None."""
+    for i, a in enumerate(items):
+        if not _is_y(a):
+            continue
+        for j in range(i + 1, len(items)):
+            b = items[j]
+            if _is_y(b) and b.sub != a.sub and b.sub.startswith(a.sub):
+                return i
+    return None
 
 
 def split_standard(items):
@@ -269,33 +268,11 @@ def _outer_reduce(o, buf):
     """Greedily let the left symbol (sign o) consume the digit buffer to its
     right; returns the resulting sign and leftover buffer."""
     while True:
-        if o > 0:
-            if buf.startswith("00"):
-                buf = buf[2:]
-            elif buf.startswith("01"):
-                buf = buf[2:]
-                o = -o
-            elif buf.startswith("1"):
-                buf = buf[1:]
-            else:
-                return o, buf
-        else:
-            if buf.startswith("10"):
-                buf = buf[2:]
-                o = -o
-            elif buf.startswith("11"):
-                buf = buf[2:]
-            elif buf.startswith("0"):
-                buf = buf[1:]
-            else:
-                return o, buf
-
-
-def _inner_emissions(i):
-    """Possible one-step emissions of the right symbol: (digits, new sign)."""
-    if i > 0:
-        return (("0", i), ("10", -i), ("11", i))
-    return (("00", i), ("01", -i), ("1", i))
+        row = Y_STEP.get((o, buf[:2]))
+        if row is None:
+            return o, buf
+        n, _, o = row
+        buf = buf[n:]
 
 
 def pair_potential_cancellation(outer, inner):
@@ -321,51 +298,13 @@ def pair_potential_cancellation(outer, inner):
         o, buf, i = frontier.pop()
         if buf == "" and o == -i:
             return True
-        for digits, i2 in _inner_emissions(i):
+        # the right symbol writes one row's digits for the left to consume
+        for _, digits, i2 in Y_RULES[i]:
             o2, buf2 = _outer_reduce(o, buf + digits)
             st = (o2, buf2, i2)
             if st not in seen:
                 seen.add(st)
                 frontier.append(st)
-    return False
-
-
-def pair_cancellation_bruteforce(outer, inner, depth=8):
-    """Reference decision for pair_potential_cancellation: simulate the
-    two-symbol calculation over every tail of the given length."""
-    (s, t), (u, v) = outer, inner
-    if not (u.startswith(s) and u != s):
-        raise ValueError("outer subscript must properly prefix the inner one")
-    for n in range(1 << depth):
-        tail = format(n, f"0{depth}b")
-        o, buf = _outer_reduce(t, u[len(s):])
-        i = v
-        pos = 0
-        if buf == "" and o == -i:
-            return True
-        while True:
-            # right symbol consumes from the tail
-            if i > 0:
-                if tail.startswith("00", pos):
-                    emit, pos = "0", pos + 2
-                elif tail.startswith("01", pos):
-                    emit, pos, i = "10", pos + 2, -i
-                elif tail.startswith("1", pos) and pos < depth:
-                    emit, pos = "11", pos + 1
-                else:
-                    break
-            else:
-                if tail.startswith("10", pos):
-                    emit, pos, i = "01", pos + 2, -i
-                elif tail.startswith("11", pos):
-                    emit, pos = "1", pos + 2
-                elif tail.startswith("0", pos) and pos < depth:
-                    emit, pos = "00", pos + 1
-                else:
-                    break
-            o, buf = _outer_reduce(o, buf + emit)
-            if buf == "" and o == -i:
-                return True
     return False
 
 
@@ -390,16 +329,18 @@ def neighboring_pairs(ys):
 
 
 def has_potential_cancellation(ys):
-    """Whether a standard-form y-letter list admits a cancellation between
-    some neighboring pair."""
-    for j, i in neighboring_pairs(ys):
-        outer, inner = ys[j], ys[i]
+    """The tightest neighboring pair (outer_index, inner_index) of a
+    standard-form y-letter list that admits a cancellation: least depth
+    gap, then least indices.  None when no pair does."""
+    flagged = [
+        (len(ys[i].sub) - len(ys[j].sub), j, i)
+        for j, i in neighboring_pairs(ys)
         if pair_potential_cancellation(
-            (outer.sub, 1 if outer.exp > 0 else -1),
-            (inner.sub, 1 if inner.exp > 0 else -1),
-        ):
-            return (j, i)
-    return None
+            (ys[j].sub, 1 if ys[j].exp > 0 else -1),
+            (ys[i].sub, 1 if ys[i].exp > 0 else -1),
+        )
+    ]
+    return min(flagged)[1:] if flagged else None
 
 
 def remove_potential_cancellations(items, budget=None):
@@ -411,17 +352,10 @@ def remove_potential_cancellations(items, budget=None):
     items = standardize(items, budget)
     while True:
         _, ys = split_standard(items)
-        flagged = []
-        for j, i in neighboring_pairs(ys):
-            outer, inner = ys[j], ys[i]
-            if pair_potential_cancellation(
-                (outer.sub, 1 if outer.exp > 0 else -1),
-                (inner.sub, 1 if inner.exp > 0 else -1),
-            ):
-                flagged.append((len(inner.sub) - len(outer.sub), j, i))
-        if not flagged:
+        found = has_potential_cancellation(ys)
+        if found is None:
             return items
-        _, j, _ = min(flagged)
+        j, _ = found
         budget.spend()
         # expand the outer (shallow, later) letter of the tightest pair
         target = ys[j]
@@ -431,7 +365,7 @@ def remove_potential_cancellations(items, budget=None):
             if _is_y(item)
             and sum(_is_y(x) for x in items[:k]) == j
         )
-        items[pos:pos + 1] = _expand_leftmost(target)
+        items[pos:pos + 1] = _expand_end(target, True)
         items = standardize(items, budget)
 
 
@@ -439,44 +373,51 @@ def remove_potential_cancellations(items, budget=None):
 # potential contractions
 
 
+# per case, in case order: the sign of the contracted letter y_s^sign, its
+# expansion at s = "" and the parent of the triple's two deeper subscripts
+_CONTRACTIONS = tuple(
+    (case, sign, t, t[1][0][:-1])
+    for case, sign, t in ((1, 1, expand_letter("", 1)),
+                          (2, -1, expand_letter("", -1)))
+)
+
+
 def find_potential_contraction(ys):
-    """Locate a contractible triple in a cancellation-free sorted y-word.
-    Returns (case, pivot) or None.  Case 1 is y_{s0} y_{s10}^-1 y_{s11} with
-    no y_{s1} letter; case 2 is y_{s00}^-1 y_{s01} y_{s1}^-1 with no y_{s0}."""
+    """Locate a contractible triple in a cancellation-free sorted y-word:
+    the expansion of y_s (case 1, y_{s0} y_{s10}^-1 y_{s11}) or of y_s^-1
+    (case 2, y_{s00}^-1 y_{s01} y_{s1}^-1), each letter at least once with
+    its sign, and no letter at the parent of the triple's two deeper
+    subscripts.  Returns (case, s) or None."""
     exps = {lt.sub: lt.exp for lt in ys}
-    for sub in exps:
-        if sub.endswith("0"):
-            s = sub[:-1]
-            if (
-                exps[sub] > 0
-                and exps.get(s + "10", 0) < 0
-                and exps.get(s + "11", 0) > 0
-                and (s + "1") not in exps
-            ):
-                return (1, s)
-        if sub.endswith("00"):
-            s = sub[:-2]
-            if (
-                exps[sub] < 0
-                and exps.get(s + "01", 0) > 0
-                and exps.get(s + "1", 0) < 0
-                and (s + "0") not in exps
-            ):
-                return (2, s)
+    for sub, e in exps.items():
+        for case, _, ((w0, a0), (w1, a1), (w2, a2)), parent in _CONTRACTIONS:
+            if e * a0 > 0 and sub.endswith(w0):
+                s = sub[:-len(w0)]
+                if (
+                    exps.get(s + w1, 0) * a1 > 0
+                    and exps.get(s + w2, 0) * a2 > 0
+                    and s + parent not in exps
+                ):
+                    return (case, s)
     return None
+
+
+def contraction(case, s):
+    """The expansion triple of a contraction found at (case, s), as
+    (subscript, sign) letters, and the word x_s^-sign y_s^sign it equals."""
+    sign = _CONTRACTIONS[case - 1][1]
+    g = x_gen(s)
+    return expand_letter(s, sign), [
+        FToken(g if sign < 0 else g.invert()), Letter("y", s, sign)
+    ]
 
 
 def _apply_contraction(f, ys, case, s):
     """Replace the matched triple by its one-letter equivalent (times a tree
     pair factor) inside the word f·ys; returns a raw item list."""
-    if case == 1:
-        triple = {s + "0": 1, s + "10": -1, s + "11": 1}
-        repl = [FToken(x_gen(s).invert()), Letter("y", s, 1)]
-        last = s + "11"
-    else:
-        triple = {s + "00": -1, s + "01": 1, s + "1": -1}
-        repl = [FToken(x_gen(s)), Letter("y", s, -1)]
-        last = s + "1"
+    triple, repl = contraction(case, s)
+    last = triple[-1][0]
+    triple = dict(triple)
     out = [FToken(f)]
     inserted = False
     for lt in ys:
@@ -489,7 +430,8 @@ def _apply_contraction(f, ys, case, s):
                 inserted = True
         else:
             out.append(lt)
-    assert inserted
+    if not inserted:
+        raise InternalError("contraction triple missing from the word")
     return out
 
 

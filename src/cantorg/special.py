@@ -9,7 +9,7 @@ also the canonical coset representative.
 
 from .binseq import incompatible, is_constant
 from .rewrite import GNormal, Letter, normalize, normalize_product
-from .thompson import TreePair
+from .thompson import Y_RULES, InternalError, TreePair, expand_letter
 
 
 def to_letters(form):
@@ -64,6 +64,12 @@ def check_special(form):
     return form
 
 
+def invert_form(form):
+    """The inverse of a special form: its letters commute pairwise, so the
+    inverse is the same list with all signs flipped."""
+    return tuple((s, -t) for s, t in form)
+
+
 def type_of(form):
     """Type 1 when the leading sign is negative, else type 2."""
     return 1 if form[0][1] == -1 else 2
@@ -71,12 +77,6 @@ def type_of(form):
 
 def parity_of(form):
     return len(form) % 2
-
-
-def expand_letter(s, t):
-    if t > 0:
-        return ((s + "0", 1), (s + "10", -1), (s + "11", 1))
-    return ((s + "00", -1), (s + "01", 1), (s + "1", -1))
 
 
 def expand_at(form, i):
@@ -190,25 +190,14 @@ def descends(anc, dec):
             return sg == w
         if not u.startswith(c):
             return False
+        # step to the child letter of the expansion on the way to u
         rest = u[len(c):]
-        if sg > 0:
-            if rest.startswith("0"):
-                c, sg = c + "0", 1
-            elif rest.startswith("10"):
-                c, sg = c + "10", -1
-            elif rest.startswith("11"):
-                c, sg = c + "11", 1
-            else:
-                return False
+        for _, written, after in Y_RULES[sg]:
+            if rest.startswith(written):
+                c, sg = c + written, after
+                break
         else:
-            if rest.startswith("00"):
-                c, sg = c + "00", -1
-            elif rest.startswith("01"):
-                c, sg = c + "01", 1
-            elif rest.startswith("1"):
-                c, sg = c + "1", -1
-            else:
-                return False
+            return False
 
 
 def overlay(form_a, form_b):
@@ -270,7 +259,8 @@ def find_carrier(form_a, form_b):
         a = expand_at(a, 0)
     while len(b) < len(a):
         b = expand_at(b, 0)
-    assert [t for _, t in a] == [t for _, t in b]
+    if [t for _, t in a] != [t for _, t in b]:
+        raise InternalError("equal type and parity gave different signs")
     ta = complete_tree([s for s, _ in a])
     tb = complete_tree([s for s, _ in b])
     ia = ta.index(a[0][0])

@@ -8,11 +8,52 @@ canonical representatives, compared structurally.
 
 Convention: these act on the right.  `compose(f, g)` is "apply f, then g",
 so act_on_seq(compose(f, g), xi) == act_on_seq(g, act_on_seq(f, xi)).
+
+The defining substitution of the percolating letter y lives here too, as
+the table `Y_RULES`: a symbol y^sign meeting the digits `read` writes the
+digits `written` and goes on with the sign `after`.  Its sign-1 rows are
+00 -> 0, 01 -> 10 (sign flips), 1 -> 11, and the sign -1 rows are their
+mirror.  Everything else derives from this one table:
+  - the leaves of `x_gen(s)` are s+read -> s+written over the sign-1 rows,
+    since y_s acts as x_s on the digits it consumes;
+  - the expansion y_s^sign = x_s^sign y_{s+w1}^a1 y_{s+w2}^a2 y_{s+w3}^a3
+    (`expand_letter`) lists the rows' written words and signs after, so
+    y_s = x_s y_s0 y_s10^-1 y_s11;
+  - `Y_STEP` looks the applicable row up by the sign and the next one or
+    two digits, for the digit-by-digit loops of the rewriter, the
+    evaluation oracle and the exponent calculation.
 """
 
 import functools
 
-from .binseq import RationalSeq, check_bits, incompatible
+from .binseq import check_bits, incompatible
+
+
+class InternalError(RuntimeError):
+    """A structural guarantee of the program failed to hold."""
+
+
+# sign -> rows (read, written, after) of the substitution of y^sign
+Y_RULES = {
+    1: (("00", "0", 1), ("01", "10", -1), ("1", "11", 1)),
+    -1: (("0", "00", -1), ("10", "01", 1), ("11", "1", -1)),
+}
+
+# (sign, next one or two digits) -> (number of digits read, written, after)
+# for the row that applies; absent when the digits do not determine a row
+Y_STEP = {
+    (sign, key): (len(read), written, after)
+    for sign, rows in Y_RULES.items()
+    for key in ("0", "1", "00", "01", "10", "11")
+    for read, written, after in rows
+    if key.startswith(read)
+}
+
+
+def expand_letter(s, sign):
+    """The letters (subscript, sign) that y_s^sign becomes behind x_s^sign:
+    y_s^sign = x_s^sign times these three, in order."""
+    return tuple((s + written, after) for _, written, after in Y_RULES[sign])
 
 
 def _is_complete_code(leaves):
@@ -106,7 +147,7 @@ class TreePair:
         for d, r in zip(self.domain, self.range):
             if xi.starts_with(d):
                 return xi.drop(len(d)).prepend(r)
-        raise AssertionError("complete code must match some prefix")
+        raise InternalError("complete code must match some prefix")
 
     def fixes_cone(self, s):
         """True iff the map restricted to cone(s) is the identity."""
@@ -126,12 +167,13 @@ IDENTITY = TreePair(("",), ("",))
 
 @functools.lru_cache(maxsize=None)
 def x_gen(s):
-    """The basic generator localized at s: inside cone(s) it maps
-    s00→s0, s01→s10, s1→s11 and is the identity elsewhere."""
+    """The basic generator localized at s: inside cone(s) it maps s+read
+    to s+written over the sign-1 rows of Y_RULES and is the identity
+    elsewhere."""
     check_bits(s)
     off = [s[:i] + ("1" if s[i] == "0" else "0") for i in range(len(s))]
-    domain = off + [s + "00", s + "01", s + "1"]
-    rng = off + [s + "0", s + "10", s + "11"]
+    domain = off + [s + read for read, _, _ in Y_RULES[1]]
+    rng = off + [s + written for _, written, _ in Y_RULES[1]]
     return TreePair(domain, rng)
 
 
@@ -150,13 +192,6 @@ def compose(f, g):
         doms.append(f.domain[i] + e[len(f.range[i]):])
         rngs.append(g.range[j] + e[len(g.domain[j]):])
     return TreePair(doms, rngs)
-
-
-def compose_all(pairs):
-    out = IDENTITY
-    for p in pairs:
-        out = compose(out, p)
-    return out
 
 
 def power(f, n):

@@ -24,7 +24,6 @@ from cantorg.rewrite import (
     inverse_word,
     invert_normal,
     normalize,
-    pair_cancellation_bruteforce,
     pair_potential_cancellation,
 )
 from cantorg.special import (
@@ -36,6 +35,7 @@ from cantorg.special import (
     type_of,
 )
 from cantorg.thompson import x_gen
+from substitution_oracles import pair_cancellation_bruteforce
 
 
 def report(num, ok, detail=""):

@@ -124,6 +124,21 @@ def test_contract_loop_command(tmp_path, capsys):
     assert lines[2] == "cancellation: 1"
 
 
+def test_contract_loop_invariant_failure_exits_3(tmp_path, monkeypatch, capsys):
+    from cantorg import loops
+
+    real = loops.path_of
+    # a path that disagrees with the loop at its first vertex
+    monkeypatch.setattr(
+        loops, "path_of", lambda items: [("bogus",)] + real(items)[1:]
+    )
+    f = tmp_path / "loop.txt"
+    f.write_text("1\ny[10]\n1\n")
+    assert commands.run(["contract-loop", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: split phase lost track of the path\n"
+
+
 def test_exit_codes(capsys):
     assert run(capsys, "normalize", "y[11]")[0] == 2  # domain
     assert run(capsys, "normalize", "oops")[0] == 1  # parse

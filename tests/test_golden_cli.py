@@ -35,6 +35,18 @@ CALLS = {
         "cubulate", os.path.join(GOLDEN, "seven_cube.txt")
     ],
     "cubulate_squares": ["cubulate", os.path.join(GOLDEN, "squares.txt")],
+    "normalize_contraction": ["normalize", "y[100] y[1010]^-1 y[1011]"],
+    "normalize_mixed": [
+        "normalize", "y[1000]^-1 y[1001] y[101]^-1 x[1]^2 y[01]^3"
+    ],
+    "equal_expansion": ["equal", "y[10]", "x[10] y[100] y[1010]^-1 y[1011]"],
+    "eval": [
+        "eval", "y[10]^-1 y[100] y[011] y[100] y[100] y[01]^-1", "1001(11)"
+    ],
+    "calc_exponent": ["calc", "y[100]^-1 y[10]", "1001(1)"],
+    "calc_cancellation": ["calc", "y[10]^-1 y[100]", "100(0)"],
+    "special": ["special", "y[100] y[1010]^-1 y[1011]"],
+    "contract_loop": ["contract-loop", os.path.join(GOLDEN, "loop.txt")],
 }
 
 

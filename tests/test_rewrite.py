@@ -19,12 +19,12 @@ from cantorg.rewrite import (
     invert_normal,
     normalize,
     normalize_product,
-    pair_cancellation_bruteforce,
     pair_potential_cancellation,
     split_standard,
     standardize,
 )
 from cantorg.thompson import IDENTITY, compose, x_gen
+from substitution_oracles import pair_cancellation_bruteforce
 
 
 def rational_samples(rng, count=12):

@@ -1,0 +1,101 @@
+"""Exact work counts of the rewriting engine on a small fixed workload.
+
+The counts are deterministic, so a change that alters how much rewriting
+`normalize` or `contract_loop` does shows up here as an exact mismatch,
+without timing anything.  Each counted function is wrapped in every
+`cantorg` module that binds it, so calls through imported names count too.
+"""
+
+import importlib
+
+from cantorg import rewrite
+from cantorg.cli import parse_word
+from cantorg.complexes import vertex_of
+from cantorg.loops import check_certificate, contract_loop, path_of
+from cantorg.rewrite import inverse_word, normalize
+
+MODULES = [
+    importlib.import_module("cantorg." + name)
+    for name in ("binseq", "thompson", "rewrite", "calculus", "special",
+                 "complexes", "pipeline", "loops", "cli", "commands")
+]
+
+COUNTED = [
+    ("rewrite", "standardize"),
+    ("rewrite", "remove_potential_cancellations"),
+    ("rewrite", "pair_potential_cancellation"),
+    ("thompson", "compose"),
+]
+
+WORDS = [
+    "y[10]",
+    "y[100] y[1010]^-1 y[1011]",
+    "y[0100]^-1 y[0101] y[011]^-1",
+    "y[1000]^-1 y[1001] y[101]^-1 x[1]^2 y[01]^3",
+    "x[10] y[100] y[1010]^-1 y[1011]",
+    "y[10]^-1 y[100] y[011] y[100] y[100] y[01]^-1",
+    "y[10] x[1] y[10]^-1",
+    "y[01]^2 y[010]^-1 y[0110]",
+    "x[0]^-1 y[01] x[0] y[001]^-1",
+    "y[110] y[101]^-1 y[1101]^2",
+    "y[100]^-1 y[10]",
+    "y[10]^-1 y[100]",
+    "y[0010]^-1 y[01] y[0010] y[1010]^2 y[100]^-1",
+    "x[] y[01] x[]^-1 y[10]",
+    "y[011]^3 y[01]^-2 x[01]",
+    "y[1010] y[1011] y[101]^-1 y[10]",
+    "y[001] y[01]^-1 y[0011] x[00]",
+    "y[10] y[01] y[10]^-1 y[01]^-1",
+    "y[1100]^-1 y[1101] y[110]^-1 y[10]",
+    "x[1]^-1 y[10] y[01] x[1]",
+]
+
+LOOP_WORDS = [
+    "y[01]^-1 y[100] y[1010] y[011]",
+    "y[01] y[0010]^-1 y[0010] y[1010] y[1010] y[100]^-1",
+    "y[01]^-1 y[1010] y[10]^-1 y[011]",
+    "y[10] y[01] y[10]^-1",
+    "y[010] y[0110]^-1 y[100] y[10]",
+]
+
+# measured on the commit before the substitution table was introduced
+EXPECTED = {
+    "standardize": 861,
+    "remove_potential_cancellations": 604,
+    "pair_potential_cancellation": 752,
+    "compose": 1551,
+}
+
+
+def _loop_of(word):
+    path = path_of(word + inverse_word(word))
+    trivial = vertex_of([])
+    return [trivial] + path if path[0] != trivial else path
+
+
+def _install_counters(monkeypatch):
+    counts = dict.fromkeys([name for _, name in COUNTED], 0)
+    for mod_name, name in COUNTED:
+        original = getattr(importlib.import_module("cantorg." + mod_name),
+                           name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in MODULES:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+def test_exact_work_counts(monkeypatch):
+    loops = [_loop_of(parse_word(w)) for w in LOOP_WORDS]
+    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
+    counts = _install_counters(monkeypatch)
+    for text in WORDS:
+        normalize(parse_word(text))
+    for loop in loops:
+        assert check_certificate(loop, contract_loop(loop))
+    assert counts == EXPECTED
