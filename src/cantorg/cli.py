@@ -11,12 +11,11 @@ Exit codes: 0 success, 1 parse error, 2 domain error, 3 internal-consistency
 failure.
 """
 
-import argparse
 import re
 import sys
 
 from .binseq import RationalSeq, is_constant
-from .rewrite import Letter, letter
+from .rewrite import letter
 
 PARSE_ERROR = 1
 DOMAIN_ERROR = 2

@@ -5,7 +5,7 @@ pairwise independent special forms over a basepoint.  Clusters fill to cubes,
 possibly subdivided along diagonal hyperplanes, one per consecutive junction
 of the parameter list.
 
-Two facts keep the combinatorics polynomial in the 2^n corners:
+Three facts keep the combinatorics polynomial in the 2^n corners:
 
 * Interval lemma.  The corners indexed by subsets A and B are joined by an
   edge exactly when the parameters indexed by A ^ B, in order and inverted
@@ -23,6 +23,13 @@ Two facts keep the combinatorics polynomial in the 2^n corners:
   Bron-Kerbosch with pivoting (CACM Algorithm 457, 1973): at most
   3^(m/3) of them for m edges at the vertex, each tested against the k
   corners as bitmasks, instead of the 2^m subsets of a scan.
+* Face criterion.  A face is spanned at a corner A by a subset F of the
+  parameters; its corners are A ^ B over B <= F.  So corners V, v0 among
+  them, form a face exactly when the sets A_v ^ A_v0 over V have a union F
+  with |V| = 2^|F|; a diagonal or an unrelated vertex set fails the count.
+  Two clusters meet in a common face when their shared corners pass it in
+  both and their shared edges are all the edges of either among them, all
+  read off the corner indices, with no re-parametrization.
 """
 
 import itertools
@@ -179,13 +186,8 @@ class Cluster:
         a = self.subset_of(vertex)
         if a is None:
             raise ValueError("not a vertex of the cluster")
-        out = set()
-        for i in range(self.n):
-            b = a ^ {i}
-            e = frozenset((vertex, self.vertex(b)))
-            if e in self.edges:
-                out.add(e)
-        return out
+        ends = [self.vertex(a ^ {i}) for i in range(self.n)]
+        return {frozenset((vertex, u)) for u in ends} & self.edges
 
 
 def is_balanced(params):
@@ -246,11 +248,8 @@ def subcluster_type(sub, sup):
     if not sub.vertices <= sup.vertices or not sub.edges <= sup.edges:
         raise ValueError("first argument is not a subcluster of the second")
     base = sup.subset_of(sub.base_vertex)
-    blocks = []
-    for j in range(sub.n):
-        corner = sup.subset_of(sub.vertex({j}))
-        blocks.append(corner ^ base)
-    union = frozenset().union(*blocks) if blocks else frozenset()
+    blocks = [sup.subset_of(sub.vertex({j})) ^ base for j in range(sub.n)]
+    union = frozenset().union(*blocks)
     if union == frozenset(range(sup.n)):
         return DIAGONAL
     if all(len(c) == 1 for c in blocks):
@@ -260,42 +259,53 @@ def subcluster_type(sub, sup):
 
 def intersect_clusters(c1, c2):
     """The intersection of two clusters, as a cluster, or None when they
-    share no vertex.  Follows the constructive argument: re-base both at a
-    common vertex, collect the shared edges there, and parametrize by the
-    minimal shared-edge blocks."""
+    share no vertex.  Follows the constructive argument: re-base the first
+    cluster at a common vertex, collect the shared edges there, and
+    parametrize by the minimal shared-edge blocks.  Re-basing at the corner
+    A inverts the parameters in A and moves the corner B to B ^ A, so only
+    the new base is normalized."""
     common = c1.vertices & c2.vertices
     if not common:
         return None
     pivot = min(common)
-    r1 = c1.reparametrized(c1.subset_of(pivot))
-    r2 = c2.reparametrized(c2.subset_of(pivot))
-    shared = [
-        e for e in r1.edges & r2.edges if pivot in e
-    ]
+    shift = c1.subset_of(pivot)
+    base = normalize(
+        _concat_forms(c1.params[i] for i in sorted(shift))
+        + c1.base.to_items()
+    )
+    shared = [e for e in c1.edges & c2.edges if pivot in e]
     if not shared:
-        return Cluster(r1.base, ())
-    blocks = []
-    for e in shared:
-        other = next(v for v in e if v != pivot)
-        blocks.append((r1.subset_of(other), r2.subset_of(other)))
-    minimal = [
-        (ca, da)
-        for ca, da in blocks
-        if not any(cb < ca for cb, _ in blocks)
+        return Cluster(base, ())
+    blocks = [
+        c1.subset_of(next(v for v in e if v != pivot)) ^ shift
+        for e in shared
     ]
+    minimal = [ca for ca in blocks if not any(cb < ca for cb in blocks)]
     params = []
-    for ca, _ in minimal:
-        form = from_letters(
-            _concat_forms(r1.params[i] for i in sorted(ca))
-        )
+    for ca in minimal:
+        form = from_letters(_concat_forms(
+            invert_form(c1.params[i]) if i in shift else c1.params[i]
+            for i in sorted(ca)
+        ))
         params.append(check_special(form))
     params.sort(key=lambda f: f[0][0])
-    return Cluster(r1.base, tuple(params))
+    return Cluster(base, tuple(params))
 
 
-def brute_intersection(c1, c2):
-    """Vertex and edge sets of the plain graph intersection."""
-    return c1.vertices & c2.vertices, c1.edges & c2.edges
+def meet_in_face(c1, c2):
+    """Whether two clusters share a vertex and their graph intersection is a
+    face of each, by the face criterion (see the module docstring)."""
+    vertices = c1.vertices & c2.vertices
+    if not vertices:
+        return False
+    edges = c1.edges & c2.edges
+    for c in (c1, c2):
+        a0 = c.subset_of(next(iter(vertices)))
+        free = frozenset().union(*(c.subset_of(v) ^ a0 for v in vertices))
+        inside = {e for e in c.edges if e <= vertices}
+        if len(vertices) != 1 << len(free) or edges != inside:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +514,7 @@ def _bits(mask):
     return [u for u in range(mask.bit_length()) if mask >> u & 1]
 
 
-def _maximal_cliques(adj):
+def maximal_cliques(adj):
     """Maximal cliques, as bitmasks, of the graph whose node u has the
     neighbour bitmask adj[u]: Bron-Kerbosch with pivoting, branching only on
     candidates outside the neighbourhood of the candidate-richest pivot."""
@@ -557,7 +567,7 @@ def link_flag_check(clusters, vertex):
     def filled(subset):
         return any(subset & ~m == 0 for m in masks)
 
-    for clique in _maximal_cliques(adj):
+    for clique in maximal_cliques(adj):
         if filled(clique):
             continue
         for u in _bits(clique):

@@ -14,14 +14,12 @@ import itertools
 from .binseq import ConeSet, incompatible
 from .calculus import supp_y
 from .complexes import (
-    FACE,
     Cluster,
-    brute_intersection,
-    intersect_clusters,
     is_one_cell,
     link_flag_check,
+    maximal_cliques,
+    meet_in_face,
     quotient_form,
-    subcluster_type,
     vertex_of,
 )
 from .rewrite import FToken, GNormal, inverse_word, normalize
@@ -234,16 +232,22 @@ def check_decomposition(forms, target):
     return forms
 
 
-def expand_cell(cell, at, decomposition):
-    """Facial one-cells of the expansion of a cell at one of its endpoints;
-    the decomposition splits the parameter based there."""
+def _decomposition_at(cell, at, decomposition):
+    """The checked decomposition of the parameter based at endpoint `at`,
+    together with that base."""
     if at == cell.bottom:
         target, tau = cell.form, cell.tau
     elif at == cell.top:
         target, tau = invert_form(cell.form), cell.top_base()
     else:
         raise ValueError("expansion base is not an endpoint of the cell")
-    forms = check_decomposition(decomposition, target)
+    return check_decomposition(decomposition, target), tau
+
+
+def expand_cell(cell, at, decomposition):
+    """Facial one-cells of the expansion of a cell at one of its endpoints;
+    the decomposition splits the parameter based there."""
+    forms, tau = _decomposition_at(cell, at, decomposition)
     return [ParamCell(f, tau) for f in forms]
 
 
@@ -251,13 +255,7 @@ def op_expand_cell(cell, at, decomposition):
     """The mirrored expansion at the endpoint opposite to `at`: each factor
     cancels against its copy in the full product, so the i-th offspring is
     the factor based over the product of the remaining ones."""
-    if at == cell.bottom:
-        target, tau = cell.form, cell.tau
-    elif at == cell.top:
-        target, tau = invert_form(cell.form), cell.top_base()
-    else:
-        raise ValueError("expansion base is not an endpoint of the cell")
-    forms = check_decomposition(decomposition, target)
+    forms, tau = _decomposition_at(cell, at, decomposition)
     out = []
     for i, f in enumerate(forms):
         rest = [
@@ -324,10 +322,10 @@ def _merge_blocks(blocks_by_cell):
                 break
 
 
-def decouple_with_parts(cells, at):
-    """Decouple a list of cells at a common vertex.  Returns the offspring
-    cells together with, per input cell, the decomposition blocks of its
-    parameter at the vertex that produce them."""
+def decouple(cells, at):
+    """Pairwise disparate offsprings of the given cells at a common
+    vertex: each parameter there is split into blocks that are cancellation
+    free from every block of the other parameters."""
     ordered = sorted(set(cells), key=lambda e: sorted(e.vertices))
     for e in ordered:
         if not e.incident(at):
@@ -337,25 +335,13 @@ def decouple_with_parts(cells, at):
     _refine_letters(seqs)
     blocks_by_cell = [[(lt,) for lt in seq] for seq in seqs]
     _merge_blocks(blocks_by_cell)
-    parts = {}
-    out = []
-    for e, blocks in zip(ordered, blocks_by_cell):
-        forms = [tuple(b) for b in blocks]
-        parts[e] = forms
-        for f in forms:
-            c = ParamCell(f, tau)
-            if c not in out:
-                out.append(c)
+    out = list(dict.fromkeys(
+        ParamCell(tuple(b), tau) for blocks in blocks_by_cell for b in blocks
+    ))
     for a, b in itertools.combinations(out, 2):
         if not disparate_pair(a, b, at):
             raise InternalError("decoupling left a coupled pair")
-    return out, parts
-
-
-def decouple(cells, at):
-    """Pairwise disparate offsprings of the given cells at a common
-    vertex."""
-    return decouple_with_parts(cells, at)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +386,35 @@ class CellSystem:
         )
 
 
-def is_balanced_system(system):
-    """Every cell is, against every tracked vertex it misses, either
-    disparate or matched by an equivalent cell of the system there."""
-    for e in system.cells:
-        for v in system.vertices:
+def _undecided(cells, vertices):
+    """Scan every cell against the tracked vertices it misses: the cells
+    neither disparate from nor matched at some vertex, and whether the
+    criterion produced a cell that is missing from `cells`.  A cell's scan
+    stops at its first such vertex, so the vertices go in sorted order to
+    make the work the same under every hash seed."""
+    vertices = sorted(vertices)
+    bad = set()
+    missing = False
+    for e in cells:
+        for v in vertices:
             if e.incident(v):
                 continue
             kind, cand = disparate_cell_vertex(e, v)
             if kind == DISPARATE:
                 continue
-            if kind == EQUIVALENT_AT and cand in system.cells:
+            if kind == EQUIVALENT_AT:
+                missing = missing or cand not in cells
                 continue
-            return False
-    return True
+            bad.add(e)
+            break
+    return bad, missing
+
+
+def is_balanced_system(system):
+    """Every cell is, against every tracked vertex it misses, either
+    disparate or matched by an equivalent cell of the system there."""
+    bad, missing = _undecided(system.cells, system.vertices)
+    return not bad and not missing
 
 
 def is_free_system(system):
@@ -470,9 +471,12 @@ def _two_sided_offsprings(cell, vertices):
 
 def _closure(cells, vertices):
     """Add, for every cell and tracked vertex, the equivalent cell there
-    whenever the criterion produces one."""
+    whenever the criterion produces one.  Equal cells may differ in their
+    parametrization; the scan is sorted so that the one kept does not
+    depend on the hash seed."""
     out = set(cells)
-    for e in cells:
+    vertices = sorted(vertices)
+    for e in sorted(cells, key=lambda c: sorted(c.vertices)):
         for form, tau, _, _ in _orientations(e):
             for v in vertices:
                 cand = _criterion_cell(form, tau, v)
@@ -487,21 +491,7 @@ def _make_balanced(cells, vertices, max_iters=8):
     until the system is balanced.  Balanced input is a fixpoint."""
     cells = set(cells)
     for _ in range(max_iters):
-        missing = False
-        bad = set()
-        for e in cells:
-            for v in vertices:
-                if e.incident(v):
-                    continue
-                kind, cand = disparate_cell_vertex(e, v)
-                if kind == DISPARATE:
-                    continue
-                if kind == EQUIVALENT_AT:
-                    if cand not in cells:
-                        missing = True
-                    continue
-                bad.add(e)
-                break
+        bad, missing = _undecided(cells, vertices)
         if not bad and not missing:
             return cells
         if bad:
@@ -557,19 +547,16 @@ def equivariant_decoupling(system, max_iters=100):
     cells = set(system.cells)
     vertices = system.vertices
     for _ in range(max_iters):
-        target = None
+        ordered = sorted(cells, key=lambda c: sorted(c.vertices))
         for v in sorted(vertices):
-            at_v = [e for e in sorted(cells, key=lambda c: sorted(c.vertices)) if e.incident(v)]
-            comp = _coupled_component(at_v, v)
+            comp = _coupled_component([e for e in ordered if e.incident(v)], v)
             if comp is not None:
-                target = (v, comp)
                 break
-        if target is None:
+        else:
             out = CellSystem(cells, vertices)
             if not is_free_system(out):
                 raise InternalError("edgeless coupling graphs but not free")
             return out
-        v, comp = target
         offsprings = decouple(comp, v)
         stale = {
             p
@@ -596,10 +583,7 @@ class ClusterCubeComplex:
 
     @property
     def vertices(self):
-        out = set()
-        for c in self.clusters:
-            out |= c.vertices
-        return frozenset(out)
+        return frozenset().union(*(c.vertices for c in self.clusters))
 
     def __repr__(self):
         return (
@@ -609,34 +593,30 @@ class ClusterCubeComplex:
 
 
 def _independent_subsets(forms, cap=16):
-    """All nonempty pairwise independent subsets, maximal ones only."""
+    """The maximal pairwise independent subsets of the forms, none when
+    there are none: the maximal cliques of the graph "two forms are
+    independent", by size and then by index."""
     if len(forms) > cap:
         raise InternalError("too many parameters at one vertex")
-    subsets = []
-    for r in range(1, len(forms) + 1):
-        for combo in itertools.combinations(forms, r):
-            if all(
-                independent(a, b) for a, b in itertools.combinations(combo, 2)
-            ):
-                subsets.append(combo)
-    maximal = [
-        s
-        for s in subsets
-        if not any(set(s) < set(t) for t in subsets)
-    ]
-    return maximal
-
-
-def _facial_ok(inter, cluster):
-    if inter.vertices == cluster.vertices:
-        return True
-    return subcluster_type(inter, cluster) == FACE
+    adj = [0] * len(forms)
+    for i, j in itertools.combinations(range(len(forms)), 2):
+        if independent(forms[i], forms[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    cliques = sorted(
+        ([i for i in range(len(forms)) if mask >> i & 1]
+         for mask in maximal_cliques(adj) if mask),
+        key=lambda ids: (len(ids), ids),
+    )
+    return [tuple(forms[i] for i in ids) for ids in cliques]
 
 
 def cubulate(system, max_dim=None):
     """Span clusters by the parameters of the system at each tracked
-    vertex, then verify that all pairwise intersections are facial and
-    every vertex link is a flag complex."""
+    vertex, keep the maximal ones, and index them by vertex.  Every two
+    clusters that share a vertex must meet in a common face (the face
+    criterion, see `complexes`), and the link at every vertex, over the
+    clusters there, must be a flag complex."""
     if not is_free_system(system):
         raise ValueError("system is not free")
     clusters = set()
@@ -661,21 +641,18 @@ def cubulate(system, max_dim=None):
         )
     }
     ordered = sorted(clusters, key=lambda c: sorted(c.vertices))
-    for c1, c2 in itertools.combinations(ordered, 2):
-        verts, edges = brute_intersection(c1, c2)
-        if not verts:
-            continue
-        inter = intersect_clusters(c1, c2)
-        if inter is None or inter.vertices != verts or inter.edges != edges:
-            raise InternalError("cluster intersection is not a cluster")
-        if not _facial_ok(inter, c1) or not _facial_ok(inter, c2):
-            raise InternalError("cluster intersection is not facial")
+    at_vertex = {}
+    for i, c in enumerate(ordered):
+        for v in c.vertices:
+            at_vertex.setdefault(v, []).append(i)
+    pairs = {pair for ids in at_vertex.values()
+             for pair in itertools.combinations(ids, 2)}
+    for i, j in sorted(pairs):
+        if not meet_in_face(ordered[i], ordered[j]):
+            raise InternalError("cluster intersection is not a common face")
     flag_report = {}
-    all_vertices = set()
-    for c in ordered:
-        all_vertices |= c.vertices
-    for v in sorted(all_vertices):
-        ok, witness = link_flag_check(ordered, v)
+    for v in sorted(at_vertex):
+        ok, witness = link_flag_check([ordered[i] for i in at_vertex[v]], v)
         flag_report[v] = (ok, witness)
         if not ok:
             raise InternalError("vertex link is not a flag complex")

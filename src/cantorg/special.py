@@ -90,9 +90,10 @@ def contract_at(form, i):
     form = tuple(form)
     if i + 3 > len(form):
         raise ValueError("no room for a contraction at this index")
-    a, b, c = form[i], form[i + 1], form[i + 2]
-    for s, t in ((a[0][:-1], 1), (a[0][:-2], -1)):
-        if len(a[0]) > (1 if t > 0 else 2) - 1 and (a, b, c) == expand_letter(s, t):
+    triple = form[i:i + 3]
+    for t in (1, -1):
+        s = triple[0][0][:-len(expand_letter("", t)[0][0])]
+        if triple == expand_letter(s, t):
             return form[:i] + ((s, t),) + form[i + 3:]
     raise ValueError(f"letters at {i} do not match a contraction triple")
 

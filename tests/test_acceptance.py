@@ -10,7 +10,6 @@ from cantorg.cli import parse_word
 from cantorg.complexes import (
     Cluster,
     a_delta,
-    brute_intersection,
     cluster_orbit_invariant,
     enumerate_cells,
     intersect_clusters,
@@ -35,6 +34,7 @@ from cantorg.special import (
     type_of,
 )
 from cantorg.thompson import x_gen
+from cluster_oracles import brute_intersection
 from substitution_oracles import pair_cancellation_bruteforce
 
 

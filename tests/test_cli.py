@@ -139,6 +139,36 @@ def test_contract_loop_invariant_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert err == "internal error: split phase lost track of the path\n"
 
 
+def test_cubulate_non_facial_intersection_exits_3(
+    tmp_path, monkeypatch, capsys
+):
+    from cantorg import pipeline
+    from cantorg.special import from_letters
+
+    real = pipeline._independent_subsets
+    square = [from_letters(parse_word(w)) for w in ("y[01]", "y[10]")]
+    # the square on y[100] and y[1010]^-1 y[1011] has the edge y[10] of
+    # the input square as a diagonal, so the two meet in no common face
+    extra = tuple(
+        from_letters(parse_word(w)) for w in ("y[100]", "y[1010]^-1 y[1011]")
+    )
+
+    def with_extra(forms):
+        out = real(forms)
+        if all(f in forms for f in square):
+            out.append(extra)
+        return out
+
+    monkeypatch.setattr(pipeline, "_independent_subsets", with_extra)
+    f = tmp_path / "c.txt"
+    f.write_text("1 ; y[01] ; y[10]\n")
+    assert commands.run(["cubulate", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "internal error: cluster intersection is not a common face\n"
+    )
+
+
 def test_exit_codes(capsys):
     assert run(capsys, "normalize", "y[11]")[0] == 2  # domain
     assert run(capsys, "normalize", "oops")[0] == 1  # parse

@@ -1,9 +1,12 @@
-"""Differential tests: cluster edges and the flag check against the plain
-scans they replace.
+"""Differential tests: cluster edges, the flag check, the intersection
+check and the independent subsets at a vertex against the plain scans they
+replace.
 
 The oracles are the original definitions: an edge test on every pair of
-cluster corners, and a flag check that enumerates every subset of corner
-edges at a vertex.  Both are exponential in the number of corners or edges,
+cluster corners, a flag check that enumerates every subset of corner edges
+at a vertex, and, from `cluster_oracles`, the intersection check that
+re-parametrizes both clusters and the enumeration of all independent
+subsets.  They are exponential in the number of corners, edges or forms,
 so they serve as references on small inputs only.
 """
 
@@ -14,10 +17,22 @@ from hypothesis import given, settings, strategies as st
 
 from cantorg.cli import parse_word
 from cantorg.commands import parse_cluster_line
-from cantorg.complexes import Cluster, is_one_cell, link_flag_check, vertex_of
-from cantorg.pipeline import envelope
+from cantorg.complexes import (
+    Cluster,
+    intersect_clusters,
+    is_one_cell,
+    link_flag_check,
+    meet_in_face,
+    vertex_of,
+)
+from cantorg.pipeline import _independent_subsets, envelope
 from cantorg.rewrite import normalize
 from cantorg.special import from_letters, is_constant, pair_consecutive
+from cluster_oracles import (
+    enumerated_independent_subsets,
+    facial_intersection,
+    reparametrized_intersection,
+)
 
 
 def cl(base_text, *param_texts):
@@ -219,3 +234,147 @@ def test_flag_check_matches_subset_scan_on_envelopes():
                 assert_same_flag_verdict(rest, v)
                 bad += not link_flag_check(rest, v)[0]
     assert bad > 0
+
+
+# ---------------------------------------------------------------------------
+# intersections
+
+
+# the cluster pool of criterion 10, as (base, parameters); it holds the
+# pool of the intersection tests of `test_complexes`
+INTERSECTION_POOL = [
+    ("", ("y[01]",)),
+    ("", ("y[01]", "y[10]")),
+    ("", ("y[01]", "y[10]^-1")),
+    ("", ("y[100]", "y[1010]^-1 y[1011]")),
+    ("", ("y[10]",)),
+    ("", ("y[100]",)),
+    ("", ("y[01]", "y[100]", "y[1010]^-1 y[1011]")),
+    ("y[10]", ("y[01]",)),
+    ("", ("y[001]", "y[01]^-1", "y[10]")),
+    ("y[01]^2", ("y[010]",)),
+    ("", ("y[0010]", "y[010]^-1")),
+    ("x[0]", ("y[01]", "y[10]")),
+]
+
+
+def test_face_criterion_matches_old_verdict_on_pools():
+    clusters = [cl(base, *params) for base, params in INTERSECTION_POOL]
+    rejected = 0
+    for c1, c2 in itertools.product(clusters, repeat=2):
+        verdict = facial_intersection(c1, c2)
+        assert meet_in_face(c1, c2) == verdict
+        rejected += bool(c1.vertices & c2.vertices) and not verdict
+    assert rejected > 0
+
+
+def test_intersect_clusters_matches_reparametrized_intersection():
+    clusters = [cl(base, *params) for base, params in INTERSECTION_POOL]
+    for c1, c2 in itertools.product(clusters, repeat=2):
+        got = intersect_clusters(c1, c2)
+        want = reparametrized_intersection(c1, c2)
+        if want is None:
+            assert got is None
+            continue
+        assert got.base.to_items() == want.base.to_items()
+        assert got.params == want.params
+        assert (got.vertices, got.edges) == (want.vertices, want.edges)
+
+
+# a dozen criterion-11 draws of seed 15, by index, that take under a
+# second each: one to eight output clusters of up to nine parameters, and in
+# all but draw 24 some pair of clusters meets in no common face
+CRITERION_11_DRAWS = {
+    13: ["y[10] ; y[10]^-1", "y[10] ; y[100]"],
+    14: ["y[10] ; y[011] ; y[100] y[101]^-1"],
+    23: ["y[10] ; y[0010] ; y[01] ; y[1010]^-1 y[1011]", "y[10] ; y[011]"],
+    24: ["y[10]^2 ; y[01] ; y[100]", "y[10]^2 ; y[1010]^-1 y[1011]"],
+    28: ["y[10] ; y[011]", "y[10] ; y[01100]"],
+    32: ["1 ; y[011] ; y[100] y[101]^-1"],
+    37: ["y[01] ; y[01] ; y[100]", "y[01] ; y[10]^-1"],
+    41: ["y[01] ; y[01] ; y[100] y[101]^-1"],
+    44: ["y[10]^2 ; y[0010] ; y[01]^-1 ; y[100] y[101]^-1"],
+    45: ["y[10]^2 ; y[100] ; y[1010]^-1 y[1011]"],
+    46: ["y[10] ; y[011] ; y[100] y[101]^-1"],
+    47: ["y[10]^2 ; y[10]", "y[10]^2 ; y[1010]^-1 y[1011]"],
+}
+
+
+def test_face_criterion_matches_old_verdict_on_envelopes():
+    rejected = 0
+    for lines in CRITERION_11_DRAWS.values():
+        inputs = [parse_cluster_line(line) for line in lines]
+        out = envelope(inputs)
+        clusters = sorted(out.clusters, key=lambda c: sorted(c.vertices))
+        for c1, c2 in itertools.combinations(clusters + inputs, 2):
+            verdict = facial_intersection(c1, c2)
+            assert meet_in_face(c1, c2) == verdict
+            rejected += bool(c1.vertices & c2.vertices) and not verdict
+    assert rejected > 0
+
+
+@st.composite
+def subclusters(draw):
+    """A cluster, and the subcluster spanned at a random corner by blocks
+    of its parameters taken there: single parameters span a face, and a
+    block of consecutive ones spans a diagonal.  The corner is drawn so
+    that the signs alternate across every junction inside a block, which
+    makes the block's product special."""
+    params = draw(sorted_independent_params())[:5]
+    base = draw(st.sampled_from(["", "y[10]", "x[0] y[01]"]))
+    c = Cluster(normalize(parse_word(base)), params)
+    n = c.n
+    kept = [i for i in range(n) if draw(st.integers(0, 3))]
+    joined = {
+        i
+        for i in kept
+        if i - 1 in kept
+        and pair_consecutive(params[i - 1][-1][0], params[i][0][0])
+        and draw(st.integers(0, 3))
+    }
+    bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    for i in sorted(joined):
+        bits[i] = bits[i - 1] ^ (params[i - 1][-1][1] == params[i][0][1])
+    r = c.reparametrized({i for i in range(n) if bits[i]})
+    blocks = []
+    for i in kept:
+        if i in joined:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    forms = [tuple(lt for k in b for lt in r.params[k]) for b in blocks]
+    return c, Cluster(r.base, forms), not joined
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(subclusters())
+def test_face_criterion_on_faces_and_diagonals(case):
+    c, sub, face = case
+    assert sub.vertices <= c.vertices
+    assert meet_in_face(c, sub) == meet_in_face(sub, c) == face
+    assert facial_intersection(c, sub) == face
+
+
+# ---------------------------------------------------------------------------
+# independent subsets at a vertex
+
+
+@st.composite
+def form_lists(draw):
+    """Sorted distinct forms of one or two letters over short subscripts,
+    so that some pairs are independent and some nest or coincide."""
+    forms = set()
+    for _ in range(draw(st.integers(0, 9))):
+        s = draw(st.text("01", min_size=1, max_size=4))
+        t = draw(st.sampled_from([1, -1]))
+        if draw(st.booleans()):
+            forms.add(((s, t),))
+        else:
+            forms.add(((s + "0", t), (s + "1", -t)))
+    return sorted(forms)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(form_lists())
+def test_independent_subsets_match_enumeration(forms):
+    assert _independent_subsets(forms) == enumerated_independent_subsets(forms)

@@ -25,7 +25,6 @@ from cantorg.pipeline import (
     null_intersect,
     op_expand_cell,
     orthogonal_pair,
-    param_form_at,
     separation_procedure,
     supp,
 )

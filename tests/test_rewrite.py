@@ -8,8 +8,6 @@ from cantorg.binseq import RationalSeq, is_constant
 from cantorg.calculus import evaluate
 from cantorg.cli import parse_word
 from cantorg.rewrite import (
-    FToken,
-    GNormal,
     IDENTITY_NORMAL,
     Letter,
     equal_words,

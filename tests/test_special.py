@@ -1,10 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cantorg.cli import parse_word
-from cantorg.rewrite import equal_words, normalize, normalize_product
+from cantorg.rewrite import normalize_product
 from cantorg.special import (
     act_f,
     cancellation_free,
@@ -19,7 +18,6 @@ from cantorg.special import (
     is_special,
     list_checks,
     minimal_form,
-    pair_consecutive,
     parity_of,
     product_is_special,
     stabilizes_coset,
