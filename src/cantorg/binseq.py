@@ -13,8 +13,11 @@ import re
 # finite binary words
 
 
+_NOT_BITS = str.maketrans("", "", "01")  # deletes the two binary digits
+
+
 def check_bits(w):
-    if not isinstance(w, str) or any(c not in "01" for c in w):
+    if not isinstance(w, str) or w.translate(_NOT_BITS):
         raise ValueError(f"not a binary word: {w!r}")
     return w
 
@@ -90,6 +93,11 @@ class RationalSeq:
     possible (its last digit differs from the last digit of the period, so
     no digit can be rotated out of the preperiod).  Equality and hashing are
     structural on the canonical form.
+
+    `replace_prefix` trusts the fields it keeps: a canonical period stays
+    primitive under rotation (were a rotation of it u^k, the period would
+    be a rotation of u, to the k), so only the new word is checked and the
+    rotate-out of the preperiod redone.
     """
 
     __slots__ = ("pre", "per")
@@ -99,7 +107,10 @@ class RationalSeq:
         check_bits(per)
         if not per:
             raise ValueError("period must be nonempty")
-        per = _primitive(per)
+        self._settle(pre, _primitive(per))
+
+    def _settle(self, pre, per):
+        # rotate the preperiod's trailing digits into the primitive period
         while pre and pre[-1] == per[-1]:
             per = pre[-1] + per[:-1]
             pre = pre[:-1]
@@ -139,25 +150,32 @@ class RationalSeq:
 
     def prefix(self, n):
         """The first n digits as a finite word."""
-        return "".join(self.digit(i) for i in range(n))
+        pre, per = self.pre, self.per
+        # ceil((n - len(pre)) / len(per)) periods; none when n <= len(pre)
+        return (pre + per * -((len(pre) - n) // len(per)))[:n]
 
     def starts_with(self, w):
-        return all(self.digit(i) == c for i, c in enumerate(w))
+        return self.prefix(len(w)) == w
+
+    def replace_prefix(self, n, w):
+        """The word w followed by this sequence without its first n digits."""
+        check_bits(w)
+        pre, per = self.pre, self.per
+        if n <= len(pre):
+            pre = w + pre[n:]
+        else:
+            m = (n - len(pre)) % len(per)
+            pre, per = w, per[m:] + per[:m]
+        out = object.__new__(RationalSeq)
+        out._settle(pre, per)
+        return out
 
     def drop(self, n):
         """The sequence with its first n digits removed."""
-        if n <= len(self.pre):
-            return RationalSeq(self.pre[n:], self.per)
-        m = (n - len(self.pre)) % len(self.per)
-        return RationalSeq("", self.per[m:] + self.per[:m])
+        return self.replace_prefix(n, "")
 
     def prepend(self, w):
-        check_bits(w)
-        return RationalSeq(w + self.pre, self.per)
-
-
-ZEROS = RationalSeq("", "0")
-ONES = RationalSeq("", "1")
+        return self.replace_prefix(0, w)
 
 
 # ---------------------------------------------------------------------------

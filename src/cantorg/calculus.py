@@ -62,11 +62,11 @@ def eval_letter(sign, xi):
 def _apply_y(sub, exp, xi):
     if not xi.starts_with(sub):
         return xi
-    tail = xi.drop(len(sub))
+    tail = xi.replace_prefix(len(sub), "")
     sign = 1 if exp > 0 else -1
     for _ in range(abs(exp)):
         tail = eval_letter(sign, tail)
-    return tail.prepend(sub)
+    return tail.replace_prefix(0, sub)
 
 
 def evaluate(word, xi):

@@ -98,10 +98,10 @@ class TreePair:
         pairs = sorted(zip(domain, rng))
         domain = tuple(d for d, _ in pairs)
         rng = tuple(r for _, r in pairs)
-        if not all(isinstance(w, str) for w in domain + rng) or set(
-            "".join(domain) + "".join(rng)
-        ) - {"0", "1"}:
-            raise ValueError("leaves must be binary words")
+        try:
+            check_bits("".join(domain + rng))
+        except (TypeError, ValueError):  # a non-str or non-binary leaf
+            raise ValueError("leaves must be binary words") from None
         if len(domain) != len(rng):
             raise ValueError("leaf counts differ")
         if not _is_complete_code(domain) or not _is_complete_code(tuple(sorted(rng))):
@@ -144,9 +144,10 @@ class TreePair:
         return None
 
     def act_on_seq(self, xi):
+        head = xi.prefix(max(map(len, self.domain)))
         for d, r in zip(self.domain, self.range):
-            if xi.starts_with(d):
-                return xi.drop(len(d)).prepend(r)
+            if head.startswith(d):
+                return xi.replace_prefix(len(d), r)
         raise InternalError("complete code must match some prefix")
 
     def fixes_cone(self, s):

@@ -59,7 +59,8 @@ def test_lex_transitive(a, b, c):
 
 
 def test_rational_canonicalization():
-    assert RationalSeq("10", "1") == RationalSeq("1", "01") == RationalSeq("", "101").drop(2).prepend("10") or True
+    assert RationalSeq("1", "01") == RationalSeq("", "10")
+    assert RationalSeq("", "101").drop(2).prepend("10") == RationalSeq("", "101")
     a = RationalSeq("0111", "1")
     assert a.pre == "0" and a.per == "1"
     b = RationalSeq("", "0101")
@@ -69,7 +70,7 @@ def test_rational_canonicalization():
 
 def test_rational_parse_render():
     x = RationalSeq.parse("1001(1)")
-    assert x.render() == "1001(1)" or x.render() == "100(1)"
+    assert x.render() == "100(1)"
     assert RationalSeq.parse("100(1)") == x
     with pytest.raises(ValueError):
         RationalSeq.parse("10)")
