@@ -183,30 +183,18 @@ class RationalSeq:
 
 
 def _canonical_cones(words):
-    cones = set(words)
-    changed = True
-    while changed:
-        changed = False
-        # absorb cones contained in another cone
-        for a in sorted(cones, key=len):
-            for b in cones:
-                if a != b and a.startswith(b):
-                    cones.discard(a)
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
+    """The maximal cones of the union, in one pass over the words in
+    dictionary order: a prefix comes before its extensions, so a word
+    inside a kept cone lies inside the last one, and a word ending in 1
+    can only merge with the kept sibling just before it."""
+    kept = []
+    for w in sorted(set(words)):
+        if kept and w.startswith(kept[-1]):
             continue
-        # merge sibling cones
-        for a in cones:
-            if a.endswith("0") and a[:-1] + "1" in cones:
-                cones.discard(a)
-                cones.discard(a[:-1] + "1")
-                cones.add(a[:-1])
-                changed = True
-                break
-    return tuple(sorted(cones, key=lex_key))
+        while w.endswith("1") and kept and kept[-1] == w[:-1] + "0":
+            w = kept.pop()[:-1]
+        kept.append(w)
+    return tuple(sorted(kept, key=lex_key))
 
 
 class ConeSet:
@@ -216,9 +204,9 @@ class ConeSet:
     __slots__ = ("cones",)
 
     def __init__(self, words=()):
-        for w in words:
-            check_bits(w)
-        object.__setattr__(self, "cones", _canonical_cones(words))
+        # one read of the words, so that an iterator works as well
+        cones = _canonical_cones(map(check_bits, words))
+        object.__setattr__(self, "cones", cones)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConeSet is immutable")

@@ -102,9 +102,6 @@ class CalcString(NamedTuple):
     segs: tuple
     tail: RationalSeq
 
-    def symbol_count(self):
-        return len(self.segs)
-
     def render(self):
         parts = []
         for digits, sign in self.segs:

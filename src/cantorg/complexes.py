@@ -330,79 +330,30 @@ class CellComplexPiece:
         ]
         self._dims = {sig: self._dimension(sig) for sig in self.cells}
 
-    def _classes(self, sig):
-        # union-find over coordinates joined by '=' at cut junctions
-        parent = list(range(self.n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for j, rel in zip(self.cuts, sig[self.n:]):
-            if rel == "=":
-                parent[find(j)] = find(j + 1)
-        return find
-
     def _feasible(self, sig):
-        find = self._classes(sig)
-        pin = {}
-        for i, st in enumerate(sig[: self.n]):
-            root = find(i)
-            if st in "01":
-                if pin.get(root, st) != st:
-                    return False
-                pin[root] = st
-            else:
-                if pin.get(root) in ("0", "1"):
-                    return False
-                pin[root] = None
-        # strict order digraph over class roots plus the constants
-        edges = set()
-        roots = {find(i) for i in range(self.n)}
-        for r in roots:
-            if pin.get(r) is None:
-                edges.add(("0", r))
-                edges.add((r, "1"))
-        edges.add(("0", "1"))
+        # a cut only compares neighbouring coordinates, so the order
+        # constraints form a path and hold together iff each holds alone
         for j, rel in zip(self.cuts, sig[self.n:]):
+            lo, hi = sig[j], sig[j + 1]
             if rel == "=":
+                if lo != hi:
+                    return False
                 continue
-            a, b = find(j), find(j + 1)
             if rel == ">":
-                a, b = b, a
-            a = pin[a] if pin.get(a) is not None else a
-            b = pin[b] if pin.get(b) is not None else b
-            if a == b:
+                lo, hi = hi, lo
+            if lo == "1" or hi == "0":
                 return False
-            edges.add((a, b))
-        # cycle detection
-        nodes = {x for e in edges for x in e}
-        succ = {x: [] for x in nodes}
-        for a, b in edges:
-            succ[a].append(b)
-        state = {}
-
-        def cyclic(x):
-            state[x] = 1
-            for y in succ[x]:
-                if state.get(y) == 1:
-                    return True
-                if y not in state and cyclic(y):
-                    return True
-            state[x] = 2
-            return False
-
-        return not any(x not in state and cyclic(x) for x in nodes)
+        return True
 
     def _dimension(self, sig):
-        find = self._classes(sig)
-        free = set()
-        for i, st in enumerate(sig[: self.n]):
-            if st == "*":
-                free.add(find(i))
-        return len(free)
+        # an '=' cut between interior coordinates joins them into one free
+        # class
+        joined = sum(
+            1
+            for j, rel in zip(self.cuts, sig[self.n:])
+            if rel == "=" and sig[j] == "*"
+        )
+        return sig[: self.n].count("*") - joined
 
     def dim(self, cell):
         return self._dims[cell]
@@ -438,14 +389,7 @@ class CellComplexPiece:
         """The corner subset of a 0-cell."""
         if self.dim(cell) != 0:
             raise ValueError("not a vertex cell")
-        find = self._classes(cell)
-        pin = {}
-        for i, st in enumerate(cell[: self.n]):
-            if st in "01":
-                pin[find(i)] = st
-        return frozenset(
-            i for i in range(self.n) if pin[find(i)] == "1"
-        )
+        return frozenset(i for i in range(self.n) if cell[i] == "1")
 
     def check_incidence(self):
         """Grading sanity of the face poset: each edge has two vertex ends,

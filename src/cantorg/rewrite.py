@@ -474,34 +474,30 @@ IDENTITY_NORMAL = GNormal(IDENTITY, ())
 _NORMALIZE_CACHE = {}
 
 
-def normalize(word, budget=None):
+def normalize(word):
     """The unique normal form of a word (letters and/or tree-pair tokens)."""
-    key = None
-    if budget is None:
-        key = tuple(word)
-        cached = _NORMALIZE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        budget = _Budget(500_000)
-        word = key
-    items = remove_potential_cancellations(list(word), budget)
+    key = tuple(word)
+    cached = _NORMALIZE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    budget = _Budget(500_000)
+    items = remove_potential_cancellations(list(key), budget)
     while True:
         f, ys = split_standard(items)
         ys = _lex_sorted(ys)
         found = find_potential_contraction(ys)
         if found is None:
             out = GNormal(f, tuple(ys))
-            if key is not None:
-                if len(_NORMALIZE_CACHE) > 1_000_000:
-                    _NORMALIZE_CACHE.clear()
-                _NORMALIZE_CACHE[key] = out
+            if len(_NORMALIZE_CACHE) > 1_000_000:
+                _NORMALIZE_CACHE.clear()
+            _NORMALIZE_CACHE[key] = out
             return out
         budget.spend()
         items = _apply_contraction(f, ys, *found)
         items = remove_potential_cancellations(items, budget)
 
 
-def normalize_product(*factors, budget=None):
+def normalize_product(*factors):
     """Normal form of a product whose factors are words, letters or normal
     forms."""
     items = []
@@ -514,7 +510,7 @@ def normalize_product(*factors, budget=None):
             items.append(FToken(fac))
         else:
             items.extend(fac)
-    return normalize(items, budget=budget)
+    return normalize(items)
 
 
 def invert_normal(n):

@@ -3,8 +3,8 @@
 A special form is a sequence of (subscript, sign) letters whose subscripts
 are consecutive leaves of some finite binary tree (left to right) and whose
 signs strictly alternate.  Each special form labels an edge of the coset
-complex; contraction to the fixpoint gives the unique minimal form, which is
-also the canonical coset representative.
+complex; contracting every expansion triple gives the unique minimal form,
+which is also the canonical coset representative.
 """
 
 from .binseq import incompatible, is_constant
@@ -90,29 +90,37 @@ def contract_at(form, i):
     form = tuple(form)
     if i + 3 > len(form):
         raise ValueError("no room for a contraction at this index")
-    triple = form[i:i + 3]
+    lt = _contracted(form[i:i + 3])
+    if lt is None:
+        raise ValueError(f"letters at {i} do not match a contraction triple")
+    return form[:i] + (lt,) + form[i + 3:]
+
+
+def _contracted(triple):
+    """The letter whose expansion is the triple of letters, or None."""
+    triple = tuple(triple)
     for t in (1, -1):
         s = triple[0][0][:-len(expand_letter("", t)[0][0])]
         if triple == expand_letter(s, t):
-            return form[:i] + ((s, t),) + form[i + 3:]
-    raise ValueError(f"letters at {i} do not match a contraction triple")
+            return s, t
+    return None
 
 
 def minimal_form(form):
-    """Contract to the fixpoint; the unique minimal representative of the
-    coset of the form."""
-    form = check_special(form)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(form) - 2):
-            try:
-                form = contract_at(form, i)
-            except ValueError:
-                continue
-            changed = True
-            break
-    return form
+    """Contract expansion triples down to the unique minimal representative
+    of the coset of the form, in one pass: the letters are pushed one by
+    one, and a push or a contraction can only complete a triple ending at
+    the letter on top.  Triples never overlap, so the order in which they
+    are contracted does not change the result."""
+    out = []
+    for lt in check_special(form):
+        out.append(lt)
+        while len(out) >= 3:
+            lt = _contracted(out[-3:])
+            if lt is None:
+                break
+            out[-3:] = [lt]
+    return tuple(out)
 
 
 def independent(a, b):
@@ -142,16 +150,16 @@ def act_f(form, f):
     form = check_special(form)
     if not isinstance(f, TreePair):
         raise TypeError("act_f takes a tree pair")
-    work = list(form)
-    progress = True
-    while progress:
-        progress = False
-        for i, (s, t) in enumerate(work):
-            if f.act_on_word(s) is None:
-                work[i:i + 1] = list(expand_letter(s, t))
-                progress = True
-                break
-    return tuple((f.act_on_word(s), t) for s, t in work)
+    todo = list(reversed(form))
+    out = []
+    while todo:
+        s, t = todo.pop()
+        image = f.act_on_word(s)
+        if image is None:
+            todo.extend(reversed(expand_letter(s, t)))
+        else:
+            out.append((image, t))
+    return tuple(out)
 
 
 def coset_vertex(word):
@@ -221,13 +229,15 @@ def cancellation_free(form_a, form_b):
 def complete_tree(subs):
     """Leaves of the minimal complete binary tree containing the given
     pairwise incompatible words as leaves, in left-to-right order."""
-
-    def build(prefix):
+    leaves = []
+    todo = [""]
+    while todo:
+        prefix = todo.pop()
         if any(s.startswith(prefix) and s != prefix for s in subs):
-            return build(prefix + "0") + build(prefix + "1")
-        return [prefix]
-
-    return build("")
+            todo += [prefix + "1", prefix + "0"]
+        else:
+            leaves.append(prefix)
+    return leaves
 
 
 def _pad_left(leaves, k):

@@ -71,24 +71,24 @@ def _is_complete_code(leaves):
 
 
 def _reduce(domain, rng):
-    domain, rng = list(domain), list(rng)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(domain) - 1):
-            d0, d1 = domain[i], domain[i + 1]
-            r0, r1 = rng[i], rng[i + 1]
-            if (
-                d0[:-1] == d1[:-1]
-                and d0.endswith("0")
-                and r0[:-1] == r1[:-1]
-                and r0.endswith("0")
-            ):
-                domain[i:i + 2] = [d0[:-1]]
-                rng[i:i + 2] = [r0[:-1]]
-                changed = True
-                break
-    return tuple(domain), tuple(rng)
+    """Cancel the carets common to both trees, in domain order.  A merged
+    caret can only become reducible with the leaf kept just before it, so
+    one pass with a stack reaches the unique reduced pair."""
+    doms, rngs = [], []
+    for d, r in zip(domain, rng):
+        while (
+            doms
+            and d.endswith("1")
+            and r.endswith("1")
+            and doms[-1] == d[:-1] + "0"
+            and rngs[-1] == r[:-1] + "0"
+        ):
+            doms.pop()
+            rngs.pop()
+            d, r = d[:-1], r[:-1]
+        doms.append(d)
+        rngs.append(r)
+    return tuple(doms), tuple(rngs)
 
 
 class TreePair:
@@ -156,11 +156,6 @@ class TreePair:
             incompatible(d, s) or d == r
             for d, r in zip(self.domain, self.range)
         )
-
-    def moved_cones(self):
-        """Union of domain cones on which the map is not the identity,
-        as a list of prefixes (not canonicalized)."""
-        return [d for d, r in zip(self.domain, self.range) if d != r]
 
 
 IDENTITY = TreePair(("",), ("",))
