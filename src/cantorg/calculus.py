@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .binseq import ConeSet, RationalSeq
 from .rewrite import FToken, GNormal, Letter
-from .thompson import Y_STEP, x_gen
+from .thompson import Y_STEP, x_unit
 
 
 class PotentialCancellationFlag:
@@ -30,6 +30,10 @@ class PotentialCancellationFlag:
 
 
 POTENTIAL_CANCELLATION = PotentialCancellationFlag()
+
+# bounds of `exponent`: substitution steps, digits queued behind the last symbol
+MAX_STEPS = 200_000
+MAX_BUFFER = 512
 
 
 def eval_letter(sign, xi):
@@ -80,9 +84,7 @@ def evaluate(word, xi):
         if isinstance(item, FToken):
             xi = item.pair.act_on_seq(xi)
         elif item.kind == "x":
-            g = x_gen(item.sub)
-            if item.exp < 0:
-                g = g.invert()
+            g = x_unit(item.sub, item.exp)
             for _ in range(abs(item.exp)):
                 xi = g.act_on_seq(xi)
         else:
@@ -145,7 +147,7 @@ def _consume_emitting(o, buf):
         buf = buf[n:]
 
 
-def exponent(c, max_steps=200_000, max_buffer=512):
+def exponent(c):
     """Run the substitution process on a calculation with cycle detection.
     Returns the number of surviving symbols, or the potential-cancellation
     flag when two opposite symbols can become adjacent."""
@@ -184,7 +186,7 @@ def exponent(c, max_steps=200_000, max_buffer=512):
         if buffers[j] == "" and signs[j] == -signs[j + 1]:
             return POTENTIAL_CANCELLATION
 
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if drain():
             return POTENTIAL_CANCELLATION
         if pos >= pre_len:
@@ -199,7 +201,7 @@ def exponent(c, max_steps=200_000, max_buffer=512):
         pos += n
         if k >= 2:
             buffers[k - 2] += emit
-            if len(buffers[k - 2]) > max_buffer:
+            if len(buffers[k - 2]) > MAX_BUFFER:
                 raise RuntimeError("calculation buffer exceeded bound")
     raise RuntimeError("calculation did not stabilize within the step bound")
 

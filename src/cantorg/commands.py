@@ -3,7 +3,8 @@
 Complex files are line oriented: one cluster per line, fields separated by
 ";" — first the base word, then one parameter word per field.  Blank lines
 and lines starting with "#" are skipped.  Loop files hold one vertex word
-per line.  All outputs are deterministic byte-for-byte.
+per line.  All outputs are deterministic byte-for-byte.  Only the commands
+that use clusters, the pipeline or loops import those modules.
 """
 
 import argparse
@@ -21,11 +22,9 @@ from .cli import (
     parse_word,
     render_word,
 )
-from .complexes import Cluster, enumerate_cells, intersect_clusters, vertex_of
-from .loops import check_certificate, contract_loop
-from .pipeline import envelope
 from .rewrite import normalize
 from .special import (
+    coset_vertex,
     from_letters,
     is_special,
     minimal_form,
@@ -47,6 +46,7 @@ def _y_form(text):
 
 
 def parse_cluster_line(line):
+    from .complexes import Cluster
     fields = [f.strip() for f in line.split(";")]
     base = normalize(parse_word("" if fields[0] == "1" else fields[0]))
     params = tuple(_y_form(f) for f in fields[1:])
@@ -81,6 +81,7 @@ def _print_cluster(cluster, cells=False, max_dim=None):
     for e in sorted(map(sorted, cluster.edges)):
         print("  %s ; %s" % (render_vertex(e[0]), render_vertex(e[1])))
     if cells:
+        from .complexes import enumerate_cells
         if max_dim is None:
             piece = enumerate_cells(cluster)
         else:
@@ -140,6 +141,7 @@ def cmd_cluster(args):
 
 
 def cmd_intersect(args):
+    from .complexes import intersect_clusters
     got = intersect_clusters(
         parse_cluster_line(args.first), parse_cluster_line(args.second)
     )
@@ -150,6 +152,7 @@ def cmd_intersect(args):
 
 
 def cmd_cubulate(args):
+    from .pipeline import envelope
     clusters = read_cluster_file(args.file)
     out = envelope(
         clusters,
@@ -166,13 +169,14 @@ def cmd_cubulate(args):
 
 
 def cmd_contract_loop(args):
+    from .loops import check_certificate, contract_loop
     loop = []
     with open(args.file, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            loop.append(vertex_of(parse_word("" if line == "1" else line)))
+            loop.append(coset_vertex(parse_word("" if line == "1" else line)))
     cert = contract_loop(loop)
     if not check_certificate(loop, cert):
         raise RuntimeError("emitted certificate failed verification")

@@ -36,10 +36,9 @@ import itertools
 
 from .rewrite import GNormal, normalize, inverse_word
 from .special import (
-    check_special,
+    check_sorted_forms,
     coset_vertex,
     from_letters,
-    independent,
     invert_form,
     is_special,
     pair_consecutive,
@@ -75,18 +74,6 @@ def is_one_cell(u, v):
 
 def _concat_forms(forms):
     return [lt for f in forms for lt in to_letters(f)]
-
-
-def check_sorted_params(params):
-    params = tuple(check_special(f) for f in params)
-    for a, b in zip(params, params[1:]):
-        if a[-1][0] >= b[0][0]:
-            raise ValueError("parameter list is not sorted")
-    for i, a in enumerate(params):
-        for b in params[i + 1:]:
-            if not independent(a, b):
-                raise ValueError("parameters are not pairwise independent")
-    return params
 
 
 def _interval_edges(params, corners):
@@ -128,7 +115,7 @@ class Cluster:
         if not isinstance(base, GNormal):
             base = normalize(list(base))
         self.base = base
-        self.params = check_sorted_params(params)
+        self.params = check_sorted_forms(params)
         self.n = n = len(self.params)
         chosen = [
             [i for i in range(n) if mask >> i & 1] for mask in range(1 << n)
@@ -287,7 +274,7 @@ def intersect_clusters(c1, c2):
             invert_form(c1.params[i]) if i in shift else c1.params[i]
             for i in sorted(ca)
         ))
-        params.append(check_special(form))
+        params.append(form)
     params.sort(key=lambda f: f[0][0])
     return Cluster(base, tuple(params))
 

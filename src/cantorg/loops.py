@@ -27,7 +27,7 @@ from .rewrite import (
     normalize,
 )
 from .special import from_letters, independent, is_special
-from .thompson import InternalError, compose, x_gen
+from .thompson import InternalError, compose, x_unit
 
 TRIVIAL = ()
 
@@ -36,6 +36,8 @@ EXPANSION = "expansion"
 REARRANGEMENT = "rearrangement"
 COMMUTING = "commuting"
 CANCELLATION = "cancellation"
+
+MAX_MOVES = 20_000
 
 
 def _edge_normal(u, v):
@@ -72,18 +74,14 @@ def _conj_form(letter, psi):
     return from_letters(normalize(items).ys)
 
 
-class _Contraction:
-    def __init__(self, max_moves):
-        self.max_moves = max_moves
-        self.moves = []
-
+class _Contraction(list):
     def emit(self, kind, path, params=None):
-        self.moves.append((kind, list(path), params))
-        if len(self.moves) > self.max_moves:
+        self.append((kind, list(path), params))
+        if len(self) > MAX_MOVES:
             raise RuntimeError("loop contraction exceeded the move budget")
 
 
-def contract_loop(loop, max_moves=20_000):
+def contract_loop(loop):
     """Contract a loop at the base vertex to the trivial loop.  Returns the
     move certificate, beginning with ("start", the input path, None) and
     ending with a path of base vertices only."""
@@ -91,7 +89,7 @@ def contract_loop(loop, max_moves=20_000):
     if len(loop) < 1 or loop[0] != TRIVIAL or loop[-1] != TRIVIAL:
         raise ValueError("loop must start and end at the base vertex")
     normals = [_edge_normal(u, v) for u, v in zip(loop, loop[1:])]
-    state = _Contraction(max_moves)
+    state = _Contraction()
     state.emit("start", loop)
 
     # phase 1: split every diagonal edge into single-letter edges; the
@@ -140,14 +138,13 @@ def contract_loop(loop, max_moves=20_000):
         items = _contract_moves(items, state, *found)
     if any(_is_y(it) for it in items):
         raise InternalError("loop word did not reduce inside F")
-    return state.moves
+    return list(state)
 
 
 def _as_pair(item):
     if isinstance(item, FToken):
         return item.pair
-    g = x_gen(item.sub)
-    return g.invert() if item.exp < 0 else g
+    return x_unit(item.sub, item.exp)
 
 
 def _compose_x(items, i):

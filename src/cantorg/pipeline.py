@@ -25,6 +25,7 @@ from .complexes import (
 from .rewrite import FToken, GNormal, inverse_word, normalize
 from .special import (
     cancellation_free,
+    check_sorted_forms,
     check_special,
     descends,
     expand_letter,
@@ -40,6 +41,8 @@ from .thompson import InternalError
 DISPARATE = "Disparate"
 EQUIVALENT_AT = "EquivalentCellAt"
 NEITHER = "Neither"
+
+MAX_ROUNDS = 100_000
 
 
 class NonConvergenceError(RuntimeError):
@@ -80,7 +83,11 @@ def null_intersect(cones, g):
 class ParamCell:
     """A one-cell with a chosen parametrization: a special form over an
     explicit base element.  Cells compare equal when their endpoint pairs
-    agree, whichever parametrization either carries."""
+    agree, whichever parametrization either carries.
+
+    `sides` holds both exact parametrizations as (form, base normal form,
+    near end, far end): the form over `tau` from `bottom` to `top`, then
+    the inverted form over the top's exact element back to `bottom`."""
 
     def __init__(self, form, tau):
         if not isinstance(tau, GNormal):
@@ -88,12 +95,17 @@ class ParamCell:
         self.form = check_special(tuple(form))
         self.tau = tau
         self.bottom = vertex_of(tau.to_items())
-        self.top = vertex_of(to_letters(self.form) + tau.to_items())
+        top = normalize(to_letters(self.form) + tau.to_items())
+        self.top = top.ys
         if self.top == self.bottom:
             raise ValueError("parameter does not move the base coset")
         if not is_one_cell(self.bottom, self.top):
             raise ValueError("endpoints are not joined by a one-cell")
         self.vertices = frozenset((self.bottom, self.top))
+        self.sides = (
+            (self.form, tau, self.bottom, self.top),
+            (invert_form(self.form), top, self.top, self.bottom),
+        )
 
     @classmethod
     def from_edge(cls, u, v):
@@ -113,15 +125,10 @@ class ParamCell:
         return v in self.vertices
 
     def other(self, v):
-        if v == self.bottom:
-            return self.top
-        if v == self.top:
-            return self.bottom
+        for _, _, near, far in self.sides:
+            if v == near:
+                return far
         raise ValueError("not an endpoint of the cell")
-
-    def top_base(self):
-        """The exact element whose coset is the top endpoint."""
-        return normalize(to_letters(self.form) + self.tau.to_items())
 
 
 def param_form_at(cell, v):
@@ -130,18 +137,15 @@ def param_form_at(cell, v):
     return from_letters(quotient_form(cell.other(v), v))
 
 
-def _orientations(cell):
-    """The two exact parametrizations of a cell: over its base, and over
-    the opposite endpoint with the inverted form."""
-    yield cell.form, cell.tau, cell.bottom, cell.top
-    yield invert_form(cell.form), cell.top_base(), cell.top, cell.bottom
+def _quotient(v, base):
+    """The normal form of v times the inverse of a base element."""
+    return normalize(list(v) + inverse_word(base.to_items()))
 
 
-def _criterion_cell(form, tau, v):
+def _criterion_cell(form, g, v):
     """The unique candidate cell at vertex v sharing the parameter, built
     whenever the parameter support misses the percolating support of the
-    coset quotient; None when the supports meet."""
-    g = normalize(list(v) + inverse_word(tau.to_items()))
+    quotient g of v over the parameter's base; else None."""
     if not supp(form).intersect(supp_y(g)).is_null():
         return None
     tau3 = normalize([FToken(g.f.invert())] + list(v))
@@ -152,9 +156,9 @@ def equivalent_cells(e1, e2):
     """Associated vertex pairs when the two cells are equivalent, else None.
     Returns ((a, b), (c, d)) with a, c endpoints of e1 and b, d the matching
     endpoints of e2."""
-    for form, tau, near, far in _orientations(e1):
+    for form, base, near, far in e1.sides:
         for u in (e2.bottom, e2.top):
-            cand = _criterion_cell(form, tau, u)
+            cand = _criterion_cell(form, _quotient(u, base), u)
             if cand is not None and cand == e2:
                 return ((near, u), (far, e2.other(u)))
     return None
@@ -168,12 +172,11 @@ def disparate_cell_vertex(cell, u):
     if not isinstance(u, tuple):
         raise TypeError("vertices are letter tuples")
     cones = supp(cell.form)
-    g1 = normalize(list(u) + inverse_word(cell.tau.to_items()))
-    g2 = normalize(list(u) + inverse_word(cell.top_base().to_items()))
-    if cones.subset_of(supp_y(g1)) and cones.subset_of(supp_y(g2)):
+    quotients = [_quotient(u, base) for _, base, _, _ in cell.sides]
+    if all(cones.subset_of(supp_y(g)) for g in quotients):
         return DISPARATE, None
-    for form, tau, _, _ in _orientations(cell):
-        cand = _criterion_cell(form, tau, u)
+    for (form, _, _, _), g in zip(cell.sides, quotients):
+        cand = _criterion_cell(form, g, u)
         if cand is not None:
             return EQUIVALENT_AT, cand
     return NEITHER, None
@@ -216,14 +219,7 @@ def orthogonal_pair(e1, e2, at=None):
 def check_decomposition(forms, target):
     """A decomposition of a parameter: sorted, pairwise independent special
     forms whose concatenation is a special form equivalent to the target."""
-    forms = [check_special(tuple(f)) for f in forms]
-    for a, b in zip(forms, forms[1:]):
-        if a[-1][0] >= b[0][0]:
-            raise ValueError("decomposition is not sorted")
-    for i, a in enumerate(forms):
-        for b in forms[i + 1:]:
-            if not independent(a, b):
-                raise ValueError("decomposition is not pairwise independent")
+    forms = check_sorted_forms(forms)
     flat = tuple(lt for f in forms for lt in f)
     if not is_special(flat):
         raise ValueError("decomposition does not concatenate to a special form")
@@ -235,13 +231,10 @@ def check_decomposition(forms, target):
 def _decomposition_at(cell, at, decomposition):
     """The checked decomposition of the parameter based at endpoint `at`,
     together with that base."""
-    if at == cell.bottom:
-        target, tau = cell.form, cell.tau
-    elif at == cell.top:
-        target, tau = invert_form(cell.form), cell.top_base()
-    else:
-        raise ValueError("expansion base is not an endpoint of the cell")
-    return check_decomposition(decomposition, target), tau
+    for form, base, near, _ in cell.sides:
+        if at == near:
+            return check_decomposition(decomposition, form), base
+    raise ValueError("expansion base is not an endpoint of the cell")
 
 
 def expand_cell(cell, at, decomposition):
@@ -272,13 +265,13 @@ def op_expand_cell(cell, at, decomposition):
 # decoupling at a vertex
 
 
-def _refine_letters(seqs, max_rounds=100_000):
+def _refine_letters(seqs):
     """Expand letters across the sequences until every cross pair of
     distinct letters is free of descendant relations.  Always expanding the
     globally shallowest coupled letter keeps the round count finite:
     freeness of a pair is inherited by the children, and the gap along the
     unique descending branch shrinks each round."""
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         best = None
         for i, a_seq in enumerate(seqs):
             for j, b_seq in enumerate(seqs):
@@ -433,12 +426,12 @@ def is_free_system(system):
 # separation: make a system balanced
 
 
-def _deep_singles(cell, supports, max_rounds=100_000):
+def _deep_singles(cell, supports):
     """Single-letter decomposition of the parameter, expanded until no
     letter cone strictly contains a cone of any support; every letter is
     then inside or disjoint from each support."""
     letters = list(cell.form)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         idx = None
         for i, (s, _) in enumerate(letters):
             if any(
@@ -458,12 +451,13 @@ def _deep_singles(cell, supports, max_rounds=100_000):
 def _two_sided_offsprings(cell, vertices):
     """Two-sided expansion of a cell into single letters deep enough to be
     decided against every tracked vertex on both sides."""
-    top = cell.top_base()
-    supports = []
-    for v in vertices:
-        supports.append(supp_y(normalize(list(v) + inverse_word(cell.tau.to_items()))))
-        supports.append(supp_y(normalize(list(v) + inverse_word(top.to_items()))))
+    supports = [
+        supp_y(_quotient(v, base))
+        for v in vertices
+        for _, base, _, _ in cell.sides
+    ]
     letters = _deep_singles(cell, supports)
+    top = cell.sides[1][1]
     out = [ParamCell((lt,), cell.tau) for lt in letters]
     out.extend(ParamCell(((s, -t),), top) for s, t in letters)
     return out
@@ -477,9 +471,9 @@ def _closure(cells, vertices):
     out = set(cells)
     vertices = sorted(vertices)
     for e in sorted(cells, key=lambda c: sorted(c.vertices)):
-        for form, tau, _, _ in _orientations(e):
+        for form, base, _, _ in e.sides:
             for v in vertices:
-                cand = _criterion_cell(form, tau, v)
+                cand = _criterion_cell(form, _quotient(v, base), v)
                 if cand is not None:
                     out.add(cand)
     return out

@@ -25,7 +25,7 @@ from .thompson import (
     TreePair,
     compose,
     expand_letter,
-    x_gen,
+    x_unit,
 )
 
 
@@ -162,26 +162,17 @@ def standardize(items, budget=None):
             if _is_y(a) and _is_xish(b):
                 budget.spend()
                 if isinstance(b, FToken):
-                    t2 = b.pair.act_on_word(a.sub)
-                    if t2 is not None:
-                        items[i:i + 2] = [b, Letter("y", t2, a.exp)]
-                    else:
-                        items[i:i + 1] = _expand_end(a, False)
+                    pair, head, rest = b.pair, b, []
                 else:
-                    xsign = 1 if b.exp > 0 else -1
-                    g = x_gen(b.sub)
-                    if xsign < 0:
-                        g = g.invert()
-                    t2 = g.act_on_word(a.sub)
-                    if t2 is not None:
-                        unit = Letter("x", b.sub, xsign)
-                        rest = b.exp - xsign
-                        repl = [unit, Letter("y", t2, a.exp)]
-                        if rest:
-                            repl.append(Letter("x", b.sub, rest))
-                        items[i:i + 2] = repl
-                    else:
-                        items[i:i + 1] = _expand_end(a, False)
+                    # one unit moves past; the merge drops a zero rest
+                    sign = 1 if b.exp > 0 else -1
+                    pair, head = x_unit(b.sub, sign), Letter("x", b.sub, sign)
+                    rest = [Letter("x", b.sub, b.exp - sign)]
+                t2 = pair.act_on_word(a.sub)
+                if t2 is None:
+                    items[i:i + 1] = _expand_end(a, False)
+                else:
+                    items[i:i + 2] = [head, Letter("y", t2, a.exp)] + rest
                 changed = True
                 break
         if changed:
@@ -250,9 +241,7 @@ def split_standard(items):
         if isinstance(item, FToken):
             f = compose(f, item.pair)
         elif item.kind == "x":
-            g = x_gen(item.sub)
-            if item.exp < 0:
-                g = g.invert()
+            g = x_unit(item.sub, item.exp)
             for _ in range(abs(item.exp)):
                 f = compose(f, g)
         else:
@@ -346,26 +335,21 @@ def has_potential_cancellation(ys):
 def remove_potential_cancellations(items, budget=None):
     """Rewrite a word so that no neighboring pair admits a cancellation.
     Flagged pairs are resolved by expanding the shallow letter; the expansion
-    offspring either separate from or exactly cancel against the deep one."""
+    offspring either separate from or exactly cancel against the deep one.
+    The y-letters of a standard form are its y-items, so each round looks
+    them up by position and never multiplies out the x-part."""
     if budget is None:
         budget = _Budget(500_000)
     items = standardize(items, budget)
     while True:
-        _, ys = split_standard(items)
-        found = has_potential_cancellation(ys)
+        at = [k for k, it in enumerate(items) if _is_y(it)]
+        found = has_potential_cancellation([items[k] for k in at])
         if found is None:
             return items
-        j, _ = found
         budget.spend()
         # expand the outer (shallow, later) letter of the tightest pair
-        target = ys[j]
-        pos = next(
-            k
-            for k, item in enumerate(items)
-            if _is_y(item)
-            and sum(_is_y(x) for x in items[:k]) == j
-        )
-        items[pos:pos + 1] = _expand_end(target, True)
+        k = at[found[0]]
+        items[k:k + 1] = _expand_end(items[k], True)
         items = standardize(items, budget)
 
 
@@ -406,9 +390,8 @@ def contraction(case, s):
     """The expansion triple of a contraction found at (case, s), as
     (subscript, sign) letters, and the word x_s^-sign y_s^sign it equals."""
     sign = _CONTRACTIONS[case - 1][1]
-    g = x_gen(s)
     return expand_letter(s, sign), [
-        FToken(g if sign < 0 else g.invert()), Letter("y", s, sign)
+        FToken(x_unit(s, -sign)), Letter("y", s, sign)
     ]
 
 

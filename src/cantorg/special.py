@@ -128,19 +128,24 @@ def independent(a, b):
     return all(incompatible(s, p) for s, _ in a for p, _ in b)
 
 
-def product_is_special(forms):
-    """Whether the concatenation of a sorted list of pairwise independent
-    special forms is itself a special form."""
-    forms = [check_special(f) for f in forms]
+def check_sorted_forms(forms):
+    """The forms as a tuple of checked special forms, sorted by subscript
+    and pairwise independent, or ValueError."""
+    forms = tuple(check_special(f) for f in forms)
+    for a, b in zip(forms, forms[1:]):
+        if a[-1][0] >= b[0][0]:
+            raise ValueError("parameter list is not sorted")
     for i, a in enumerate(forms):
         for b in forms[i + 1:]:
             if not independent(a, b):
-                raise ValueError("forms are not pairwise independent")
-    flat = tuple(lt for f in forms for lt in f)
-    subs = [s for s, _ in flat]
-    if any(a >= b for a, b in zip(subs, subs[1:])):
-        raise ValueError("list of forms is not sorted")
-    return is_special(flat)
+                raise ValueError("parameters are not pairwise independent")
+    return forms
+
+
+def product_is_special(forms):
+    """Whether the concatenation of a sorted list of pairwise independent
+    special forms is itself a special form."""
+    return is_special(tuple(lt for f in check_sorted_forms(forms) for lt in f))
 
 
 def act_f(form, f):

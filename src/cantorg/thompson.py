@@ -173,6 +173,12 @@ def x_gen(s):
     return TreePair(domain, rng)
 
 
+def x_unit(s, sign):
+    """The tree pair of x_s for a positive sign, of x_s^-1 for a negative."""
+    g = x_gen(s)
+    return g if sign > 0 else g.invert()
+
+
 def compose(f, g):
     """The pair acting as f followed by g (right-action order)."""
     common = {

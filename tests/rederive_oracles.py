@@ -1,0 +1,93 @@
+"""Versions of the rewriter and the cell verdict that re-derive what is
+already computed, kept as test oracles.
+
+`remove_potential_cancellations` multiplies out the x-part of the standard
+form on every round to read its y-letters and finds the letter to expand by
+counting y-items.  The verdict of a cell against a vertex normalizes the
+cell's top element again (`top_base`) and inverts each side's base again
+for the criterion (`_criterion_cell(form, tau, v)`).  The library reads the
+y-items by position and keeps both sides of a cell in `ParamCell.sides`.
+"""
+
+from cantorg.calculus import supp_y
+from cantorg.pipeline import DISPARATE, EQUIVALENT_AT, NEITHER, ParamCell, supp
+from cantorg.rewrite import (
+    FToken,
+    _Budget,
+    _expand_end,
+    _is_y,
+    has_potential_cancellation,
+    inverse_word,
+    normalize,
+    split_standard,
+    standardize,
+)
+from cantorg.special import invert_form, to_letters
+
+
+def remove_potential_cancellations(items, budget=None):
+    """Rewrite a word so that no neighboring pair admits a cancellation.
+    Flagged pairs are resolved by expanding the shallow letter; the expansion
+    offspring either separate from or exactly cancel against the deep one."""
+    if budget is None:
+        budget = _Budget(500_000)
+    items = standardize(items, budget)
+    while True:
+        _, ys = split_standard(items)
+        found = has_potential_cancellation(ys)
+        if found is None:
+            return items
+        j, _ = found
+        budget.spend()
+        # expand the outer (shallow, later) letter of the tightest pair
+        target = ys[j]
+        pos = next(
+            k
+            for k, item in enumerate(items)
+            if _is_y(item)
+            and sum(_is_y(x) for x in items[:k]) == j
+        )
+        items[pos:pos + 1] = _expand_end(target, True)
+        items = standardize(items, budget)
+
+
+def top_base(cell):
+    """The exact element whose coset is the top endpoint."""
+    return normalize(to_letters(cell.form) + cell.tau.to_items())
+
+
+def _orientations(cell):
+    """The two exact parametrizations of a cell: over its base, and over
+    the opposite endpoint with the inverted form."""
+    yield cell.form, cell.tau, cell.bottom, cell.top
+    yield invert_form(cell.form), top_base(cell), cell.top, cell.bottom
+
+
+def _criterion_cell(form, tau, v):
+    """The unique candidate cell at vertex v sharing the parameter, built
+    whenever the parameter support misses the percolating support of the
+    coset quotient; None when the supports meet."""
+    g = normalize(list(v) + inverse_word(tau.to_items()))
+    if not supp(form).intersect(supp_y(g)).is_null():
+        return None
+    tau3 = normalize([FToken(g.f.invert())] + list(v))
+    return ParamCell(form, tau3)
+
+
+def disparate_cell_vertex(cell, u):
+    """Classify a cell against a coset vertex: (DISPARATE, None) when the
+    parameter support percolates through both coset quotients,
+    (EQUIVALENT_AT, cell-at-u) when the criterion applies, else
+    (NEITHER, None)."""
+    if not isinstance(u, tuple):
+        raise TypeError("vertices are letter tuples")
+    cones = supp(cell.form)
+    g1 = normalize(list(u) + inverse_word(cell.tau.to_items()))
+    g2 = normalize(list(u) + inverse_word(top_base(cell).to_items()))
+    if cones.subset_of(supp_y(g1)) and cones.subset_of(supp_y(g2)):
+        return DISPARATE, None
+    for form, tau, _, _ in _orientations(cell):
+        cand = _criterion_cell(form, tau, u)
+        if cand is not None:
+            return EQUIVALENT_AT, cand
+    return NEITHER, None

@@ -216,3 +216,24 @@ def test_closed_stdout_pipe_is_not_an_error():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_word_commands_skip_cluster_modules():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    script = (
+        "import sys\n"
+        "from cantorg.cli import main\n"
+        "assert main(['eval', 'y[10]', '10(01)']) == 0\n"
+        "assert main(['normalize', 'y[10] x[1] y[10]^-1']) == 0\n"
+        "heavy = ('complexes', 'loops', 'pipeline')\n"
+        "print(sorted(m for m in heavy if 'cantorg.' + m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,0 +1,113 @@
+"""Differential tests of the rewriter and the cell verdict against the
+versions in `rederive_oracles`, which re-derive the y-letters of a standard
+form and the far side of a cell instead of reading them."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import rederive_oracles as oracle
+from cantorg.cli import parse_word
+from cantorg.commands import parse_cluster_line
+from cantorg.pipeline import (
+    DISPARATE,
+    EQUIVALENT_AT,
+    NEITHER,
+    CellSystem,
+    ParamCell,
+    disparate_cell_vertex,
+    separation_procedure,
+)
+from cantorg.rewrite import (
+    BudgetExceeded,
+    _Budget,
+    _is_y,
+    has_potential_cancellation,
+    remove_potential_cancellations,
+    standardize,
+)
+from test_hash_seed import DRAWS
+from test_rewrite import random_word
+from test_work_counts import WORDS
+
+
+def _removal(fn, word):
+    """The rewritten items and the budget left, or None when the budget ran
+    out.  These words need fewer than 2,000 steps, so a rewriter that stops
+    converging runs out of 5,000 within a second instead of the default
+    500,000."""
+    budget = _Budget(5_000)
+    try:
+        items = fn(list(word), budget)
+    except BudgetExceeded:
+        return None
+    return items, budget.left
+
+
+def test_removal_matches_oracle_on_fixed_words():
+    for text in WORDS:
+        word = parse_word(text)
+        got = _removal(remove_potential_cancellations, word)
+        assert got is not None
+        assert got == _removal(oracle.remove_potential_cancellations, word)
+
+
+def _word_with_cancellation(rng):
+    """The generator's next word whose standard form has a potential
+    cancellation; about one word in forty has one."""
+    while True:
+        word = random_word(rng, max_len=6, max_sub=3)
+        ys = [it for it in standardize(list(word)) if _is_y(it)]
+        if has_potential_cancellation(ys) is not None:
+            return word
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_removal_matches_oracle_on_random_words(seed):
+    word = _word_with_cancellation(random.Random(seed))
+    assert _removal(remove_potential_cancellations, word) == _removal(
+        oracle.remove_potential_cancellations, word
+    )
+
+
+def _draw_cells():
+    """The cells of the three hash-seed draws' one-skeletons, before and
+    after separation, and the union of their tracked vertices.  Crossing
+    every draw's cells with every draw's vertices gives all three
+    verdicts."""
+    cells = set()
+    vertices = set()
+    for draw in DRAWS:
+        system_cells = set()
+        system_vertices = set()
+        for c in (parse_cluster_line(part) for part in draw.split("||")):
+            system_vertices |= c.vertices
+            for edge in c.edges:
+                a, b = sorted(edge)
+                system_cells.add(ParamCell.from_edge(b, a))
+        balanced = separation_procedure(
+            CellSystem(system_cells, system_vertices))
+        cells |= system_cells | balanced.cells
+        vertices |= system_vertices
+    return sorted(cells, key=lambda e: sorted(e.vertices)), sorted(vertices)
+
+
+def _parametrization(cell):
+    if cell is None:
+        return None
+    return cell.form, cell.tau, cell.bottom, cell.top
+
+
+def test_cell_verdict_matches_oracle():
+    cells, vertices = _draw_cells()
+    kinds = set()
+    for e in cells:
+        assert e.sides[1][1] == oracle.top_base(e)
+        for v in vertices:
+            kind, cand = disparate_cell_vertex(e, v)
+            want_kind, want = oracle.disparate_cell_vertex(e, v)
+            assert kind == want_kind
+            assert _parametrization(cand) == _parametrization(want)
+            kinds.add(kind)
+    assert kinds == {DISPARATE, EQUIVALENT_AT, NEITHER}
