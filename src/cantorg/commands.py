@@ -81,11 +81,9 @@ def _print_cluster(cluster, cells=False, max_dim=None):
     for e in sorted(map(sorted, cluster.edges)):
         print("  %s ; %s" % (render_vertex(e[0]), render_vertex(e[1])))
     if cells:
-        from .complexes import enumerate_cells
-        if max_dim is None:
-            piece = enumerate_cells(cluster)
-        else:
-            piece = enumerate_cells(cluster, max_dim)
+        from .complexes import MAX_CELL_DIM, enumerate_cells
+        piece = enumerate_cells(
+            cluster, MAX_CELL_DIM if max_dim is None else max_dim)
         print("f-vector: %s" % " ".join(map(str, piece.f_vector())))
 
 

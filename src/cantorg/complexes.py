@@ -52,6 +52,8 @@ FACE = "Face"
 DIAGONAL = "Diagonal"
 DIAGONAL_OF_FACE = "DiagonalOfFace"
 
+MAX_CELL_DIM = 4
+
 
 def vertex_of(word):
     """Canonical coset representative of a word: the base vertex map of the
@@ -393,7 +395,7 @@ class CellComplexPiece:
         return True
 
 
-def enumerate_cells(cluster, max_dim=4):
+def enumerate_cells(cluster, max_dim=MAX_CELL_DIM):
     """Fill the cluster: the cellular decomposition of the n-cube subdivided
     along its consecutive junctions."""
     if cluster.n > max_dim:

@@ -7,11 +7,17 @@ cancellation), each replacing a subpath by a homotopic subpath inside a
 cluster, ending at the trivial loop.  Moves that use a cluster record its
 parameters, so every move can be re-checked locally from the certificate
 alone.
+
+The word being contracted carries the normal form of each of its suffixes.
+Every move replaces a window of the word by a word equal to it in the group,
+and normal forms are unique, so a move keeps the suffix normal forms outside
+its window; only the suffixes starting inside the new window are normalized.
 """
 
 from .binseq import incompatible, lex_key
 from .complexes import is_one_cell, vertex_of
 from .rewrite import (
+    IDENTITY_NORMAL,
     FToken,
     Letter,
     _is_xish,
@@ -49,29 +55,47 @@ def _edge_normal(u, v):
     return nf
 
 
+class _Word:
+    """A loop word and the normal forms of its suffixes: `sfx[k]` is the
+    normal form of `items[k:]`, and the last entry is the identity's.
+
+    A move keeps the suffix normal forms outside its window: it replaces the
+    window by a word equal to it in the group, and normal forms are unique."""
+
+    def __init__(self, items):
+        self.items = []
+        self.sfx = [IDENTITY_NORMAL]
+        self.splice(0, 0, items)
+
+    def splice(self, lo, hi, new):
+        """Replace `items[lo:hi]` by `new`, normalizing the suffixes that
+        start inside the new window from right to left."""
+        forms = [self.sfx[hi]]
+        for item in reversed(new):
+            forms.append(normalize([item] + forms[-1].to_items()))
+        self.items[lo:hi] = new
+        self.sfx[lo:hi] = forms[:0:-1]
+
+    def path(self):
+        """Suffix cosets at each percolating letter; the closed path the
+        word spells from the base vertex."""
+        verts = [nf.ys for it, nf in zip(self.items, self.sfx) if _is_y(it)]
+        verts.append(TRIVIAL)
+        return verts
+
+    def params(self, lo, hi):
+        """The canonical special forms of the letters `items[lo:hi]`, each
+        conjugated into the coordinates of the representative of the suffix
+        at `hi` by that suffix's tree-pair factor."""
+        psi = self.sfx[hi].f
+        tail = [] if psi.is_identity() else [FToken(psi)]
+        return tuple(from_letters(normalize([lt] + tail).ys)
+                     for lt in self.items[lo:hi])
+
+
 def path_of(items):
-    """Suffix cosets of a word at each percolating letter; the closed path
-    the word spells from the base vertex."""
-    verts = [
-        vertex_of(items[i:]) for i, it in enumerate(items) if _is_y(it)
-    ]
-    verts.append(TRIVIAL)
-    return verts
-
-
-def _tail_pair(tail):
-    """The tree-pair factor aligning a word suffix with the canonical
-    representative of its coset."""
-    return normalize(list(tail)).f
-
-
-def _conj_form(letter, psi):
-    """The canonical special form of a single letter conjugated into the
-    coordinates of the suffix representative."""
-    items = [letter]
-    if not psi.is_identity():
-        items.append(FToken(psi))
-    return from_letters(normalize(items).ys)
+    """The closed path a word spells from the base vertex."""
+    return _Word(items).path()
 
 
 class _Contraction(list):
@@ -101,42 +125,37 @@ def contract_loop(loop):
             letters.append(FToken(nf.f))
         spans.append((len(letters), len(nf.ys)))
         letters.extend(nf.ys)
-    fine = path_of(letters)
+    word = _Word(letters)
+    fine = word.path()
     path = list(loop)
     pos = 0
-    li = 0
     for start, k in spans:
-        if fine[li] != path[pos]:
+        if fine[pos] != path[pos]:
             raise InternalError("split phase lost track of the path")
         if k > 1:
-            psi = _tail_pair(letters[start + k:])
-            parts = [_conj_form(lt, psi) for lt in letters[start:start + k]]
+            parts = word.params(start, start + k)
             for t in range(k - 1):
-                rest = tuple(
-                    lt for f in parts[t + 1:] for lt in f
-                )
+                rest = tuple(lt for f in parts[t + 1:] for lt in f)
                 params = (parts[t], from_letters(normalize(
                     [Letter("y", s, sg) for s, sg in rest]).ys))
-                path.insert(pos + 1 + t, fine[li + 1 + t])
+                path.insert(pos + 1 + t, fine[pos + 1 + t])
                 state.emit(SPLIT, path, params)
         pos += k
-        li += k
 
-    items = letters
-    if path_of(items) != path:
+    if path_of(word.items) != path:
         raise InternalError("split phase lost track of the path")
 
     # phase 2: drive the single-letter word to the empty word
     while True:
-        items = _standardize_moves(items, state)
-        items = _remove_cancellations_moves(items, state)
-        items = _sort_moves(items, state)
-        ys = [it for it in items if _is_y(it)]
+        _standardize_moves(word, state)
+        _remove_cancellations_moves(word, state)
+        _sort_moves(word, state)
+        ys = [it for it in word.items if _is_y(it)]
         found = find_potential_contraction(_merge(ys))
         if found is None:
             break
-        items = _contract_moves(items, state, *found)
-    if any(_is_y(it) for it in items):
+        _contract_moves(word, state, *found)
+    if any(_is_y(it) for it in word.items):
         raise InternalError("loop word did not reduce inside F")
     return list(state)
 
@@ -147,59 +166,43 @@ def _as_pair(item):
     return x_unit(item.sub, item.exp)
 
 
-def _compose_x(items, i):
-    # merge adjacent tree-pair factors; the path is unaffected
-    p = compose(_as_pair(items[i]), _as_pair(items[i + 1]))
-    items[i:i + 2] = [] if p.is_identity() else [FToken(p)]
-
-
-def _expand_item(items, state, i):
+def _expand_item(word, state, i):
     """Expand the unit letter at index i into its one-step substitution and
     emit the expansion move with the cluster parameters at the suffix."""
-    lt = items[i]
-    block = expand_unit(lt.sub, 1 if lt.exp > 0 else -1)
-    items[i:i + 1] = block
-    if lt.exp > 0:
-        children = items[i + 1:i + 4]
-        tail = items[i + 4:]
-    else:
-        children = items[i:i + 3]
-        tail = items[i + 3:]
-    psi = _tail_pair(tail)
-    params = tuple(_conj_form(c, psi) for c in children)
-    state.emit(EXPANSION, path_of(items), params)
+    lt = word.items[i]
+    word.splice(i, i + 1, expand_unit(lt.sub, 1 if lt.exp > 0 else -1))
+    # the y-letters of the block follow x_s for y_s and precede x_s^-1
+    lo = i + 1 if lt.exp > 0 else i
+    state.emit(EXPANSION, word.path(), word.params(lo, lo + 3))
 
 
-def _standardize_moves(items, state):
+def _standardize_moves(word, state):
     """Unit-letter standardization with move emission: push tree-pair factors
     to the front, cancel adjacent inverse letters, merge equal subscripts,
     expand ordering violations."""
+    items = word.items
     while True:
         changed = False
         for i in range(len(items) - 1):
-            if _is_xish(items[i]) and _is_xish(items[i + 1]):
-                _compose_x(items, i)
-                changed = True
-                break
             a, b = items[i], items[i + 1]
-            if _is_y(a) and _is_xish(b):
-                pair = _as_pair(b)
-                t2 = pair.act_on_word(a.sub)
-                if t2 is not None:
-                    items[i:i + 2] = [b, Letter("y", t2, a.exp)]
-                    state.emit(REARRANGEMENT, path_of(items))
-                else:
-                    _expand_item(items, state, i)
+            if _is_xish(a) and _is_xish(b):
+                # merge adjacent tree-pair factors; the path is unaffected
+                p = compose(_as_pair(a), _as_pair(b))
+                word.splice(i, i + 2, [] if p.is_identity() else [FToken(p)])
                 changed = True
                 break
-            if (
-                _is_y(a)
-                and _is_y(b)
-                and a.sub == b.sub
-                and a.exp == -b.exp
-            ):
-                del items[i:i + 2]
-                state.emit(CANCELLATION, path_of(items))
+            if _is_y(a) and _is_xish(b):
+                t2 = _as_pair(b).act_on_word(a.sub)
+                if t2 is not None:
+                    word.splice(i, i + 2, [b, Letter("y", t2, a.exp)])
+                    state.emit(REARRANGEMENT, word.path())
+                else:
+                    _expand_item(word, state, i)
+                changed = True
+                break
+            if _is_y(a) and _is_y(b) and a.sub == b.sub and a.exp == -b.exp:
+                word.splice(i, i + 2, [])
+                state.emit(CANCELLATION, word.path())
                 changed = True
                 break
         if changed:
@@ -208,67 +211,63 @@ def _standardize_moves(items, state):
         found = find_merge(items)
         if found is not None:
             i, j = found
-            _commute_to(items, state, j, i + 1)
+            _commute_to(word, state, j, i + 1)
             continue
         # ordering: expand a y-letter preceding an extension of its subscript
         i = find_misordered(items)
         if i is None:
-            return items
-        _expand_item(items, state, i)
+            return
+        _expand_item(word, state, i)
 
 
-def _commute_to(items, state, src, dst):
+def _commute_to(word, state, src, dst):
     """Move the y-letter at src to index dst by adjacent commuting swaps,
     emitting one move per swap."""
+    items = word.items
     step = -1 if dst < src else 1
     k = src
     while k != dst:
-        other = items[k + step]
-        if not incompatible(items[k].sub, other.sub):
+        if not incompatible(items[k].sub, items[k + step].sub):
             raise InternalError("tried to commute a compatible pair")
         lo = min(k, k + step)
-        second = items[lo + 1]
-        items[k], items[k + step] = items[k + step], items[k]
-        psi = _tail_pair(items[lo + 2:])
-        params = (
-            _conj_form(second, psi),
-            _conj_form(items[lo + 1], psi),
-        )
-        state.emit(COMMUTING, path_of(items), params)
+        word.splice(lo, lo + 2, [items[lo + 1], items[lo]])
+        state.emit(COMMUTING, word.path(), word.params(lo, lo + 2))
         k += step
 
 
-def _remove_cancellations_moves(items, state):
+def _remove_cancellations_moves(word, state):
     while True:
-        ys = _merge([it for it in items if _is_y(it)])
+        ys = _merge([it for it in word.items if _is_y(it)])
         found = has_potential_cancellation(ys)
         if found is None:
-            return items
+            return
         target = ys[found[0]].sub
         pos = next(
-            k for k, it in enumerate(items) if _is_y(it) and it.sub == target
+            k for k, it in enumerate(word.items)
+            if _is_y(it) and it.sub == target
         )
-        _expand_item(items, state, pos)
-        items = _standardize_moves(items, state)
+        _expand_item(word, state, pos)
+        _standardize_moves(word, state)
 
 
-def _sort_moves(items, state):
+def _sort_moves(word, state):
     """Bubble-sort the y-letters into lex order by commuting swaps."""
+    items = word.items
     start = next((k for k, it in enumerate(items) if _is_y(it)), len(items))
     while True:
         swapped = False
         for k in range(start, len(items) - 1):
-            a, b = items[k], items[k + 1]
-            if lex_key(a.sub) > lex_key(b.sub):
-                _commute_to(items, state, k, k + 1)
+            if lex_key(items[k].sub) > lex_key(items[k + 1].sub):
+                _commute_to(word, state, k, k + 1)
                 swapped = True
         if not swapped:
-            return items
+            return
 
 
-def _contract_moves(items, state, case, s):
+def _contract_moves(word, state, case, s):
     """Bring a contractible triple together by commuting moves and replace
     it by its one-letter equivalent (a reverse expansion)."""
+    items = word.items
     triple, repl = contraction(case, s)
     (sub1, sign1), (sub2, sign2), (sub3, sign3) = triple
 
@@ -283,18 +282,16 @@ def _contract_moves(items, state, case, s):
     # move the middle unit next to the third, then the first next to them
     p3 = unit_pos(sub3, sign3, last=False)
     p2 = unit_pos(sub2, sign2, last=True)
-    _commute_to(items, state, p2, p3 - 1)
+    _commute_to(word, state, p2, p3 - 1)
     p2 = p3 - 1
     p1 = unit_pos(sub1, sign1, last=True)
-    _commute_to(items, state, p1, p2 - 1)
+    _commute_to(word, state, p1, p2 - 1)
     base = p2 - 1
     if [(it.sub, it.exp) for it in items[base:base + 3]] != list(triple):
         raise InternalError("contraction triple did not come together")
-    psi = _tail_pair(items[base + 3:])
-    params = tuple(_conj_form(c, psi) for c in items[base:base + 3])
-    items[base:base + 3] = repl
-    state.emit(EXPANSION, path_of(items), params)
-    return items
+    params = word.params(base, base + 3)
+    word.splice(base, base + 3, repl)
+    state.emit(EXPANSION, word.path(), params)
 
 
 # ---------------------------------------------------------------------------

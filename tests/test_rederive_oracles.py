@@ -21,13 +21,10 @@ from cantorg.pipeline import (
 from cantorg.rewrite import (
     BudgetExceeded,
     _Budget,
-    _is_y,
-    has_potential_cancellation,
     remove_potential_cancellations,
-    standardize,
 )
 from test_hash_seed import DRAWS
-from test_rewrite import random_word
+from test_rewrite import word_with_cancellation
 from test_work_counts import WORDS
 
 
@@ -52,20 +49,10 @@ def test_removal_matches_oracle_on_fixed_words():
         assert got == _removal(oracle.remove_potential_cancellations, word)
 
 
-def _word_with_cancellation(rng):
-    """The generator's next word whose standard form has a potential
-    cancellation; about one word in forty has one."""
-    while True:
-        word = random_word(rng, max_len=6, max_sub=3)
-        ys = [it for it in standardize(list(word)) if _is_y(it)]
-        if has_potential_cancellation(ys) is not None:
-            return word
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_removal_matches_oracle_on_random_words(seed):
-    word = _word_with_cancellation(random.Random(seed))
+    word = word_with_cancellation(random.Random(seed))
     assert _removal(remove_potential_cancellations, word) == _removal(
         oracle.remove_potential_cancellations, word
     )

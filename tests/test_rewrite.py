@@ -10,6 +10,7 @@ from cantorg.cli import parse_word
 from cantorg.rewrite import (
     IDENTITY_NORMAL,
     Letter,
+    _is_y,
     equal_words,
     find_potential_contraction,
     has_potential_cancellation,
@@ -44,6 +45,16 @@ def random_word(rng, max_len=8, max_sub=4):
                 break
         word.append(Letter(kind, sub, rng.choice([-2, -1, 1, 2])))
     return word
+
+
+def word_with_cancellation(rng):
+    """The generator's next word whose standard form has a potential
+    cancellation; about one word in forty has one."""
+    while True:
+        word = random_word(rng, max_len=6, max_sub=3)
+        ys = [it for it in standardize(list(word)) if _is_y(it)]
+        if has_potential_cancellation(ys) is not None:
+            return word
 
 
 def oracle_equal(w1, w2, rng):
@@ -184,6 +195,17 @@ def test_normalize_sound_and_idempotent(seed):
 
     for a, b in zip(ys, ys[1:]):
         assert lex_compare(a.sub, b.sub) < 0
+
+
+def test_normalize_sound_on_potential_cancellations():
+    # the hypothesis words above rarely reach the expansion step of
+    # remove_potential_cancellations; these 60 all do
+    rng = random.Random(0)
+    for _ in range(60):
+        w = word_with_cancellation(rng)
+        n = normalize(list(w))
+        assert oracle_equal(w, n, rng)
+        assert normalize(n.to_items()) == n
 
 
 @settings(deadline=None, max_examples=40)
