@@ -80,9 +80,3 @@ def test_suffix_forms_on_pool_words(checked):
     for text in words[::12]:
         _contract(_loop_of(parse_word(text)))
     assert checked["splice"] and checked["params"]
-
-
-def test_path_of_matches_oracle():
-    for text in LOOP_WORDS:
-        word = parse_word(text)
-        assert loops.path_of(word) == oracle.path_of(word)
