@@ -310,10 +310,15 @@ def _window(p, q):
     return a, p[a:len(p) - b], q[a:len(q) - b]
 
 
-def _valid_path(path):
-    return all(
-        u != v and is_one_cell(u, v) for u, v in zip(path, path[1:])
-    )
+def _valid_path(path, checked):
+    """Whether consecutive vertices are distinct and joined by a one-cell.
+    `checked` holds the pairs that already passed and gains the new ones."""
+    for u, v in zip(path, path[1:]):
+        if (u, v) not in checked:
+            if u == v or not is_one_cell(u, v):
+                return False
+            checked.add((u, v))
+    return True
 
 
 def _good_params(params):
@@ -351,7 +356,8 @@ def check_certificate(loop, moves):
         return False
     if not moves or moves[0][:2] != ("start", loop):
         return False
-    if len(loop) > 1 and not _valid_path(loop):
+    checked = set()
+    if len(loop) > 1 and not _valid_path(loop, checked):
         return False
     last = moves[-1][1]
     if any(v != TRIVIAL for v in last):
@@ -359,7 +365,7 @@ def check_certificate(loop, moves):
     for (_, p, _), (kind, q, params) in zip(moves, moves[1:]):
         if q[0] != TRIVIAL or q[-1] != TRIVIAL:
             return False
-        if not _valid_path(q):
+        if not _valid_path(q, checked):
             return False
         a, wp, wq = _window(p, q)
         if kind == REARRANGEMENT:

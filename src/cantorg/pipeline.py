@@ -87,7 +87,12 @@ class ParamCell:
 
     `sides` holds both exact parametrizations as (form, base normal form,
     near end, far end): the form over `tau` from `bottom` to `top`, then
-    the inverted form over the top's exact element back to `bottom`."""
+    the inverted form over the top's exact element back to `bottom`.
+
+    `verdicts` maps a vertex to what `disparate_cell_vertex` returned for
+    this cell there, filled by the balance scan.  The verdict depends only
+    on the parametrization, so it lives on the object: an equal cell with
+    another parametrization keeps its own table."""
 
     def __init__(self, form, tau):
         if not isinstance(tau, GNormal):
@@ -106,6 +111,7 @@ class ParamCell:
             (self.form, tau, self.bottom, self.top),
             (invert_form(self.form), top, self.top, self.bottom),
         )
+        self.verdicts = {}
 
     @classmethod
     def from_edge(cls, u, v):
@@ -384,7 +390,9 @@ def _undecided(cells, vertices):
     neither disparate from nor matched at some vertex, and whether the
     criterion produced a cell that is missing from `cells`.  A cell's scan
     stops at its first such vertex, so the vertices go in sorted order to
-    make the work the same under every hash seed."""
+    make the work the same under every hash seed.  Each verdict is kept per
+    cell object in `verdicts` (see `ParamCell`) for the envelope's later
+    scans, which see the same cell objects."""
     vertices = sorted(vertices)
     bad = set()
     missing = False
@@ -392,7 +400,10 @@ def _undecided(cells, vertices):
         for v in vertices:
             if e.incident(v):
                 continue
-            kind, cand = disparate_cell_vertex(e, v)
+            verdict = e.verdicts.get(v)
+            if verdict is None:
+                verdict = e.verdicts[v] = disparate_cell_vertex(e, v)
+            kind, cand = verdict
             if kind == DISPARATE:
                 continue
             if kind == EQUIVALENT_AT:

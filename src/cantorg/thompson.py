@@ -133,7 +133,14 @@ class TreePair:
         return self.domain == self.range
 
     def invert(self):
-        return TreePair(self.range, self.domain)
+        """The swapped pair.  The inverse of a reduced pair over two
+        complete codes is reduced over the same codes, so only the leaves
+        are sorted again, with no validation or reduction."""
+        pairs = sorted(zip(self.range, self.domain))
+        out = object.__new__(TreePair)
+        object.__setattr__(out, "domain", tuple(d for d, _ in pairs))
+        object.__setattr__(out, "range", tuple(r for _, r in pairs))
+        return out
 
     def act_on_word(self, t):
         """Image of the finite word t, or None when t is a proper prefix of a

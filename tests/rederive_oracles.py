@@ -1,12 +1,14 @@
-"""Versions of the rewriter and the cell verdict that re-derive what is
-already computed, kept as test oracles.
+"""Versions of the rewriter, the cell verdict and the balance scan that
+re-derive what is already computed, kept as test oracles.
 
 `remove_potential_cancellations` multiplies out the x-part of the standard
 form on every round to read its y-letters and finds the letter to expand by
 counting y-items.  The verdict of a cell against a vertex normalizes the
 cell's top element again (`top_base`) and inverts each side's base again
-for the criterion (`_criterion_cell(form, tau, v)`).  The library reads the
-y-items by position and keeps both sides of a cell in `ParamCell.sides`.
+for the criterion (`_criterion_cell(form, tau, v)`).  The balance scan
+`_undecided` decides every cell against every vertex again on each call.
+The library reads the y-items by position, keeps both sides of a cell in
+`ParamCell.sides` and each verdict of the scan in `ParamCell.verdicts`.
 """
 
 from cantorg.calculus import supp_y
@@ -91,3 +93,27 @@ def disparate_cell_vertex(cell, u):
         if cand is not None:
             return EQUIVALENT_AT, cand
     return NEITHER, None
+
+
+def _undecided(cells, vertices):
+    """Scan every cell against the tracked vertices it misses: the cells
+    neither disparate from nor matched at some vertex, and whether the
+    criterion produced a cell that is missing from `cells`.  A cell's scan
+    stops at its first such vertex, so the vertices go in sorted order to
+    make the work the same under every hash seed."""
+    vertices = sorted(vertices)
+    bad = set()
+    missing = False
+    for e in cells:
+        for v in vertices:
+            if e.incident(v):
+                continue
+            kind, cand = disparate_cell_vertex(e, v)
+            if kind == DISPARATE:
+                continue
+            if kind == EQUIVALENT_AT:
+                missing = missing or cand not in cells
+                continue
+            bad.add(e)
+            break
+    return bad, missing

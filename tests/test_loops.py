@@ -80,6 +80,12 @@ def test_checker_rejects_tampering():
     assert not check_certificate(loop, cert[:1])
     bad = list(cert) + [("cancellation", [TRIV, v("y[10]"), TRIV], None)]
     assert not check_certificate(loop, bad)
+    # a later path steps between vertices no earlier path joined: a vertex
+    # to itself, and two cosets that no one-cell joins
+    for step in ([v("y[10]"), v("y[10]")], [v("y[01] y[10]")]):
+        later = [TRIV, *step, TRIV]
+        bad = [cert[0], (CANCELLATION, later, None), (CANCELLATION, [TRIV], None)]
+        assert not check_certificate(loop, bad)
 
 
 def random_identity_loop(rng, max_letters=4):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,14 @@ from cantorg.binseq import RationalSeq
 from cantorg.thompson import IDENTITY, TreePair, compose, power, x_gen
 
 bits4 = st.text(alphabet="01", max_size=4)
+
+# every x_s with |s| <= 4 and its inverse, the inverse built by the
+# validating constructor
+X_GENS = [
+    x_gen("".join(bits)) for n in range(5)
+    for bits in itertools.product("01", repeat=n)
+]
+UNITS = X_GENS + [TreePair(g.range, g.domain) for g in X_GENS]
 
 
 def random_pair(rng, max_leaves=5):
@@ -121,3 +130,25 @@ def test_power():
     assert power(f, 0) == IDENTITY
     assert power(f, 2) == compose(f, f)
     assert power(f, -1) == f.invert()
+
+
+def _assert_inverse_is_validated_swap(p):
+    inv = p.invert()
+    want = TreePair(p.range, p.domain)
+    assert type(inv) is TreePair
+    assert inv.domain == want.domain
+    assert inv.range == want.range
+
+
+def test_invert_matches_validated_swap_on_units():
+    for p in UNITS:
+        _assert_inverse_is_validated_swap(p)
+    # pairs that permute their leaves: the swapped leaves need sorting
+    for p in (TreePair(("0", "1"), ("1", "0")),
+              TreePair(("0", "10", "11"), ("11", "0", "10"))):
+        _assert_inverse_is_validated_swap(p)
+
+
+@given(st.sampled_from(UNITS), st.sampled_from(UNITS))
+def test_invert_matches_validated_swap_on_composites(f, g):
+    _assert_inverse_is_validated_swap(compose(f, g))

@@ -10,9 +10,12 @@ import importlib
 
 from cantorg import rewrite
 from cantorg.cli import parse_word
+from cantorg.commands import parse_cluster_line
 from cantorg.complexes import vertex_of
 from cantorg.loops import check_certificate, contract_loop, path_of
+from cantorg.pipeline import envelope
 from cantorg.rewrite import inverse_word, normalize
+from test_hash_seed import DRAWS
 
 MODULES = [
     importlib.import_module("cantorg." + name)
@@ -115,3 +118,21 @@ def test_contract_loop_blowup_normalize_count(monkeypatch):
     assert len(cert) - 1 == 901
     assert counts == {"normalize": 2674}
     assert check_certificate(loop, cert)
+
+
+# measured when each cell started keeping its verdict at every vertex for
+# the later balance scans of its envelope; before, the four scans made
+# 175, 362 and 155 calls
+DISPARATE_CALLS = [46, 74, 38]
+
+
+def test_envelope_verdict_count(monkeypatch):
+    got = []
+    for draw in DRAWS:
+        clusters = [parse_cluster_line(part) for part in draw.split("||")]
+        counts = _install_counters(
+            monkeypatch, [("pipeline", "disparate_cell_vertex")])
+        envelope(clusters)
+        got.append(counts["disparate_cell_vertex"])
+        monkeypatch.undo()
+    assert got == DISPARATE_CALLS
