@@ -5,8 +5,12 @@ pairwise independent special forms over a basepoint.  Clusters fill to cubes,
 possibly subdivided along diagonal hyperplanes, one per consecutive junction
 of the parameter list.
 
-Three facts keep the combinatorics polynomial in the 2^n corners:
+Four facts keep the work polynomial in the 2^n corners:
 
+* Corner recursion.  The corner of a subset A with least index m is
+  lambda_m times the corner of A - {m}.  Normal forms are unique, so
+  normalizing lambda_m followed by that corner's normal form gives the
+  corner exactly, from a word that is normal past its first parameter.
 * Interval lemma.  The corners indexed by subsets A and B are joined by an
   edge exactly when the parameters indexed by A ^ B, in order and inverted
   on one side, multiply to a special form.  The subscripts of sorted,
@@ -109,9 +113,9 @@ class Cluster:
     """The subgraph with vertices F(prod_{i in A} lambda_i) tau over all
     subsets A, together with every edge of the ambient complex among them.
 
-    Building it normalizes the 2^n corner words; the edges then follow from
-    the interval lemma (see the module docstring) in O(2^n * n) steps, with
-    one leaf-consecutiveness test per junction."""
+    Building it normalizes each corner from the next-smaller one (the corner
+    recursion of the module docstring); the interval lemma then gives the
+    edges in O(2^n * n) steps, one consecutiveness test per junction."""
 
     def __init__(self, base, params):
         if not isinstance(base, GNormal):
@@ -119,18 +123,18 @@ class Cluster:
         self.base = base
         self.params = check_sorted_forms(params)
         self.n = n = len(self.params)
-        chosen = [
-            [i for i in range(n) if mask >> i & 1] for mask in range(1 << n)
-        ]
-        corners = [
-            vertex_of(
-                _concat_forms(self.params[i] for i in a) + base.to_items()
-            )
-            for a in chosen
-        ]
+        forms = [base]
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            word = to_letters(self.params[low.bit_length() - 1])
+            forms.append(normalize(word + forms[mask ^ low].to_items()))
+        corners = [g.ys for g in forms]
         if len(set(corners)) != 1 << n:
             raise ValueError("cluster vertices are not pairwise distinct")
-        self._by_subset = {frozenset(a): v for a, v in zip(chosen, corners)}
+        self._by_subset = {
+            frozenset(i for i in range(n) if mask >> i & 1): v
+            for mask, v in enumerate(corners)
+        }
         self._subset_of = {v: a for a, v in self._by_subset.items()}
         self.vertices = frozenset(corners)
         self.edges = frozenset(_interval_edges(self.params, corners))

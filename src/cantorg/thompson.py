@@ -187,19 +187,30 @@ def x_unit(s, sign):
 
 
 def compose(f, g):
-    """The pair acting as f followed by g (right-action order)."""
-    common = {
-        (a if len(a) >= len(b) else b)
-        for a in f.range
-        for b in g.domain
-        if not incompatible(a, b)
-    }
+    """The pair acting as f followed by g (right-action order): one merge of
+    f's range, sorted, with g's domain, where of two compatible current leaves
+    the longer is a leaf of the common refinement."""
+    if f.is_identity() or g.is_identity():
+        return g if f.is_identity() else f
+    order = sorted(range(len(f.range)), key=f.range.__getitem__)
     doms, rngs = [], []
-    for e in sorted(common):
-        i = next(i for i, r in enumerate(f.range) if e.startswith(r))
-        j = next(j for j, d in enumerate(g.domain) if e.startswith(d))
-        doms.append(f.domain[i] + e[len(f.range[i]):])
-        rngs.append(g.range[j] + e[len(g.domain[j]):])
+    i = j = 0
+    while i < len(order) and j < len(g.domain):
+        k = order[i]
+        a, b = f.range[k], g.domain[j]
+        if b.startswith(a):
+            doms.append(f.domain[k] + b[len(a):])
+            rngs.append(g.range[j])
+            i += a == b
+            j += 1
+        elif a.startswith(b):
+            doms.append(f.domain[k])
+            rngs.append(g.range[j] + a[len(b):])
+            i += 1
+        elif a < b:
+            i += 1
+        else:
+            j += 1
     return TreePair(doms, rngs)
 
 

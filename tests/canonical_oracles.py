@@ -8,9 +8,14 @@ vertex subset of a cube-cell signature (a union-find over the '=' cuts and a
 cycle search over the strict order they leave).  Each changes one thing and
 rescans from the start until nothing changes, so its answer does not depend
 on the order the single pass relies on.
+
+`compose` is the tree-pair composition before it became a merge: it tests
+every pair of leaves for compatibility, and then finds the two leaves above
+each leaf of the common refinement by a linear scan, so it needs no sorted
+order either.
 """
 
-from cantorg.binseq import lex_key
+from cantorg.binseq import incompatible, lex_key
 from cantorg.complexes import CellComplexPiece
 from cantorg.special import check_special, contract_at
 from cantorg.thompson import TreePair, expand_letter
@@ -190,3 +195,20 @@ class FixpointCellComplexPiece(CellComplexPiece):
         return frozenset(
             i for i in range(self.n) if pin[find(i)] == "1"
         )
+
+
+def compose(f, g):
+    """The pair acting as f followed by g (right-action order)."""
+    common = {
+        (a if len(a) >= len(b) else b)
+        for a in f.range
+        for b in g.domain
+        if not incompatible(a, b)
+    }
+    doms, rngs = [], []
+    for e in sorted(common):
+        i = next(i for i, r in enumerate(f.range) if e.startswith(r))
+        j = next(j for j, d in enumerate(g.domain) if e.startswith(d))
+        doms.append(f.domain[i] + e[len(f.range[i]):])
+        rngs.append(g.range[j] + e[len(g.domain[j]):])
+    return TreePair(doms, rngs)

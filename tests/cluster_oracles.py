@@ -8,12 +8,15 @@ shared edges.  `facial_intersection` is the old `cubulate` verdict on a
 pair of clusters: the plain graph intersection must be that cluster, and
 the cluster must be all of each side or a face of it by `subcluster_type`.
 `enumerated_independent_subsets` lists every pairwise independent subset
-and keeps the maximal ones with a quadratic scan.
+and keeps the maximal ones with a quadratic scan.  `whole_word_corners` is
+the corner construction of `Cluster` before it built each corner from a
+smaller one: every subset's parameters, in order, then the base, normalized
+as one word.
 """
 
 import itertools
 
-from cantorg.complexes import FACE, Cluster, subcluster_type
+from cantorg.complexes import FACE, Cluster, subcluster_type, vertex_of
 from cantorg.special import (
     check_special,
     from_letters,
@@ -72,6 +75,21 @@ def facial_intersection(c1, c2):
         inter.vertices == c.vertices or subcluster_type(inter, c) == FACE
         for c in (c1, c2)
     )
+
+
+def whole_word_corners(base, params):
+    """The corners of the cluster on a base normal form and a parameter
+    list, keyed and ordered as `Cluster._by_subset`."""
+    n = len(params)
+    chosen = [
+        [i for i in range(n) if mask >> i & 1] for mask in range(1 << n)
+    ]
+    return {
+        frozenset(a): vertex_of(
+            [lt for i in a for lt in to_letters(params[i])] + base.to_items()
+        )
+        for a in chosen
+    }
 
 
 def enumerated_independent_subsets(forms):

@@ -1,7 +1,8 @@
 """Differential tests of the single-pass canonical forms against the
 rescan-to-fixpoint versions in `canonical_oracles`: tree-pair reduction,
 the canonical antichain of a cone set, the minimal special form, `act_f`,
-and the cells of a cube filling with their dimensions and vertex subsets.
+the cells of a cube filling with their dimensions and vertex subsets, and
+tree-pair composition by a merge against the all-pairs refinement.
 """
 
 import itertools
@@ -12,7 +13,8 @@ import canonical_oracles as oracle
 from cantorg.binseq import ConeSet, _canonical_cones
 from cantorg.complexes import CellComplexPiece
 from cantorg.special import act_f, expand_at, is_special, minimal_form
-from cantorg.thompson import TreePair, _reduce, x_gen
+from cantorg.thompson import IDENTITY, TreePair, _reduce, compose, x_gen
+from test_thompson import UNITS
 
 
 def random_code(rng, leaves):
@@ -132,3 +134,44 @@ def test_act_f_matches_oracle():
     for form in forms:
         for f in pairs:
             assert act_f(form, f) == oracle.act_f(form, f)
+
+
+def _assert_compose_matches_oracle(f, g):
+    """Both orders, f against its inverse and the identity on either
+    side."""
+    cases = [(f, g), (g, f), (f, f.invert()), (IDENTITY, f), (f, IDENTITY)]
+    for a, b in cases:
+        want = oracle.compose(a, b)
+        try:
+            got = compose(a, b)
+        except ValueError as exc:  # the merge lost or repeated a leaf
+            raise AssertionError(f"compose({a}, {b}): {exc}") from None
+        assert got.domain == want.domain
+        assert got.range == want.range
+
+
+def random_tree_pair(rng):
+    """A pair over two random complete codes of equal size; half the time
+    the codomain is shuffled, so the pair permutes its leaves."""
+    leaves = rng.randint(1, 9)
+    domain = random_code(rng, leaves)
+    codomain = random_code(rng, leaves)
+    if rng.random() < 0.5:
+        rng.shuffle(codomain)
+    return TreePair(domain, codomain)
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_compose_matches_oracle(rng):
+    f, g = random_tree_pair(rng), random_tree_pair(rng)
+    _assert_compose_matches_oracle(f, g)
+
+
+@given(st.lists(st.sampled_from(UNITS), min_size=2, max_size=5),
+       st.sampled_from(UNITS))
+def test_compose_matches_oracle_on_unit_composites(units, g):
+    f = units[0]
+    for u in units[1:]:
+        f = oracle.compose(f, u)
+    _assert_compose_matches_oracle(f, g)

@@ -1,13 +1,14 @@
-"""Differential tests: cluster edges, the flag check, the intersection
-check and the independent subsets at a vertex against the plain scans they
-replace.
+"""Differential tests: cluster corners and edges, the flag check, the
+intersection check and the independent subsets at a vertex against the
+constructions they replace.
 
 The oracles are the original definitions: an edge test on every pair of
 cluster corners, a flag check that enumerates every subset of corner edges
 at a vertex, and, from `cluster_oracles`, the intersection check that
-re-parametrizes both clusters and the enumeration of all independent
-subsets.  They are exponential in the number of corners, edges or forms,
-so they serve as references on small inputs only.
+re-parametrizes both clusters, the enumeration of all independent subsets
+and the corners normalized as whole words.  The scans are exponential in
+the number of corners, edges or forms, so they serve as references on small
+inputs only.
 """
 
 import itertools
@@ -32,7 +33,9 @@ from cluster_oracles import (
     enumerated_independent_subsets,
     facial_intersection,
     reparametrized_intersection,
+    whole_word_corners,
 )
+from test_work_counts import draw_clusters
 
 
 def cl(base_text, *param_texts):
@@ -192,6 +195,30 @@ def test_large_cluster_edges():
     rng = random.Random(12)
     for edge in rng.sample(sorted(map(sorted, c.edges)), 200):
         assert is_one_cell(*edge)
+
+
+# ---------------------------------------------------------------------------
+# corners
+
+
+def assert_corners_match_whole_words(c):
+    want = whole_word_corners(c.base, c.params)
+    assert list(c._by_subset.items()) == list(want.items())
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(sorted_independent_params(),
+       st.sampled_from(["y[10]^2", "x[0] y[01]", "x[1]^-1 y[0110]^-1 y[10]"]))
+def test_corners_match_whole_words(params, base):
+    assert_corners_match_whole_words(
+        Cluster(normalize(parse_word(base)), params))
+
+
+def test_corners_match_whole_words_on_envelopes():
+    clusters = draw_clusters()
+    assert max(len(params) for _, params in clusters) == 3
+    for base, params in clusters:
+        assert_corners_match_whole_words(Cluster(base, params))
 
 
 # ---------------------------------------------------------------------------
