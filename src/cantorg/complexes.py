@@ -65,9 +65,15 @@ def vertex_of(word):
     return coset_vertex(word)
 
 
+def quotient(u, v):
+    """The normal form of u * v^-1 for two words, such as coset
+    representatives or the items of a base element."""
+    return normalize(list(u) + inverse_word(list(v)))
+
+
 def quotient_form(u, v):
     """The y-part of u * v^-1 for two coset representatives."""
-    return normalize(list(u) + inverse_word(list(v))).ys
+    return quotient(u, v).ys
 
 
 def is_one_cell(u, v):

@@ -15,12 +15,11 @@ its window; only the suffixes starting inside the new window are normalized.
 """
 
 from .binseq import incompatible, lex_key
-from .complexes import is_one_cell, vertex_of
+from .complexes import is_one_cell, quotient, vertex_of
 from .rewrite import (
     IDENTITY_NORMAL,
     FToken,
     Letter,
-    _is_xish,
     _is_y,
     _merge,
     contraction,
@@ -29,11 +28,10 @@ from .rewrite import (
     find_misordered,
     find_potential_contraction,
     has_potential_cancellation,
-    inverse_word,
     normalize,
 )
 from .special import from_letters, independent, is_special
-from .thompson import InternalError, compose, x_unit
+from .thompson import InternalError, compose
 
 TRIVIAL = ()
 
@@ -49,7 +47,7 @@ MAX_MOVES = 20_000
 def _edge_normal(u, v):
     """The normal form of u * v^-1; its letter part labels the edge from u
     to v and its tree-pair factor realigns the suffix representatives."""
-    nf = normalize(list(u) + inverse_word(list(v)))
+    nf = quotient(u, v)
     if not is_special(from_letters(nf.ys)):
         raise ValueError("consecutive loop vertices are not joined by an edge")
     return nf
@@ -160,19 +158,15 @@ def contract_loop(loop):
     return list(state)
 
 
-def _as_pair(item):
-    if isinstance(item, FToken):
-        return item.pair
-    return x_unit(item.sub, item.exp)
-
-
 def _expand_item(word, state, i):
-    """Expand the unit letter at index i into its one-step substitution and
-    emit the expansion move with the cluster parameters at the suffix."""
+    """Expand the unit letter at index i into its one-step substitution,
+    its x-letter read as a tree-pair factor, and emit the expansion move
+    with the cluster parameters at the suffix."""
     lt = word.items[i]
-    word.splice(i, i + 1, expand_unit(lt.sub, 1 if lt.exp > 0 else -1))
+    sign = 1 if lt.exp > 0 else -1
+    word.splice(i, i + 1, _merge(expand_unit(lt.sub, sign)))
     # the y-letters of the block follow x_s for y_s and precede x_s^-1
-    lo = i + 1 if lt.exp > 0 else i
+    lo = i + 1 if sign > 0 else i
     state.emit(EXPANSION, word.path(), word.params(lo, lo + 3))
 
 
@@ -185,14 +179,14 @@ def _standardize_moves(word, state):
         changed = False
         for i in range(len(items) - 1):
             a, b = items[i], items[i + 1]
-            if _is_xish(a) and _is_xish(b):
+            if isinstance(a, FToken) and isinstance(b, FToken):
                 # merge adjacent tree-pair factors; the path is unaffected
-                p = compose(_as_pair(a), _as_pair(b))
+                p = compose(a.pair, b.pair)
                 word.splice(i, i + 2, [] if p.is_identity() else [FToken(p)])
                 changed = True
                 break
-            if _is_y(a) and _is_xish(b):
-                t2 = _as_pair(b).act_on_word(a.sub)
+            if _is_y(a) and isinstance(b, FToken):
+                t2 = b.pair.act_on_word(a.sub)
                 if t2 is not None:
                     word.splice(i, i + 2, [b, Letter("y", t2, a.exp)])
                     state.emit(REARRANGEMENT, word.path())

@@ -19,10 +19,11 @@ from .complexes import (
     link_flag_check,
     maximal_cliques,
     meet_in_face,
+    quotient,
     quotient_form,
     vertex_of,
 )
-from .rewrite import FToken, GNormal, inverse_word, normalize
+from .rewrite import FToken, GNormal, normalize
 from .special import (
     cancellation_free,
     check_sorted_forms,
@@ -143,11 +144,6 @@ def param_form_at(cell, v):
     return from_letters(quotient_form(cell.other(v), v))
 
 
-def _quotient(v, base):
-    """The normal form of v times the inverse of a base element."""
-    return normalize(list(v) + inverse_word(base.to_items()))
-
-
 def _criterion_cell(form, g, v):
     """The unique candidate cell at vertex v sharing the parameter, built
     whenever the parameter support misses the percolating support of the
@@ -164,7 +160,7 @@ def equivalent_cells(e1, e2):
     endpoints of e2."""
     for form, base, near, far in e1.sides:
         for u in (e2.bottom, e2.top):
-            cand = _criterion_cell(form, _quotient(u, base), u)
+            cand = _criterion_cell(form, quotient(u, base.to_items()), u)
             if cand is not None and cand == e2:
                 return ((near, u), (far, e2.other(u)))
     return None
@@ -178,7 +174,7 @@ def disparate_cell_vertex(cell, u):
     if not isinstance(u, tuple):
         raise TypeError("vertices are letter tuples")
     cones = supp(cell.form)
-    quotients = [_quotient(u, base) for _, base, _, _ in cell.sides]
+    quotients = [quotient(u, base.to_items()) for _, base, _, _ in cell.sides]
     if all(cones.subset_of(supp_y(g)) for g in quotients):
         return DISPARATE, None
     for (form, _, _, _), g in zip(cell.sides, quotients):
@@ -463,7 +459,7 @@ def _two_sided_offsprings(cell, vertices):
     """Two-sided expansion of a cell into single letters deep enough to be
     decided against every tracked vertex on both sides."""
     supports = [
-        supp_y(_quotient(v, base))
+        supp_y(quotient(v, base.to_items()))
         for v in vertices
         for _, base, _, _ in cell.sides
     ]
@@ -484,7 +480,7 @@ def _closure(cells, vertices):
     for e in sorted(cells, key=lambda c: sorted(c.vertices)):
         for form, base, _, _ in e.sides:
             for v in vertices:
-                cand = _criterion_cell(form, _quotient(v, base), v)
+                cand = _criterion_cell(form, quotient(v, base.to_items()), v)
                 if cand is not None:
                     out.add(cand)
     return out

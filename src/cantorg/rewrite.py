@@ -1,8 +1,10 @@
 """Words in the generators, standard forms, and the unique normal form.
 
 A word is a list of letters x_s^k / y_s^k (y-subscripts must be nonconstant)
-plus, internally, opaque tree-pair tokens.  The engine rewrites any word into
-the canonical pair (reduced tree pair, sorted cancellation- and
+plus, internally, opaque tree-pair tokens.  The engine reads every x-letter
+as a tree-pair token, so a standard form is at most one leading token (an
+element of F) followed by y-letters.  It rewrites any word into the
+canonical pair (reduced tree pair, sorted cancellation- and
 contraction-free y-letter sequence), which is the unique representative of
 the group element; two words are equal in the group iff they normalize to
 the same pair.
@@ -25,6 +27,8 @@ from .thompson import (
     TreePair,
     compose,
     expand_letter,
+    power,
+    x_gen,
     x_unit,
 )
 
@@ -73,8 +77,13 @@ def inverse_word(letters):
 
 
 def _merge(items):
+    """Fuse adjacent equal-subscript y-letters and adjacent tree-pair
+    factors, reading each x-letter as its tree-pair factor and dropping the
+    identity."""
     out = []
     for item in items:
+        if isinstance(item, Letter) and item.kind == "x":
+            item = FToken(power(x_gen(item.sub), item.exp))
         if isinstance(item, FToken):
             if item.pair.is_identity():
                 continue
@@ -86,18 +95,11 @@ def _merge(items):
                 continue
             out.append(item)
             continue
-        if item.exp == 0:
-            continue
-        if (
-            out
-            and isinstance(out[-1], Letter)
-            and out[-1].kind == item.kind
-            and out[-1].sub == item.sub
-        ):
+        if out and isinstance(out[-1], Letter) and out[-1].sub == item.sub:
             e = out[-1].exp + item.exp
             out.pop()
             if e != 0:
-                out.append(Letter(item.kind, item.sub, e))
+                out.append(Letter("y", item.sub, e))
             continue
         out.append(item)
     return out
@@ -127,52 +129,48 @@ def _expand_end(lt, leftmost):
     return out
 
 
+# the rewrite steps one `normalize` may take, its cancellation and
+# contraction rounds included; the round trip of some 5-letter words spends
+# over 90% of it
+REWRITE_STEPS = 500_000
+
+
 class _Budget:
-    def __init__(self, n):
-        self.left = n
+    def __init__(self, n=REWRITE_STEPS):
+        self.bound = self.left = n
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceeded("rewriting step budget exhausted")
+            raise BudgetExceeded(
+                f"rewriting exhausted its budget of {self.bound:,} steps")
 
 
 def _is_y(item):
     return isinstance(item, Letter) and item.kind == "y"
 
 
-def _is_xish(item):
-    return isinstance(item, FToken) or (
-        isinstance(item, Letter) and item.kind == "x"
-    )
-
-
 def standardize(items, budget=None):
-    """Rewrite to a standard form: all x-factors at the front, and among the
-    y-letters any letter whose subscript extends another's occurs earlier.
-    Equal-subscript letters are merged.  Preserves the group element."""
+    """Rewrite to a standard form: one tree-pair factor at the front, if any,
+    and among the y-letters any letter whose subscript extends another's
+    occurs earlier.  Equal-subscript letters are merged.  Preserves the
+    group element."""
     if budget is None:
-        budget = _Budget(500_000)
+        budget = _Budget()
     items = _merge(list(items))
     while True:
         changed = False
-        # 1: a y-letter immediately before an x-factor: rearrange or expand
+        # 1: a y-letter immediately before a tree-pair factor: rearrange or
+        # expand
         for i in range(len(items) - 1):
             a, b = items[i], items[i + 1]
-            if _is_y(a) and _is_xish(b):
+            if _is_y(a) and isinstance(b, FToken):
                 budget.spend()
-                if isinstance(b, FToken):
-                    pair, head, rest = b.pair, b, []
-                else:
-                    # one unit moves past; the merge drops a zero rest
-                    sign = 1 if b.exp > 0 else -1
-                    pair, head = x_unit(b.sub, sign), Letter("x", b.sub, sign)
-                    rest = [Letter("x", b.sub, b.exp - sign)]
-                t2 = pair.act_on_word(a.sub)
+                t2 = b.pair.act_on_word(a.sub)
                 if t2 is None:
                     items[i:i + 1] = _expand_end(a, False)
                 else:
-                    items[i:i + 2] = [head, Letter("y", t2, a.exp)] + rest
+                    items[i:i + 2] = [b, Letter("y", t2, a.exp)]
                 changed = True
                 break
         if changed:
@@ -234,19 +232,10 @@ def find_misordered(items):
 
 
 def split_standard(items):
-    """Split a standardized list into (TreePair, y-letter list)."""
-    f = IDENTITY
-    ys = []
-    for item in items:
-        if isinstance(item, FToken):
-            f = compose(f, item.pair)
-        elif item.kind == "x":
-            g = x_unit(item.sub, item.exp)
-            for _ in range(abs(item.exp)):
-                f = compose(f, g)
-        else:
-            ys.append(item)
-    return f, ys
+    """Split a standard form into (TreePair, y-letter list)."""
+    if items and isinstance(items[0], FToken):
+        return items[0].pair, items[1:]
+    return IDENTITY, items
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +325,19 @@ def remove_potential_cancellations(items, budget=None):
     """Rewrite a word so that no neighboring pair admits a cancellation.
     Flagged pairs are resolved by expanding the shallow letter; the expansion
     offspring either separate from or exactly cancel against the deep one.
-    The y-letters of a standard form are its y-items, so each round looks
-    them up by position and never multiplies out the x-part."""
+    The y-letters of a standard form are the items after its leading
+    tree-pair factor, so each round reads them in place."""
     if budget is None:
-        budget = _Budget(500_000)
+        budget = _Budget()
     items = standardize(items, budget)
     while True:
-        at = [k for k, it in enumerate(items) if _is_y(it)]
-        found = has_potential_cancellation([items[k] for k in at])
+        _, ys = split_standard(items)
+        found = has_potential_cancellation(ys)
         if found is None:
             return items
         budget.spend()
         # expand the outer (shallow, later) letter of the tightest pair
-        k = at[found[0]]
+        k = len(items) - len(ys) + found[0]
         items[k:k + 1] = _expand_end(items[k], True)
         items = standardize(items, budget)
 
@@ -463,7 +452,7 @@ def normalize(word):
     cached = _NORMALIZE_CACHE.get(key)
     if cached is not None:
         return cached
-    budget = _Budget(500_000)
+    budget = _Budget()
     items = remove_potential_cancellations(list(key), budget)
     while True:
         f, ys = split_standard(items)

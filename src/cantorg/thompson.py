@@ -1,10 +1,11 @@
-"""Reduced tree pairs: the prefix-replacement homeomorphisms that form the
-x-part of every word.
+"""Reduced tree pairs: the order-preserving prefix-replacement homeomorphisms
+of Thompson's group F that form the x-part of every word.
 
-A tree pair stores two complete prefix codes of equal size; the i-th domain
-leaf maps to the i-th range leaf.  A pair is reduced when no adjacent leaf
-pair is a sibling pair in both trees simultaneously; reduced pairs are the
-canonical representatives, compared structurally.
+A tree pair stores two complete prefix codes of equal size, each in
+left-to-right (lex) order; the i-th domain leaf maps to the i-th range leaf,
+so the map keeps the order of the leaves.  A pair is reduced when no
+adjacent leaf pair is a sibling pair in both trees simultaneously; reduced
+pairs are the canonical representatives, compared structurally.
 
 Convention: these act on the right.  `compose(f, g)` is "apply f, then g",
 so act_on_seq(compose(f, g), xi) == act_on_seq(g, act_on_seq(f, xi)).
@@ -57,11 +58,9 @@ def expand_letter(s, sign):
 
 
 def _is_complete_code(leaves):
-    """Whether a sorted tuple of distinct words is a complete prefix code:
-    prefix-free (in a sorted list any prefix sits next to an extension) with
-    cone measures summing to one."""
-    if len(set(leaves)) != len(leaves):
-        return False
+    """Whether a strictly increasing tuple of words is a complete prefix
+    code: prefix-free (in a sorted list any prefix sits next to an
+    extension) with cone measures summing to one."""
     if leaves == ("",):
         return True
     if any(b.startswith(a) for a, b in zip(leaves, leaves[1:])):
@@ -95,16 +94,19 @@ class TreePair:
     __slots__ = ("domain", "range")
 
     def __init__(self, domain, rng):
-        pairs = sorted(zip(domain, rng))
-        domain = tuple(d for d, _ in pairs)
-        rng = tuple(r for _, r in pairs)
+        domain, rng = tuple(domain), tuple(rng)
+        if len(domain) != len(rng):
+            raise ValueError("leaf counts differ")
         try:
             check_bits("".join(domain + rng))
         except (TypeError, ValueError):  # a non-str or non-binary leaf
             raise ValueError("leaves must be binary words") from None
-        if len(domain) != len(rng):
-            raise ValueError("leaf counts differ")
-        if not _is_complete_code(domain) or not _is_complete_code(tuple(sorted(rng))):
+        pairs = sorted(zip(domain, rng))
+        domain = tuple(d for d, _ in pairs)
+        rng = tuple(r for _, r in pairs)
+        if any(a >= b for a, b in zip(rng, rng[1:])):
+            raise ValueError("range leaves are out of order (not in F)")
+        if not _is_complete_code(domain) or not _is_complete_code(rng):
             raise ValueError("leaves do not form a complete binary tree")
         domain, rng = _reduce(domain, rng)
         object.__setattr__(self, "domain", domain)
@@ -133,13 +135,12 @@ class TreePair:
         return self.domain == self.range
 
     def invert(self):
-        """The swapped pair.  The inverse of a reduced pair over two
-        complete codes is reduced over the same codes, so only the leaves
-        are sorted again, with no validation or reduction."""
-        pairs = sorted(zip(self.range, self.domain))
+        """The swapped pair.  The inverse of a reduced pair over two ordered
+        complete codes is reduced over the same codes, so it needs no
+        validation or reduction."""
         out = object.__new__(TreePair)
-        object.__setattr__(out, "domain", tuple(d for d, _ in pairs))
-        object.__setattr__(out, "range", tuple(r for _, r in pairs))
+        object.__setattr__(out, "domain", self.range)
+        object.__setattr__(out, "range", self.domain)
         return out
 
     def act_on_word(self, t):
@@ -188,23 +189,22 @@ def x_unit(s, sign):
 
 def compose(f, g):
     """The pair acting as f followed by g (right-action order): one merge of
-    f's range, sorted, with g's domain, where of two compatible current leaves
-    the longer is a leaf of the common refinement."""
+    f's range with g's domain, both in leaf order, where of two compatible
+    current leaves the longer is a leaf of the common refinement (Cannon,
+    Floyd and Parry, "Introductory notes on Richard Thompson's groups")."""
     if f.is_identity() or g.is_identity():
         return g if f.is_identity() else f
-    order = sorted(range(len(f.range)), key=f.range.__getitem__)
     doms, rngs = [], []
     i = j = 0
-    while i < len(order) and j < len(g.domain):
-        k = order[i]
-        a, b = f.range[k], g.domain[j]
+    while i < len(f.range) and j < len(g.domain):
+        a, b = f.range[i], g.domain[j]
         if b.startswith(a):
-            doms.append(f.domain[k] + b[len(a):])
+            doms.append(f.domain[i] + b[len(a):])
             rngs.append(g.range[j])
             i += a == b
             j += 1
         elif a.startswith(b):
-            doms.append(f.domain[k])
+            doms.append(f.domain[i])
             rngs.append(g.range[j] + a[len(b):])
             i += 1
         elif a < b:

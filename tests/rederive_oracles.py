@@ -1,11 +1,10 @@
 """Versions of the rewriter, the cell verdict and the balance scan that
 re-derive what is already computed, kept as test oracles.
 
-`remove_potential_cancellations` multiplies out the x-part of the standard
-form on every round to read its y-letters and finds the letter to expand by
-counting y-items.  The verdict of a cell against a vertex normalizes the
-cell's top element again (`top_base`) and inverts each side's base again
-for the criterion (`_criterion_cell(form, tau, v)`).  The balance scan
+`remove_potential_cancellations` finds the letter to expand by counting
+the y-items before it.  The verdict of a cell against a vertex normalizes
+the cell's top element again (`top_base`) and inverts each side's base
+again for the criterion (`_criterion_cell(form, tau, v)`).  The balance scan
 `_undecided` decides every cell against every vertex again on each call.
 The library reads the y-items by position, keeps both sides of a cell in
 `ParamCell.sides` and each verdict of the scan in `ParamCell.verdicts`.

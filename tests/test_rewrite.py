@@ -9,6 +9,7 @@ from cantorg.calculus import evaluate
 from cantorg.cli import parse_word
 from cantorg.rewrite import (
     IDENTITY_NORMAL,
+    FToken,
     Letter,
     _is_y,
     equal_words,
@@ -87,6 +88,16 @@ def test_standardize_preserves_element():
     for _ in range(40):
         w = random_word(rng)
         assert oracle_equal(w, standardize(list(w)), rng)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_standard_form_is_one_leading_pair_then_y_letters(seed):
+    word = random_word(random.Random(seed))
+    items = standardize(list(word))
+    off = 1 if items and isinstance(items[0], FToken) else 0
+    assert off == 0 or not items[0].pair.is_identity()
+    assert all(_is_y(it) for it in items[off:])
 
 
 def test_pair_cancellation_examples():

@@ -87,6 +87,17 @@ def test_rejects_bad_leaves():
         TreePair(("0", "1"), ("0", "10", "11"))
 
 
+def test_rejects_extra_leaves_before_pairing_them():
+    # pairing the leaves first would drop the extra one and give the
+    # identity
+    with pytest.raises(ValueError, match="leaf counts differ"):
+        TreePair(("0", "1"), ("0", "1", "junk"))
+    with pytest.raises(ValueError, match="leaf counts differ"):
+        TreePair(("0", "1", "10"), ("0", "1"))
+    with pytest.raises(ValueError, match="binary"):
+        TreePair(("0", "1"), ("0", "junk"))
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_action_is_right_action(seed):
     rng = random.Random(seed)
@@ -143,10 +154,12 @@ def _assert_inverse_is_validated_swap(p):
 def test_invert_matches_validated_swap_on_units():
     for p in UNITS:
         _assert_inverse_is_validated_swap(p)
-    # pairs that permute their leaves: the swapped leaves need sorting
-    for p in (TreePair(("0", "1"), ("1", "0")),
-              TreePair(("0", "10", "11"), ("11", "0", "10"))):
-        _assert_inverse_is_validated_swap(p)
+    # pairs that permute their leaves are elements of Thompson's group V,
+    # not of F, and are rejected
+    for domain, rng in ((("0", "1"), ("1", "0")),
+                        (("0", "10", "11"), ("11", "0", "10"))):
+        with pytest.raises(ValueError, match="out of order"):
+            TreePair(domain, rng)
 
 
 @given(st.sampled_from(UNITS), st.sampled_from(UNITS))
