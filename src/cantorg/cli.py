@@ -16,19 +16,19 @@ import re
 import sys
 
 from .binseq import RationalSeq, is_constant
-from .rewrite import letter
+from .rewrite import Letter
 
 PARSE_ERROR = 1
 DOMAIN_ERROR = 2
 INTERNAL_ERROR = 3
 
 # bound on the sum of |exponent| over a parsed word, checked before any
-# work.  `normalize` multiplies x-letters out one unit at a time, so its
-# cost grows with the square of this sum: on a 2-core x86-64 machine
-# normalize "x[0]^500" takes about 0.7 s and "x[0]^600" about 1 s, and 500
-# is the largest round total kept within a second.  `calc` makes one
-# symbol per unit and stays exponential in their number far below the
-# bound ("y[01]^20" takes several seconds); this bound does not limit it.
+# work.  `normalize` builds x_s^k by repeated squaring, so an x-power costs
+# little (normalize "x[0]^500" takes about 0.01 s on a 2-core x86-64
+# machine).  It does not bound the rest: `normalize` stops at the
+# rewrite.REWRITE_STEPS budget, and a word of 5 y-letters with
+# exponents of 100 runs for more than a minute; `calc` makes one symbol
+# per unit and is exponential in their number ("y[01]^20" takes seconds).
 MAX_WORD_EXPONENT = 500
 
 
@@ -70,7 +70,7 @@ def parse_word(text):
             )
         if kind == "y" and is_constant(sub):
             raise DomainError(f"constant y-subscript {sub!r} at position {pos}")
-        out.append(letter(kind, sub, exp))
+        out.append(Letter(kind, sub, exp))
         pos = m.end()
     return out
 

@@ -61,15 +61,17 @@ def render_cluster_line(cluster):
     return " ; ".join(parts)
 
 
-def read_cluster_file(path):
-    out = []
+def _lines(path):
+    """The stripped lines of a file, skipping blank and "#" lines."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            out.append(parse_cluster_line(line))
-    return out
+            if line and not line.startswith("#"):
+                yield line
+
+
+def read_cluster_file(path):
+    return [parse_cluster_line(line) for line in _lines(path)]
 
 
 def _print_cluster(cluster, cells=False, max_dim=None):
@@ -168,13 +170,8 @@ def cmd_cubulate(args):
 
 def cmd_contract_loop(args):
     from .loops import check_certificate, contract_loop
-    loop = []
-    with open(args.file, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            loop.append(coset_vertex(parse_word("" if line == "1" else line)))
+    loop = [coset_vertex(parse_word("" if line == "1" else line))
+            for line in _lines(args.file)]
     cert = contract_loop(loop)
     if not check_certificate(loop, cert):
         raise RuntimeError("emitted certificate failed verification")

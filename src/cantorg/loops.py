@@ -8,38 +8,40 @@ cluster, ending at the trivial loop.  Moves that use a cluster record its
 parameters, so every move can be re-checked locally from the certificate
 alone.
 
-The word being contracted carries the normal form of each of its suffixes.
-Every move replaces a window of the word by a word equal to it in the group,
-and normal forms are unique, so a move keeps the suffix normal forms outside
-its window; only the suffixes starting inside the new window are normalized.
+Once the diagonal edges are split, `normalize`'s engine
+(`rewrite.reduce_word`) drives the loop word to the empty word.  A `_Word`
+holds unit letters: each rewrite is a splice that records its move, and
+commuting and sorting are runs of adjacent swaps, one move each.
+
+The word carries the normal form of each of its suffixes.  Every move
+replaces a window of the word by a word equal to it in the group, and
+normal forms are unique, so a move keeps the suffix normal forms outside
+its window; only the suffixes starting inside the new window are
+normalized.
 """
 
 from .binseq import incompatible, lex_key
 from .complexes import is_one_cell, quotient, vertex_of
 from .rewrite import (
+    CANCELLATION,
+    COMMUTING,
+    EXPANSION,
     IDENTITY_NORMAL,
+    REARRANGEMENT,
     FToken,
     Letter,
     _is_y,
     _merge,
     contraction,
-    expand_unit,
-    find_merge,
-    find_misordered,
-    find_potential_contraction,
-    has_potential_cancellation,
     normalize,
+    reduce_word,
 )
 from .special import from_letters, independent, is_special
-from .thompson import InternalError, compose
+from .thompson import InternalError
 
 TRIVIAL = ()
 
 SPLIT = "split"
-EXPANSION = "expansion"
-REARRANGEMENT = "rearrangement"
-COMMUTING = "commuting"
-CANCELLATION = "cancellation"
 
 MAX_MOVES = 20_000
 
@@ -55,14 +57,16 @@ def _edge_normal(u, v):
 
 class _Word:
     """A loop word and the normal forms of its suffixes: `sfx[k]` is the
-    normal form of `items[k:]`, and the last entry is the identity's.
+    normal form of `items[k:]`, and the last entry is the identity's.  The
+    rewrites that name a move append it to `moves`.
 
     A move keeps the suffix normal forms outside its window: it replaces the
     window by a word equal to it in the group, and normal forms are unique."""
 
-    def __init__(self, items):
+    def __init__(self, items, moves=None):
         self.items = []
         self.sfx = [IDENTITY_NORMAL]
+        self.moves = moves
         self.splice(0, 0, items)
 
     def splice(self, lo, hi, new):
@@ -73,6 +77,67 @@ class _Word:
             forms.append(normalize([item] + forms[-1].to_items()))
         self.items[lo:hi] = new
         self.sfx[lo:hi] = forms[:0:-1]
+
+    def rewrite(self, lo, hi, new, move=None, window=None):
+        """Splice, and record the move with the parameters of the window."""
+        self.splice(lo, hi, new)
+        if move is not None:
+            params = None if window is None else self.params(*window)
+            self.moves.emit(move, self.path(), params)
+
+    def ys(self):
+        return _merge([it for it in self.items if _is_y(it)])
+
+    def commute(self, src, dst):
+        """Move the y-letter at src to dst by adjacent swaps, one
+        commuting move each."""
+        items = self.items
+        step = -1 if dst < src else 1
+        for k in range(src, dst, step):
+            if not incompatible(items[k].sub, items[k + step].sub):
+                raise InternalError("tried to commute a compatible pair")
+            lo = min(k, k + step)
+            self.rewrite(lo, lo + 2, [items[lo + 1], items[lo]], COMMUTING,
+                         (lo, lo + 2))
+
+    def sort(self):
+        """Bubble-sort the y-letters into lex order by commuting swaps."""
+        items = self.items
+        start = next((k for k, it in enumerate(items) if _is_y(it)),
+                     len(items))
+        swapped = True
+        while swapped:
+            swapped = False
+            for k in range(start, len(items) - 1):
+                if lex_key(items[k].sub) > lex_key(items[k + 1].sub):
+                    self.commute(k, k + 1)
+                    swapped = True
+
+    def contract(self, case, s):
+        """Bring a contractible triple together by commuting moves and
+        replace it by its one-letter equivalent (a reverse expansion)."""
+        items = self.items
+        triple, repl = contraction(case, s)
+        (sub1, sign1), (sub2, sign2), (sub3, sign3) = triple
+
+        def unit_pos(sub, sign, last):
+            idx = [k for k, it in enumerate(items)
+                   if _is_y(it) and it.sub == sub and it.exp == sign]
+            return idx[-1] if last else idx[0]
+
+        # move the middle unit next to the third, then the first next to them
+        p3 = unit_pos(sub3, sign3, last=False)
+        p2 = unit_pos(sub2, sign2, last=True)
+        self.commute(p2, p3 - 1)
+        p2 = p3 - 1
+        p1 = unit_pos(sub1, sign1, last=True)
+        self.commute(p1, p2 - 1)
+        base = p2 - 1
+        if [(it.sub, it.exp) for it in items[base:base + 3]] != list(triple):
+            raise InternalError("contraction triple did not come together")
+        params = self.params(base, base + 3)
+        self.splice(base, base + 3, repl)
+        self.moves.emit(EXPANSION, self.path(), params)
 
     def path(self):
         """Suffix cosets at each percolating letter; the closed path the
@@ -123,7 +188,7 @@ def contract_loop(loop):
             letters.append(FToken(nf.f))
         spans.append((len(letters), len(nf.ys)))
         letters.extend(nf.ys)
-    word = _Word(letters)
+    word = _Word(letters, state)
     fine = word.path()
     path = list(loop)
     pos = 0
@@ -144,148 +209,10 @@ def contract_loop(loop):
         raise InternalError("split phase lost track of the path")
 
     # phase 2: drive the single-letter word to the empty word
-    while True:
-        _standardize_moves(word, state)
-        _remove_cancellations_moves(word, state)
-        _sort_moves(word, state)
-        ys = [it for it in word.items if _is_y(it)]
-        found = find_potential_contraction(_merge(ys))
-        if found is None:
-            break
-        _contract_moves(word, state, *found)
+    reduce_word(word)
     if any(_is_y(it) for it in word.items):
         raise InternalError("loop word did not reduce inside F")
     return list(state)
-
-
-def _expand_item(word, state, i):
-    """Expand the unit letter at index i into its one-step substitution,
-    its x-letter read as a tree-pair factor, and emit the expansion move
-    with the cluster parameters at the suffix."""
-    lt = word.items[i]
-    sign = 1 if lt.exp > 0 else -1
-    word.splice(i, i + 1, _merge(expand_unit(lt.sub, sign)))
-    # the y-letters of the block follow x_s for y_s and precede x_s^-1
-    lo = i + 1 if sign > 0 else i
-    state.emit(EXPANSION, word.path(), word.params(lo, lo + 3))
-
-
-def _standardize_moves(word, state):
-    """Unit-letter standardization with move emission: push tree-pair factors
-    to the front, cancel adjacent inverse letters, merge equal subscripts,
-    expand ordering violations."""
-    items = word.items
-    while True:
-        changed = False
-        for i in range(len(items) - 1):
-            a, b = items[i], items[i + 1]
-            if isinstance(a, FToken) and isinstance(b, FToken):
-                # merge adjacent tree-pair factors; the path is unaffected
-                p = compose(a.pair, b.pair)
-                word.splice(i, i + 2, [] if p.is_identity() else [FToken(p)])
-                changed = True
-                break
-            if _is_y(a) and isinstance(b, FToken):
-                t2 = b.pair.act_on_word(a.sub)
-                if t2 is not None:
-                    word.splice(i, i + 2, [b, Letter("y", t2, a.exp)])
-                    state.emit(REARRANGEMENT, word.path())
-                else:
-                    _expand_item(word, state, i)
-                changed = True
-                break
-            if _is_y(a) and _is_y(b) and a.sub == b.sub and a.exp == -b.exp:
-                word.splice(i, i + 2, [])
-                state.emit(CANCELLATION, word.path())
-                changed = True
-                break
-        if changed:
-            continue
-        # merge equal subscripts separated by incompatible y-letters
-        found = find_merge(items)
-        if found is not None:
-            i, j = found
-            _commute_to(word, state, j, i + 1)
-            continue
-        # ordering: expand a y-letter preceding an extension of its subscript
-        i = find_misordered(items)
-        if i is None:
-            return
-        _expand_item(word, state, i)
-
-
-def _commute_to(word, state, src, dst):
-    """Move the y-letter at src to index dst by adjacent commuting swaps,
-    emitting one move per swap."""
-    items = word.items
-    step = -1 if dst < src else 1
-    k = src
-    while k != dst:
-        if not incompatible(items[k].sub, items[k + step].sub):
-            raise InternalError("tried to commute a compatible pair")
-        lo = min(k, k + step)
-        word.splice(lo, lo + 2, [items[lo + 1], items[lo]])
-        state.emit(COMMUTING, word.path(), word.params(lo, lo + 2))
-        k += step
-
-
-def _remove_cancellations_moves(word, state):
-    while True:
-        ys = _merge([it for it in word.items if _is_y(it)])
-        found = has_potential_cancellation(ys)
-        if found is None:
-            return
-        target = ys[found[0]].sub
-        pos = next(
-            k for k, it in enumerate(word.items)
-            if _is_y(it) and it.sub == target
-        )
-        _expand_item(word, state, pos)
-        _standardize_moves(word, state)
-
-
-def _sort_moves(word, state):
-    """Bubble-sort the y-letters into lex order by commuting swaps."""
-    items = word.items
-    start = next((k for k, it in enumerate(items) if _is_y(it)), len(items))
-    while True:
-        swapped = False
-        for k in range(start, len(items) - 1):
-            if lex_key(items[k].sub) > lex_key(items[k + 1].sub):
-                _commute_to(word, state, k, k + 1)
-                swapped = True
-        if not swapped:
-            return
-
-
-def _contract_moves(word, state, case, s):
-    """Bring a contractible triple together by commuting moves and replace
-    it by its one-letter equivalent (a reverse expansion)."""
-    items = word.items
-    triple, repl = contraction(case, s)
-    (sub1, sign1), (sub2, sign2), (sub3, sign3) = triple
-
-    def unit_pos(sub, sign, last):
-        idx = [
-            k
-            for k, it in enumerate(items)
-            if _is_y(it) and it.sub == sub and it.exp == sign
-        ]
-        return idx[-1] if last else idx[0]
-
-    # move the middle unit next to the third, then the first next to them
-    p3 = unit_pos(sub3, sign3, last=False)
-    p2 = unit_pos(sub2, sign2, last=True)
-    _commute_to(word, state, p2, p3 - 1)
-    p2 = p3 - 1
-    p1 = unit_pos(sub1, sign1, last=True)
-    _commute_to(word, state, p1, p2 - 1)
-    base = p2 - 1
-    if [(it.sub, it.exp) for it in items[base:base + 3]] != list(triple):
-        raise InternalError("contraction triple did not come together")
-    params = word.params(base, base + 3)
-    word.splice(base, base + 3, repl)
-    state.emit(EXPANSION, word.path(), params)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,21 @@ The rewriting rules used are exactly the group identities:
   - expansion     y_s   ->  x_s y_{s0} y_{s10}^-1 y_{s11}
   - commuting     y_u y_v = y_v y_u for incompatible u, v
   - exponent split/merge and deletion of y^i y^-i
+
+One engine applies them (`standardize`, `remove_potential_cancellations`
+and the driver `reduce_word`) to a word object.  It reads the word's
+`items` and merged y-letters (`ys()`), and changes it only by `rewrite(lo,
+hi, new, move, window)`, `commute(src, dst)`, `sort()` and `contract(case,
+s)`.  `normalize` passes a `_ListWord`: a plain list with merged exponents
+that spends a step budget, commutes in one jump and sorts with `sorted`.
+A `loops._Word` holds unit letters and records each rewrite as a move of a
+loop-contraction certificate.
 """
 
+from collections import OrderedDict
 from typing import NamedTuple
 
-from .binseq import incompatible, is_constant, lex_key
+from .binseq import incompatible, lex_key
 from .thompson import (
     IDENTITY,
     Y_RULES,
@@ -48,16 +58,6 @@ class Letter(NamedTuple):
     def render(self):
         base = f"{self.kind}[{self.sub}]"
         return base if self.exp == 1 else f"{base}^{self.exp}"
-
-
-def letter(kind, sub, exp=1):
-    if kind not in ("x", "y"):
-        raise ValueError(f"bad letter kind {kind!r}")
-    if kind == "y" and is_constant(sub):
-        raise ValueError(f"y-subscript must be nonconstant: {sub!r}")
-    if exp == 0:
-        raise ValueError("letter exponent must be nonzero")
-    return Letter(kind, sub, exp)
 
 
 class FToken(NamedTuple):
@@ -150,53 +150,117 @@ def _is_y(item):
     return isinstance(item, Letter) and item.kind == "y"
 
 
+# the kinds of move a loop word records for its rewrites
+EXPANSION = "expansion"
+REARRANGEMENT = "rearrangement"
+COMMUTING = "commuting"
+CANCELLATION = "cancellation"
+
+
+def _fusable(a, b):
+    """Whether `_merge` fuses the adjacent items a and b."""
+    return type(a) is type(b) and (type(a) is FToken or a.sub == b.sub)
+
+
+class _ListWord:
+    """A word as a plain list of items, kept merged: no two tree-pair
+    factors and no two equal-subscript y-letters stand together.  Each
+    rewrite, commute and contraction spends one step of `budget`, and
+    fuses only where it made a fusable pair."""
+
+    def __init__(self, items, budget=None):
+        self.items = _merge(items)
+        self.budget = _Budget() if budget is None else budget
+
+    def rewrite(self, lo, hi, new, move=None, window=None):
+        self.budget.spend()
+        self.items[lo:hi] = new
+        self._fuse(lo, lo + len(new))
+
+    def commute(self, src, dst):
+        """Move the letter at src left to dst in one jump."""
+        self.budget.spend()
+        self.items.insert(dst, self.items.pop(src))
+        self._fuse(dst, src + 1)
+
+    def ys(self):
+        return split_standard(self.items)[1]
+
+    def sort(self):
+        ys = self.ys()
+        self.items[len(self.items) - len(ys):] = _lex_sorted(ys)
+
+    def contract(self, case, s):
+        self.budget.spend()
+        self.items[:] = _merge(_apply_contraction(
+            *split_standard(self.items), case, s))
+
+    def _fuse(self, lo, hi):
+        """Merge across the edges of `items[lo:hi]`, which holds no fusable
+        pair, until none is left; the rest of the list is merged already."""
+        items = self.items
+        while (0 < lo < len(items) and _fusable(items[lo - 1], items[lo])
+               or 0 < hi < len(items) and _fusable(items[hi - 1], items[hi])):
+            lo, hi = max(lo - 1, 0), min(hi + 1, len(items))
+            merged = _merge(items[lo:hi])
+            items[lo:hi] = merged
+            hi = lo + len(merged)
+
+
+def _as_word(items, budget):
+    return _ListWord(items, budget) if isinstance(items, list) else items
+
+
+def _expand(word, i, leftmost):
+    """Expand the leftmost or the rightmost unit of the y-letter at i; the
+    move's window is the three y-letters of the expanded unit."""
+    lt = word.items[i]
+    lo = i + (lt.exp > 0) + (not leftmost and abs(lt.exp) > 1)
+    word.rewrite(i, i + 1, _merge(_expand_end(lt, leftmost)), EXPANSION,
+                 (lo, lo + 3))
+
+
 def standardize(items, budget=None):
     """Rewrite to a standard form: one tree-pair factor at the front, if any,
     and among the y-letters any letter whose subscript extends another's
-    occurs earlier.  Equal-subscript letters are merged.  Preserves the
-    group element."""
-    if budget is None:
-        budget = _Budget()
-    items = _merge(list(items))
+    occurs earlier.  Preserves the group element.  `items` is a word object,
+    or a plain list that becomes a `_ListWord` spending `budget`; returns
+    the word's items.
+
+    At the leftmost place one applies, adjacent factors compose, a y-letter
+    before a factor is rearranged or expanded, or adjacent inverse letters
+    cancel; then letters of one subscript are commuted together, and then
+    the shallow letter of a misordered pair expands."""
+    word = _as_word(items, budget)
+    items = word.items
     while True:
-        changed = False
-        # 1: a y-letter immediately before a tree-pair factor: rearrange or
-        # expand
         for i in range(len(items) - 1):
             a, b = items[i], items[i + 1]
-            if _is_y(a) and isinstance(b, FToken):
-                budget.spend()
+            if isinstance(b, FToken):
+                if isinstance(a, FToken):
+                    p = compose(a.pair, b.pair)
+                    word.rewrite(i, i + 2,
+                                 [] if p.is_identity() else [FToken(p)])
+                    break
                 t2 = b.pair.act_on_word(a.sub)
                 if t2 is None:
-                    items[i:i + 1] = _expand_end(a, False)
+                    _expand(word, i, False)
                 else:
-                    items[i:i + 2] = [b, Letter("y", t2, a.exp)]
-                changed = True
+                    word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)],
+                                 REARRANGEMENT)
                 break
-        if changed:
-            items = _merge(items)
-            continue
-        # 2: merge equal-subscript y-letters separated by incompatible letters
-        # (adjacent ones were merged already)
-        found = find_merge(items)
-        if found is not None:
-            i, j = found
-            budget.spend()
-            e = items[i].exp + items[j].exp
-            del items[j]
-            if e:
-                items[i] = Letter("y", items[i].sub, e)
-            else:
-                del items[i]
-            items = _merge(items)
-            continue
-        # 3: ordering: expand the shallow letter of a misordered pair
-        i = find_misordered(items)
-        if i is None:
-            return items
-        budget.spend()
-        items[i:i + 1] = _expand_end(items[i], True)
-        items = _merge(items)
+            if isinstance(a, Letter) and a.sub == b.sub and a.exp == -b.exp:
+                word.rewrite(i, i + 2, [], CANCELLATION)
+                break
+        else:
+            found = find_merge(items)
+            if found is not None:
+                word.commute(found[1], found[0] + 1)
+                continue
+            i = find_misordered(items)
+            if i is None:
+                return items
+            _expand(word, i, True)
 
 
 def find_merge(items):
@@ -325,21 +389,31 @@ def remove_potential_cancellations(items, budget=None):
     """Rewrite a word so that no neighboring pair admits a cancellation.
     Flagged pairs are resolved by expanding the shallow letter; the expansion
     offspring either separate from or exactly cancel against the deep one.
-    The y-letters of a standard form are the items after its leading
-    tree-pair factor, so each round reads them in place."""
-    if budget is None:
-        budget = _Budget()
-    items = standardize(items, budget)
+    Takes and returns what `standardize` does."""
+    word = _as_word(items, budget)
     while True:
-        _, ys = split_standard(items)
+        standardize(word)
+        ys = word.ys()
         found = has_potential_cancellation(ys)
         if found is None:
-            return items
-        budget.spend()
+            return word.items
         # expand the outer (shallow, later) letter of the tightest pair
-        k = len(items) - len(ys) + found[0]
-        items[k:k + 1] = _expand_end(items[k], True)
-        items = standardize(items, budget)
+        sub = ys[found[0]].sub
+        _expand(word, next(k for k, it in enumerate(word.items)
+                           if _is_y(it) and it.sub == sub), True)
+
+
+def reduce_word(word):
+    """Drive a word object to its normal form and return it: remove the
+    potential cancellations, sort the y-letters, contract a contractible
+    triple, and repeat until none is left."""
+    while True:
+        remove_potential_cancellations(word)
+        word.sort()
+        found = find_potential_contraction(word.ys())
+        if found is None:
+            return word
+        word.contract(*found)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +517,11 @@ class GNormal(NamedTuple):
 IDENTITY_NORMAL = GNormal(IDENTITY, ())
 
 
-_NORMALIZE_CACHE = {}
+# the normal forms `normalize` keeps; an insert past this many drops the
+# oldest.  An OrderedDict finds its oldest key at once, where a plain dict
+# looks for it past the slots of all the keys deleted before it.
+NORMALIZE_CACHE_SIZE = 1_000_000
+_NORMALIZE_CACHE = OrderedDict()
 
 
 def normalize(word):
@@ -452,21 +530,12 @@ def normalize(word):
     cached = _NORMALIZE_CACHE.get(key)
     if cached is not None:
         return cached
-    budget = _Budget()
-    items = remove_potential_cancellations(list(key), budget)
-    while True:
-        f, ys = split_standard(items)
-        ys = _lex_sorted(ys)
-        found = find_potential_contraction(ys)
-        if found is None:
-            out = GNormal(f, tuple(ys))
-            if len(_NORMALIZE_CACHE) > 1_000_000:
-                _NORMALIZE_CACHE.clear()
-            _NORMALIZE_CACHE[key] = out
-            return out
-        budget.spend()
-        items = _apply_contraction(f, ys, *found)
-        items = remove_potential_cancellations(items, budget)
+    f, ys = split_standard(reduce_word(_ListWord(key)).items)
+    out = GNormal(f, tuple(ys))
+    if len(_NORMALIZE_CACHE) >= NORMALIZE_CACHE_SIZE:
+        del _NORMALIZE_CACHE[next(iter(_NORMALIZE_CACHE))]
+    _NORMALIZE_CACHE[key] = out
+    return out
 
 
 def normalize_product(*factors):

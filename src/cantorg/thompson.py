@@ -220,9 +220,14 @@ def compose(f, g):
 
 
 def power(f, n):
+    """f^n by repeated squaring, in O(log |n|) composes."""
     if n < 0:
-        return power(f.invert(), -n)
+        f, n = f.invert(), -n
     out = IDENTITY
-    for _ in range(n):
-        out = compose(out, f)
+    while n:
+        if n & 1:
+            out = compose(out, f)
+        n >>= 1
+        if n:
+            f = compose(f, f)
     return out

@@ -1,0 +1,326 @@
+"""The normal-form rewriter and the loop contraction as they were written
+before one engine served both, kept as test oracles.
+
+`standardize`, `remove_potential_cancellations` and `normalize` rewrote a
+plain list of items and merged the whole list again after every step;
+`normalize` here takes a step budget and keeps no cache.  `contract_loop`
+drove its word with rewriters of its own (`_standardize_moves`,
+`_remove_cancellations_moves`, `_sort_moves`, `_contract_moves`), each
+emitting the certificate moves of its rewrites.  The library runs the
+rules once, in `rewrite.standardize`, `rewrite.remove_potential_cancellations`
+and `rewrite.reduce_word`, on a `rewrite._ListWord` or a `loops._Word`.
+"""
+
+from cantorg.binseq import incompatible, lex_key
+from cantorg.loops import (
+    CANCELLATION,
+    COMMUTING,
+    EXPANSION,
+    REARRANGEMENT,
+    SPLIT,
+    TRIVIAL,
+    _Contraction,
+    _edge_normal,
+    _Word,
+    path_of,
+)
+from cantorg.rewrite import (
+    FToken,
+    GNormal,
+    Letter,
+    _apply_contraction,
+    _Budget,
+    _expand_end,
+    _is_y,
+    _lex_sorted,
+    _merge,
+    contraction,
+    expand_unit,
+    find_merge,
+    find_misordered,
+    find_potential_contraction,
+    has_potential_cancellation,
+    normalize as _normalize,
+    split_standard,
+)
+from cantorg.special import from_letters
+from cantorg.thompson import InternalError, compose
+
+# ---------------------------------------------------------------------------
+# the list rewriter of `normalize`
+
+
+def standardize(items, budget=None):
+    """Rewrite to a standard form: one tree-pair factor at the front, if any,
+    and among the y-letters any letter whose subscript extends another's
+    occurs earlier.  Equal-subscript letters are merged.  Preserves the
+    group element."""
+    if budget is None:
+        budget = _Budget()
+    items = _merge(list(items))
+    while True:
+        changed = False
+        # 1: a y-letter immediately before a tree-pair factor: rearrange or
+        # expand
+        for i in range(len(items) - 1):
+            a, b = items[i], items[i + 1]
+            if _is_y(a) and isinstance(b, FToken):
+                budget.spend()
+                t2 = b.pair.act_on_word(a.sub)
+                if t2 is None:
+                    items[i:i + 1] = _expand_end(a, False)
+                else:
+                    items[i:i + 2] = [b, Letter("y", t2, a.exp)]
+                changed = True
+                break
+        if changed:
+            items = _merge(items)
+            continue
+        # 2: merge equal-subscript y-letters separated by incompatible letters
+        # (adjacent ones were merged already)
+        found = find_merge(items)
+        if found is not None:
+            i, j = found
+            budget.spend()
+            e = items[i].exp + items[j].exp
+            del items[j]
+            if e:
+                items[i] = Letter("y", items[i].sub, e)
+            else:
+                del items[i]
+            items = _merge(items)
+            continue
+        # 3: ordering: expand the shallow letter of a misordered pair
+        i = find_misordered(items)
+        if i is None:
+            return items
+        budget.spend()
+        items[i:i + 1] = _expand_end(items[i], True)
+        items = _merge(items)
+
+
+def remove_potential_cancellations(items, budget=None):
+    """Rewrite a word so that no neighboring pair admits a cancellation.
+    Flagged pairs are resolved by expanding the shallow letter; the expansion
+    offspring either separate from or exactly cancel against the deep one.
+    The y-letters of a standard form are the items after its leading
+    tree-pair factor, so each round reads them in place."""
+    if budget is None:
+        budget = _Budget()
+    items = standardize(items, budget)
+    while True:
+        _, ys = split_standard(items)
+        found = has_potential_cancellation(ys)
+        if found is None:
+            return items
+        budget.spend()
+        # expand the outer (shallow, later) letter of the tightest pair
+        k = len(items) - len(ys) + found[0]
+        items[k:k + 1] = _expand_end(items[k], True)
+        items = standardize(items, budget)
+
+
+def normalize(word, budget=None):
+    """The unique normal form of a word, rewritten from scratch under
+    `budget`."""
+    if budget is None:
+        budget = _Budget()
+    items = remove_potential_cancellations(list(word), budget)
+    while True:
+        f, ys = split_standard(items)
+        ys = _lex_sorted(ys)
+        found = find_potential_contraction(ys)
+        if found is None:
+            return GNormal(f, tuple(ys))
+        budget.spend()
+        items = _apply_contraction(f, ys, *found)
+        items = remove_potential_cancellations(items, budget)
+
+
+# ---------------------------------------------------------------------------
+# the move-emitting rewriters of `contract_loop`
+
+
+def contract_loop(loop):
+    """Contract a loop at the base vertex to the trivial loop.  Returns the
+    move certificate, beginning with ("start", the input path, None) and
+    ending with a path of base vertices only."""
+    loop = [tuple(v) for v in loop]
+    if len(loop) < 1 or loop[0] != TRIVIAL or loop[-1] != TRIVIAL:
+        raise ValueError("loop must start and end at the base vertex")
+    normals = [_edge_normal(u, v) for u, v in zip(loop, loop[1:])]
+    state = _Contraction()
+    state.emit("start", loop)
+
+    # phase 1: split every diagonal edge into single-letter edges; the
+    # intermediate vertices are the suffix cosets of the exact loop word
+    letters = []
+    spans = []
+    for nf in normals:
+        if not nf.f.is_identity():
+            letters.append(FToken(nf.f))
+        spans.append((len(letters), len(nf.ys)))
+        letters.extend(nf.ys)
+    word = _Word(letters)
+    fine = word.path()
+    path = list(loop)
+    pos = 0
+    for start, k in spans:
+        if fine[pos] != path[pos]:
+            raise InternalError("split phase lost track of the path")
+        if k > 1:
+            parts = word.params(start, start + k)
+            for t in range(k - 1):
+                rest = tuple(lt for f in parts[t + 1:] for lt in f)
+                params = (parts[t], from_letters(_normalize(
+                    [Letter("y", s, sg) for s, sg in rest]).ys))
+                path.insert(pos + 1 + t, fine[pos + 1 + t])
+                state.emit(SPLIT, path, params)
+        pos += k
+
+    if path_of(word.items) != path:
+        raise InternalError("split phase lost track of the path")
+
+    # phase 2: drive the single-letter word to the empty word
+    while True:
+        _standardize_moves(word, state)
+        _remove_cancellations_moves(word, state)
+        _sort_moves(word, state)
+        ys = [it for it in word.items if _is_y(it)]
+        found = find_potential_contraction(_merge(ys))
+        if found is None:
+            break
+        _contract_moves(word, state, *found)
+    if any(_is_y(it) for it in word.items):
+        raise InternalError("loop word did not reduce inside F")
+    return list(state)
+
+
+def _expand_item(word, state, i):
+    """Expand the unit letter at index i into its one-step substitution,
+    its x-letter read as a tree-pair factor, and emit the expansion move
+    with the cluster parameters at the suffix."""
+    lt = word.items[i]
+    sign = 1 if lt.exp > 0 else -1
+    word.splice(i, i + 1, _merge(expand_unit(lt.sub, sign)))
+    # the y-letters of the block follow x_s for y_s and precede x_s^-1
+    lo = i + 1 if sign > 0 else i
+    state.emit(EXPANSION, word.path(), word.params(lo, lo + 3))
+
+
+def _standardize_moves(word, state):
+    """Unit-letter standardization with move emission: push tree-pair factors
+    to the front, cancel adjacent inverse letters, merge equal subscripts,
+    expand ordering violations."""
+    items = word.items
+    while True:
+        changed = False
+        for i in range(len(items) - 1):
+            a, b = items[i], items[i + 1]
+            if isinstance(a, FToken) and isinstance(b, FToken):
+                # merge adjacent tree-pair factors; the path is unaffected
+                p = compose(a.pair, b.pair)
+                word.splice(i, i + 2, [] if p.is_identity() else [FToken(p)])
+                changed = True
+                break
+            if _is_y(a) and isinstance(b, FToken):
+                t2 = b.pair.act_on_word(a.sub)
+                if t2 is not None:
+                    word.splice(i, i + 2, [b, Letter("y", t2, a.exp)])
+                    state.emit(REARRANGEMENT, word.path())
+                else:
+                    _expand_item(word, state, i)
+                changed = True
+                break
+            if _is_y(a) and _is_y(b) and a.sub == b.sub and a.exp == -b.exp:
+                word.splice(i, i + 2, [])
+                state.emit(CANCELLATION, word.path())
+                changed = True
+                break
+        if changed:
+            continue
+        # merge equal subscripts separated by incompatible y-letters
+        found = find_merge(items)
+        if found is not None:
+            i, j = found
+            _commute_to(word, state, j, i + 1)
+            continue
+        # ordering: expand a y-letter preceding an extension of its subscript
+        i = find_misordered(items)
+        if i is None:
+            return
+        _expand_item(word, state, i)
+
+
+def _commute_to(word, state, src, dst):
+    """Move the y-letter at src to index dst by adjacent commuting swaps,
+    emitting one move per swap."""
+    items = word.items
+    step = -1 if dst < src else 1
+    k = src
+    while k != dst:
+        if not incompatible(items[k].sub, items[k + step].sub):
+            raise InternalError("tried to commute a compatible pair")
+        lo = min(k, k + step)
+        word.splice(lo, lo + 2, [items[lo + 1], items[lo]])
+        state.emit(COMMUTING, word.path(), word.params(lo, lo + 2))
+        k += step
+
+
+def _remove_cancellations_moves(word, state):
+    while True:
+        ys = _merge([it for it in word.items if _is_y(it)])
+        found = has_potential_cancellation(ys)
+        if found is None:
+            return
+        target = ys[found[0]].sub
+        pos = next(
+            k for k, it in enumerate(word.items)
+            if _is_y(it) and it.sub == target
+        )
+        _expand_item(word, state, pos)
+        _standardize_moves(word, state)
+
+
+def _sort_moves(word, state):
+    """Bubble-sort the y-letters into lex order by commuting swaps."""
+    items = word.items
+    start = next((k for k, it in enumerate(items) if _is_y(it)), len(items))
+    while True:
+        swapped = False
+        for k in range(start, len(items) - 1):
+            if lex_key(items[k].sub) > lex_key(items[k + 1].sub):
+                _commute_to(word, state, k, k + 1)
+                swapped = True
+        if not swapped:
+            return
+
+
+def _contract_moves(word, state, case, s):
+    """Bring a contractible triple together by commuting moves and replace
+    it by its one-letter equivalent (a reverse expansion)."""
+    items = word.items
+    triple, repl = contraction(case, s)
+    (sub1, sign1), (sub2, sign2), (sub3, sign3) = triple
+
+    def unit_pos(sub, sign, last):
+        idx = [
+            k
+            for k, it in enumerate(items)
+            if _is_y(it) and it.sub == sub and it.exp == sign
+        ]
+        return idx[-1] if last else idx[0]
+
+    # move the middle unit next to the third, then the first next to them
+    p3 = unit_pos(sub3, sign3, last=False)
+    p2 = unit_pos(sub2, sign2, last=True)
+    _commute_to(word, state, p2, p3 - 1)
+    p2 = p3 - 1
+    p1 = unit_pos(sub1, sign1, last=True)
+    _commute_to(word, state, p1, p2 - 1)
+    base = p2 - 1
+    if [(it.sub, it.exp) for it in items[base:base + 3]] != list(triple):
+        raise InternalError("contraction triple did not come together")
+    params = word.params(base, base + 3)
+    word.splice(base, base + 3, repl)
+    state.emit(EXPANSION, word.path(), params)

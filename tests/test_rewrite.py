@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cantorg.binseq import RationalSeq, is_constant
 from cantorg.calculus import evaluate
 from cantorg.cli import parse_word
+from cantorg import rewrite
 from cantorg.rewrite import (
     IDENTITY_NORMAL,
     FToken,
@@ -248,3 +249,18 @@ def test_normalize_separates_oracle(seed):
                 evaluate(w1, xi) != evaluate(w2, xi)
                 for xi in rational_samples(random.Random(seed + 1), count=200)
             )
+
+
+def test_normalize_cache_drops_only_its_oldest_entry(monkeypatch):
+    monkeypatch.setattr(rewrite, "NORMALIZE_CACHE_SIZE", 3)
+    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
+    words = [tuple(parse_word(t))
+             for t in ("y[10]", "y[01]", "x[1] y[100]", "y[10]^-1")]
+    for w in words[:3]:
+        normalize(w)
+    assert list(rewrite._NORMALIZE_CACHE) == words[:3]
+    normalize(words[3])
+    assert list(rewrite._NORMALIZE_CACHE) == words[1:]
+    # a hit changes nothing
+    normalize(words[1])
+    assert list(rewrite._NORMALIZE_CACHE) == words[1:]

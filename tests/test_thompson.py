@@ -141,6 +141,14 @@ def test_power():
     assert power(f, 0) == IDENTITY
     assert power(f, 2) == compose(f, f)
     assert power(f, -1) == f.invert()
+    # repeated squaring against one compose per unit
+    for f in (x_gen(""), x_gen("01"), compose(x_gen("1"), x_gen("0").invert())):
+        for n in range(-9, 10):
+            g = f if n >= 0 else f.invert()
+            want = IDENTITY
+            for _ in range(abs(n)):
+                want = compose(want, g)
+            assert power(f, n) == want
 
 
 def _assert_inverse_is_validated_swap(p):
