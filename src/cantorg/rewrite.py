@@ -208,7 +208,7 @@ class _ListWord:
 
 
 def _as_word(items, budget):
-    return _ListWord(items, budget) if isinstance(items, list) else items
+    return items if hasattr(items, "rewrite") else _ListWord(items, budget)
 
 
 def _expand(word, i, leftmost):
@@ -224,8 +224,8 @@ def standardize(items, budget=None):
     """Rewrite to a standard form: one tree-pair factor at the front, if any,
     and among the y-letters any letter whose subscript extends another's
     occurs earlier.  Preserves the group element.  `items` is a word object,
-    or a plain list that becomes a `_ListWord` spending `budget`; returns
-    the word's items.
+    or an iterable of items that becomes a `_ListWord` spending `budget`;
+    returns the word's items.
 
     At the leftmost place one applies, adjacent factors compose, a y-letter
     before a factor is rearranged or expanded, or adjacent inverse letters

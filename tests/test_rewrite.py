@@ -83,6 +83,10 @@ def test_standardize_examples():
         ("011", 1),
     ]
 
+    # y[010]^-1 is commuted out from between the two y[110]: they fuse too
+    w = parse_word("y[010] y[10] y[110] y[010]^-1 y[110]")
+    assert standardize(list(w)) == parse_word("y[10] y[110]^2")
+
 
 def test_standardize_preserves_element():
     rng = random.Random(3)
