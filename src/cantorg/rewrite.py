@@ -266,17 +266,17 @@ def standardize(items, budget=None):
 def find_merge(items):
     """The first pair (i, j) of y-letters with equal subscripts, j > i + 1,
     separated only by y-letters incompatible with them, or None."""
-    for i, a in enumerate(items):
-        if not _is_y(a):
+    subs = [it.sub if _is_y(it) else None for it in items]
+    for i, s in enumerate(subs):
+        if s is None:
             continue
-        for j in range(i + 1, len(items)):
-            b = items[j]
-            if not _is_y(b):
+        for j in range(i + 1, len(subs)):
+            t = subs[j]
+            if t is None:
                 break
-            if b.sub == a.sub:
+            if t == s:
                 if j > i + 1 and all(
-                    incompatible(items[k].sub, a.sub) for k in range(i + 1, j)
-                ):
+                        incompatible(u, s) for u in subs[i + 1:j]):
                     return i, j
                 break
     return None
@@ -285,12 +285,12 @@ def find_merge(items):
 def find_misordered(items):
     """The index of the first y-letter that precedes a y-letter whose
     subscript it properly prefixes, or None."""
-    for i, a in enumerate(items):
-        if not _is_y(a):
+    subs = [it.sub if _is_y(it) else None for it in items]
+    for i, s in enumerate(subs):
+        if s is None:
             continue
-        for j in range(i + 1, len(items)):
-            b = items[j]
-            if _is_y(b) and b.sub != a.sub and b.sub.startswith(a.sub):
+        for t in subs[i + 1:]:
+            if t is not None and t != s and t.startswith(s):
                 return i
     return None
 
