@@ -142,7 +142,8 @@ def test_power():
     assert power(f, 2) == compose(f, f)
     assert power(f, -1) == f.invert()
     # repeated squaring against one compose per unit
-    for f in (x_gen(""), x_gen("01"), compose(x_gen("1"), x_gen("0").invert())):
+    pairs = (x_gen(""), x_gen("01"), compose(x_gen("1"), x_gen("0").invert()))
+    for f in pairs:
         for n in range(-9, 10):
             g = f if n >= 0 else f.invert()
             want = IDENTITY
