@@ -1,29 +1,39 @@
-"""Versions of the rewriter, the cell verdict and the balance scan that
-re-derive what is already computed, kept as test oracles.
+"""Versions of the rewriter, the reading of a cell at a vertex and the
+balance scan that re-derive what is already computed, kept as test
+oracles.
 
 `remove_potential_cancellations` finds the letter to expand by counting
-the y-items before it.  The verdict of a cell against a vertex normalizes
-the cell's top element again (`top_base`) and inverts each side's base
-again for the criterion (`_criterion_cell(form, tau, v)`).  The balance scan
-`_undecided` decides every cell against every vertex again on each call.
-The library reads the y-items by position, keeps both sides of a cell in
-`ParamCell.sides` and each verdict of the scan in `ParamCell.verdicts`.
+the y-items before it.  `disparate_cell_vertex`, `equivalent_cells`,
+`_closure` and `_two_sided_offsprings` each compute the quotient of a
+vertex over every side's base again, and `_criterion_cell(form, g, v)`
+takes its support again; `top_base` normalizes a cell's top element again.
+The balance scan `_undecided` decides every cell against every vertex
+again on each call.  The library reads the y-items by position, keeps both
+sides of a cell in `ParamCell.sides` and reads a cell at a vertex once per
+parametrization, through `ParamCell.at`.
 """
 
 from cantorg.calculus import supp_y
-from cantorg.pipeline import DISPARATE, EQUIVALENT_AT, NEITHER, ParamCell, supp
+from cantorg.complexes import quotient
+from cantorg.pipeline import (
+    DISPARATE,
+    EQUIVALENT_AT,
+    NEITHER,
+    ParamCell,
+    _deep_singles,
+    supp,
+)
 from cantorg.rewrite import (
     FToken,
     _Budget,
     _expand_end,
     _is_y,
     has_potential_cancellation,
-    inverse_word,
     normalize,
     split_standard,
     standardize,
 )
-from cantorg.special import invert_form, to_letters
+from cantorg.special import to_letters
 
 
 def remove_potential_cancellations(items, budget=None):
@@ -57,22 +67,26 @@ def top_base(cell):
     return normalize(to_letters(cell.form) + cell.tau.to_items())
 
 
-def _orientations(cell):
-    """The two exact parametrizations of a cell: over its base, and over
-    the opposite endpoint with the inverted form."""
-    yield cell.form, cell.tau, cell.bottom, cell.top
-    yield invert_form(cell.form), top_base(cell), cell.top, cell.bottom
-
-
-def _criterion_cell(form, tau, v):
+def _criterion_cell(form, g, v):
     """The unique candidate cell at vertex v sharing the parameter, built
     whenever the parameter support misses the percolating support of the
-    coset quotient; None when the supports meet."""
-    g = normalize(list(v) + inverse_word(tau.to_items()))
+    quotient g of v over the parameter's base; else None."""
     if not supp(form).intersect(supp_y(g)).is_null():
         return None
     tau3 = normalize([FToken(g.f.invert())] + list(v))
     return ParamCell(form, tau3)
+
+
+def equivalent_cells(e1, e2):
+    """Associated vertex pairs when the two cells are equivalent, else None.
+    Returns ((a, b), (c, d)) with a, c endpoints of e1 and b, d the matching
+    endpoints of e2."""
+    for form, base, near, far in e1.sides:
+        for u in (e2.bottom, e2.top):
+            cand = _criterion_cell(form, quotient(u, base.to_items()), u)
+            if cand is not None and cand == e2:
+                return ((near, u), (far, e2.other(u)))
+    return None
 
 
 def disparate_cell_vertex(cell, u):
@@ -83,15 +97,45 @@ def disparate_cell_vertex(cell, u):
     if not isinstance(u, tuple):
         raise TypeError("vertices are letter tuples")
     cones = supp(cell.form)
-    g1 = normalize(list(u) + inverse_word(cell.tau.to_items()))
-    g2 = normalize(list(u) + inverse_word(top_base(cell).to_items()))
-    if cones.subset_of(supp_y(g1)) and cones.subset_of(supp_y(g2)):
+    quotients = [quotient(u, base.to_items()) for _, base, _, _ in cell.sides]
+    if all(cones.subset_of(supp_y(g)) for g in quotients):
         return DISPARATE, None
-    for form, tau, _, _ in _orientations(cell):
-        cand = _criterion_cell(form, tau, u)
+    for (form, _, _, _), g in zip(cell.sides, quotients):
+        cand = _criterion_cell(form, g, u)
         if cand is not None:
             return EQUIVALENT_AT, cand
     return NEITHER, None
+
+
+def _two_sided_offsprings(cell, vertices):
+    """Two-sided expansion of a cell into single letters deep enough to be
+    decided against every tracked vertex on both sides."""
+    supports = [
+        supp_y(quotient(v, base.to_items()))
+        for v in vertices
+        for _, base, _, _ in cell.sides
+    ]
+    letters = _deep_singles(cell, supports)
+    top = cell.sides[1][1]
+    out = [ParamCell((lt,), cell.tau) for lt in letters]
+    out.extend(ParamCell(((s, -t),), top) for s, t in letters)
+    return out
+
+
+def _closure(cells, vertices):
+    """Add, for every cell and tracked vertex, the equivalent cell there
+    whenever the criterion produces one.  Equal cells may differ in their
+    parametrization; the scan is sorted so that the one kept does not
+    depend on the hash seed."""
+    out = set(cells)
+    vertices = sorted(vertices)
+    for e in sorted(cells, key=lambda c: sorted(c.vertices)):
+        for form, base, _, _ in e.sides:
+            for v in vertices:
+                cand = _criterion_cell(form, quotient(v, base.to_items()), v)
+                if cand is not None:
+                    out.add(cand)
+    return out
 
 
 def _undecided(cells, vertices):

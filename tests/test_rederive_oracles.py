@@ -1,7 +1,8 @@
-"""Differential tests of the rewriter, the cell verdict and the balance
-scan against the versions in `rederive_oracles`, which re-derive the
-y-letters of a standard form, the far side of a cell and every verdict of
-the scan instead of reading them."""
+"""Differential tests of the rewriter, the reading of a cell at a vertex
+and the balance scan against the versions in `rederive_oracles`, which
+re-derive the y-letters of a standard form, the far side of a cell, the
+quotient of a vertex over each side's base and every verdict of the scan
+instead of reading them."""
 
 import random
 
@@ -92,6 +93,11 @@ def _parametrization(cell):
     return cell.form, cell.tau, cell.bottom, cell.top
 
 
+def _parametrizations(cells):
+    """Each cell, by its endpoints, with the parametrization it carries."""
+    return {e.vertices: _parametrization(e) for e in cells}
+
+
 def test_cell_verdict_matches_oracle():
     cells, vertices = _draw_cells()
     kinds = set()
@@ -104,6 +110,36 @@ def test_cell_verdict_matches_oracle():
             assert _parametrization(cand) == _parametrization(want)
             kinds.add(kind)
     assert kinds == {DISPARATE, EQUIVALENT_AT, NEITHER}
+
+
+def test_equivalence_pairs_match_oracle():
+    cells, _ = _draw_cells()
+    pairs = 0
+    for e1 in cells:
+        for e2 in cells:
+            got = pipeline.equivalent_cells(e1, e2)
+            assert got == oracle.equivalent_cells(e1, e2)
+            pairs += got is not None
+    assert pairs > len(cells)
+
+
+def test_closure_matches_oracle():
+    """The closure keeps, of equal cells, the same parametrization as the
+    oracle, before and after separation."""
+    cells, vertices = _draw_cells()
+    got = pipeline._closure(cells, vertices)
+    assert _parametrizations(got) == _parametrizations(
+        oracle._closure(cells, vertices))
+    assert len(got) > len(cells)
+
+
+def test_offsprings_match_oracle():
+    cells, vertices = _draw_cells()
+    for e in cells:
+        got = pipeline._two_sided_offsprings(e, vertices)
+        want = oracle._two_sided_offsprings(e, vertices)
+        assert list(map(_parametrization, got)) == list(
+            map(_parametrization, want))
 
 
 def _mirror_system():
