@@ -154,12 +154,7 @@ def cmd_intersect(args):
 def cmd_cubulate(args):
     from .pipeline import envelope
     clusters = read_cluster_file(args.file)
-    out = envelope(
-        clusters,
-        max_sep_iters=args.max_iters,
-        max_dec_iters=args.max_iters * 10,
-        max_dim=args.max_dim,
-    )
+    out = envelope(clusters, max_dim=args.max_dim)
     print("clusters: %d" % len(out.clusters))
     for line in sorted(render_cluster_line(c) for c in out.clusters):
         print("  %s" % line)
@@ -182,7 +177,6 @@ def cmd_contract_loop(args):
 
 def _parser():
     p = argparse.ArgumentParser(prog="cantorg")
-    p.add_argument("--max-iters", type=int, default=8)
     p.add_argument("--max-dim", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 

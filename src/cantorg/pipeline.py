@@ -21,7 +21,6 @@ from .complexes import (
     meet_in_face,
     quotient,
     quotient_form,
-    vertex_of,
 )
 from .rewrite import FToken, GNormal, normalize
 from .special import (
@@ -44,6 +43,10 @@ EQUIVALENT_AT = "EquivalentCellAt"
 NEITHER = "Neither"
 
 MAX_ROUNDS = 100_000
+
+# rounds of separation and of decoupling before a NonConvergenceError
+SEPARATION_ROUNDS = 8
+DECOUPLING_ROUNDS = 100
 
 
 class NonConvergenceError(RuntimeError):
@@ -88,19 +91,20 @@ class ParamCell:
 
     `sides` holds both exact parametrizations as (form, base normal form,
     near end, far end): the form over `tau` from `bottom` to `top`, then
-    the inverted form over the top's exact element back to `bottom`.
+    the inverted form over the top's exact element back to `bottom`.  Both
+    forms have the cones of `support` (see `supp`).
 
-    `verdicts` maps a vertex to what `disparate_cell_vertex` returned for
-    this cell there, filled by the balance scan.  The verdict depends only
-    on the parametrization, so it lives on the object: an equal cell with
-    another parametrization keeps its own table."""
+    `readings` maps a vertex to what `at` read there.  The reading depends
+    only on the parametrization, so it lives on the object: an equal cell
+    with another parametrization keeps its own table."""
 
     def __init__(self, form, tau):
         if not isinstance(tau, GNormal):
             tau = normalize(list(tau))
         self.form = check_special(tuple(form))
+        self.support = ConeSet([s for s, _ in self.form])
         self.tau = tau
-        self.bottom = vertex_of(tau.to_items())
+        self.bottom = tau.ys
         top = normalize(to_letters(self.form) + tau.to_items())
         self.top = top.ys
         if self.top == self.bottom:
@@ -112,7 +116,7 @@ class ParamCell:
             (self.form, tau, self.bottom, self.top),
             (invert_form(self.form), top, self.top, self.bottom),
         )
-        self.verdicts = {}
+        self.readings = {}
 
     @classmethod
     def from_edge(cls, u, v):
@@ -137,6 +141,18 @@ class ParamCell:
                 return far
         raise ValueError("not an endpoint of the cell")
 
+    def at(self, v):
+        """The cell read at a coset vertex, once: for each of `sides`, the
+        cones of the quotient of v over the side's base and the criterion
+        cell at v or None (see `_criterion_cell`)."""
+        reading = self.readings.get(v)
+        if reading is None:
+            reading = self.readings[v] = tuple(
+                _criterion_cell(self.support, form, base, v)
+                for form, base, _, _ in self.sides
+            )
+        return reading
+
 
 def param_form_at(cell, v):
     """Canonical parameter of a cell at one of its endpoints: the quotient
@@ -144,41 +160,41 @@ def param_form_at(cell, v):
     return from_letters(quotient_form(cell.other(v), v))
 
 
-def _criterion_cell(form, g, v):
-    """The unique candidate cell at vertex v sharing the parameter, built
-    whenever the parameter support misses the percolating support of the
-    quotient g of v over the parameter's base; else None."""
-    if not supp(form).intersect(supp_y(g)).is_null():
-        return None
-    tau3 = normalize([FToken(g.f.invert())] + list(v))
-    return ParamCell(form, tau3)
+def _criterion_cell(support, form, base, v):
+    """The cones of the percolating support of the quotient g of vertex v
+    over a parameter's base, and the unique candidate cell at v sharing
+    the parameter, built whenever the parameter's support misses those
+    cones; else None in its place."""
+    g = quotient(v, base.to_items())
+    cones = supp_y(g)
+    if not support.intersect(cones).is_null():
+        return cones, None
+    return cones, ParamCell(form, normalize([FToken(g.f.invert())] + list(v)))
 
 
 def equivalent_cells(e1, e2):
     """Associated vertex pairs when the two cells are equivalent, else None.
     Returns ((a, b), (c, d)) with a, c endpoints of e1 and b, d the matching
     endpoints of e2."""
-    for form, base, near, far in e1.sides:
+    for side, (_, _, near, far) in enumerate(e1.sides):
         for u in (e2.bottom, e2.top):
-            cand = _criterion_cell(form, quotient(u, base.to_items()), u)
+            _, cand = e1.at(u)[side]
             if cand is not None and cand == e2:
                 return ((near, u), (far, e2.other(u)))
     return None
 
 
 def disparate_cell_vertex(cell, u):
-    """Classify a cell against a coset vertex: (DISPARATE, None) when the
-    parameter support percolates through both coset quotients,
-    (EQUIVALENT_AT, cell-at-u) when the criterion applies, else
-    (NEITHER, None)."""
+    """Classify a cell against a coset vertex by its reading there:
+    (DISPARATE, None) when the parameter support percolates through both
+    coset quotients, (EQUIVALENT_AT, cell-at-u) when the criterion
+    applies, else (NEITHER, None)."""
     if not isinstance(u, tuple):
         raise TypeError("vertices are letter tuples")
-    cones = supp(cell.form)
-    quotients = [quotient(u, base.to_items()) for _, base, _, _ in cell.sides]
-    if all(cones.subset_of(supp_y(g)) for g in quotients):
+    reading = cell.at(u)
+    if all(cell.support.subset_of(cones) for cones, _ in reading):
         return DISPARATE, None
-    for (form, _, _, _), g in zip(cell.sides, quotients):
-        cand = _criterion_cell(form, g, u)
+    for _, cand in reading:
         if cand is not None:
             return EQUIVALENT_AT, cand
     return NEITHER, None
@@ -386,9 +402,7 @@ def _undecided(cells, vertices):
     neither disparate from nor matched at some vertex, and whether the
     criterion produced a cell that is missing from `cells`.  A cell's scan
     stops at its first such vertex, so the vertices go in sorted order to
-    make the work the same under every hash seed.  Each verdict is kept per
-    cell object in `verdicts` (see `ParamCell`) for the envelope's later
-    scans, which see the same cell objects."""
+    make the work the same under every hash seed."""
     vertices = sorted(vertices)
     bad = set()
     missing = False
@@ -396,10 +410,7 @@ def _undecided(cells, vertices):
         for v in vertices:
             if e.incident(v):
                 continue
-            verdict = e.verdicts.get(v)
-            if verdict is None:
-                verdict = e.verdicts[v] = disparate_cell_vertex(e, v)
-            kind, cand = verdict
+            kind, cand = disparate_cell_vertex(e, v)
             if kind == DISPARATE:
                 continue
             if kind == EQUIVALENT_AT:
@@ -458,11 +469,7 @@ def _deep_singles(cell, supports):
 def _two_sided_offsprings(cell, vertices):
     """Two-sided expansion of a cell into single letters deep enough to be
     decided against every tracked vertex on both sides."""
-    supports = [
-        supp_y(quotient(v, base.to_items()))
-        for v in vertices
-        for _, base, _, _ in cell.sides
-    ]
+    supports = [cones for v in vertices for cones, _ in cell.at(v)]
     letters = _deep_singles(cell, supports)
     top = cell.sides[1][1]
     out = [ParamCell((lt,), cell.tau) for lt in letters]
@@ -478,20 +485,20 @@ def _closure(cells, vertices):
     out = set(cells)
     vertices = sorted(vertices)
     for e in sorted(cells, key=lambda c: sorted(c.vertices)):
-        for form, base, _, _ in e.sides:
+        for side in range(len(e.sides)):
             for v in vertices:
-                cand = _criterion_cell(form, quotient(v, base.to_items()), v)
+                _, cand = e.at(v)[side]
                 if cand is not None:
                     out.add(cand)
     return out
 
 
-def _make_balanced(cells, vertices, max_iters=8):
+def _make_balanced(cells, vertices):
     """Close the cells under equivalence at the tracked vertices, expanding
     two-sidedly exactly those cells that stay undecided against some vertex,
     until the system is balanced.  Balanced input is a fixpoint."""
     cells = set(cells)
-    for _ in range(max_iters):
+    for _ in range(SEPARATION_ROUNDS):
         bad, missing = _undecided(cells, vertices)
         if not bad and not missing:
             return cells
@@ -503,11 +510,11 @@ def _make_balanced(cells, vertices, max_iters=8):
     raise NonConvergenceError("separation rounds exceeded without balance")
 
 
-def separation_procedure(system, max_iters=8):
+def separation_procedure(system):
     """Split every undecided cell two-sidedly along the support boundaries
     of the tracked vertices and close under equivalence at those vertices,
     repeating until the system is balanced."""
-    cells = _make_balanced(system.cells, system.vertices, max_iters)
+    cells = _make_balanced(system.cells, system.vertices)
     return CellSystem(cells, system.vertices)
 
 
@@ -539,7 +546,7 @@ def _coupled_component(cells_at_v, at):
     return None
 
 
-def equivariant_decoupling(system, max_iters=100):
+def equivariant_decoupling(system):
     """Decouple every coupled component, mirroring each decomposition at
     every tracked vertex carrying an equivalent cell, until all coupling
     graphs are edgeless."""
@@ -547,7 +554,7 @@ def equivariant_decoupling(system, max_iters=100):
         raise ValueError("system is not balanced")
     cells = set(system.cells)
     vertices = system.vertices
-    for _ in range(max_iters):
+    for _ in range(DECOUPLING_ROUNDS):
         ordered = sorted(cells, key=lambda c: sorted(c.vertices))
         for v in sorted(vertices):
             comp = _coupled_component([e for e in ordered if e.incident(v)], v)
@@ -593,12 +600,10 @@ class ClusterCubeComplex:
         )
 
 
-def _independent_subsets(forms, cap=16):
+def _independent_subsets(forms):
     """The maximal pairwise independent subsets of the forms, none when
     there are none: the maximal cliques of the graph "two forms are
     independent", by size and then by index."""
-    if len(forms) > cap:
-        raise InternalError("too many parameters at one vertex")
     adj = [0] * len(forms)
     for i, j in itertools.combinations(range(len(forms)), 2):
         if independent(forms[i], forms[j]):
@@ -617,22 +622,29 @@ def cubulate(system, max_dim=None):
     vertex, keep the maximal ones, and index them by vertex.  Every two
     clusters that share a vertex must meet in a common face (the face
     criterion, see `complexes`), and the link at every vertex, over the
-    clusters there, must be a flag complex."""
+    clusters there, must be a flag complex.  The largest cluster is checked
+    against `max_dim` before any is built."""
     if not is_free_system(system):
         raise ValueError("system is not free")
-    clusters = set()
-    for v in sorted(system.vertices):
-        forms = sorted(
-            {param_form_at(e, v) for e in system.incident_cells(v)}
+    spans = [
+        (v, combo)
+        for v in sorted(system.vertices)
+        for combo in _independent_subsets(
+            sorted({param_form_at(e, v) for e in system.incident_cells(v)})
         )
-        for combo in _independent_subsets(forms):
-            params = tuple(sorted(combo, key=lambda f: f[0][0]))
-            if max_dim is not None and len(params) > max_dim:
-                raise ValueError("cluster dimension exceeds the bound")
-            try:
-                clusters.add(Cluster(normalize(list(v)), params))
-            except ValueError as exc:
-                raise InternalError(f"parameters failed to span: {exc}")
+    ]
+    dim = max((len(combo) for _, combo in spans), default=0)
+    if max_dim is not None and dim > max_dim:
+        raise ValueError(
+            f"a cluster of dimension {dim} exceeds the bound of {max_dim}"
+        )
+    clusters = set()
+    for v, combo in spans:
+        params = tuple(sorted(combo, key=lambda f: f[0][0]))
+        try:
+            clusters.add(Cluster(normalize(list(v)), params))
+        except ValueError as exc:
+            raise InternalError(f"parameters failed to span: {exc}")
     clusters = {
         c
         for c in clusters
@@ -664,7 +676,7 @@ def cubulate(system, max_dim=None):
 # the envelope of a subcomplex
 
 
-def envelope(clusters, max_sep_iters=8, max_dec_iters=100, max_dim=None):
+def envelope(clusters, max_dim=None):
     """Run separation, decoupling and cubulation on the one-skeleton of a
     finite union of clusters, and verify the union embeds in the output."""
     clusters = list(clusters)
@@ -678,8 +690,8 @@ def envelope(clusters, max_sep_iters=8, max_dec_iters=100, max_dim=None):
             a, b = sorted(edge)
             cells.add(ParamCell.from_edge(b, a))
     system = CellSystem(cells, vertices)
-    balanced = separation_procedure(system, max_iters=max_sep_iters)
-    free = equivariant_decoupling(balanced, max_iters=max_dec_iters)
+    balanced = separation_procedure(system)
+    free = equivariant_decoupling(balanced)
     complex_ = cubulate(free, max_dim=max_dim)
     for c in clusters:
         if not any(

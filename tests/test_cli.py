@@ -123,6 +123,18 @@ def test_cubulate_command(tmp_path, capsys):
     assert lines[-1] == "flag links: 4 of 4 ok"
 
 
+def test_cubulate_max_dim_bounds_before_building(tmp_path, capsys):
+    # one vertex of this envelope carries 18 parameter forms, of which at
+    # most 14 are pairwise independent
+    f = tmp_path / "complex.txt"
+    f.write_text("y[10] ; y[011] ; y[10]^-1\ny[10] ; y[01100]\n")
+    assert commands.run(["--max-dim", "8", "cubulate", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "domain error: a cluster of dimension 14 exceeds the bound of 8\n"
+    )
+
+
 def test_contract_loop_command(tmp_path, capsys):
     f = tmp_path / "loop.txt"
     f.write_text("1\ny[10]\n1\n")

@@ -178,16 +178,21 @@ def test_balance_scan_matches_oracle(monkeypatch):
 
 def test_verdicts_are_kept_per_parametrization():
     """A cell and an equal cell parametrized over its other end keep
-    separate tables, each holding its own verdicts."""
+    separate tables of readings, each entry equal to a fresh reading."""
     e, system = _mirror_system()
     twin = ParamCell(*e.sides[1][:2])
     assert twin == e and twin.form != e.form
     assert pipeline.is_balanced_system(system)
-    assert e.verdicts and not twin.verdicts
+    assert e.readings and not twin.readings
     pipeline._undecided({twin}, system.vertices)
-    assert twin.verdicts.keys() == e.verdicts.keys()
-    for u, (kind, cand) in twin.verdicts.items():
-        want_kind, want = disparate_cell_vertex(twin, u)
-        assert kind == want_kind
-        assert _parametrization(cand) == _parametrization(want)
-    assert twin.verdicts is not e.verdicts
+    assert twin.readings.keys() == e.readings.keys()
+    assert twin.readings is not e.readings
+    for cell in (e, twin):
+        for u, reading in cell.readings.items():
+            fresh = [
+                pipeline._criterion_cell(cell.support, form, base, u)
+                for form, base, _, _ in cell.sides
+            ]
+            assert [(cones, _parametrization(cand))
+                    for cones, cand in reading] == [
+                (cones, _parametrization(cand)) for cones, cand in fresh]

@@ -132,10 +132,16 @@ def test_contract_loop_blowup_normalize_count(monkeypatch):
     assert check_certificate(loop, cert)
 
 
-# measured when each cell started keeping its verdict at every vertex for
-# the later balance scans of its envelope; before, the four scans made
-# 175, 362 and 155 calls
-DISPARATE_CALLS = [46, 74, 38]
+# measured when each cell started reading itself at a vertex once,
+# through `ParamCell.at`, for every reader of its envelope: each count is
+# the calls of `_criterion_cell`, one per side of each reading derived,
+# the only place that computes the quotient of a vertex over a base.  The
+# verdict of `disparate_cell_vertex` became a classification of a kept
+# reading, made on every scan (175, 362 and 155 calls), so its count no
+# longer measures work.  While each cell kept only its verdicts, these
+# envelopes made 46, 74 and 38 verdict calls and 174, 304 and 127
+# `_criterion_cell` calls
+READINGS_DERIVED = [138, 224, 114]
 
 
 def test_envelope_verdict_count(monkeypatch):
@@ -143,11 +149,11 @@ def test_envelope_verdict_count(monkeypatch):
     for draw in DRAWS:
         clusters = [parse_cluster_line(part) for part in draw.split("||")]
         counts = _install_counters(
-            monkeypatch, [("pipeline", "disparate_cell_vertex")])
+            monkeypatch, [("pipeline", "_criterion_cell")])
         envelope(clusters)
-        got.append(counts["disparate_cell_vertex"])
+        got.append(counts["_criterion_cell"])
         monkeypatch.undo()
-    assert got == DISPARATE_CALLS
+    assert got == READINGS_DERIVED
 
 
 def draw_clusters():
