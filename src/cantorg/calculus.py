@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .binseq import ConeSet, RationalSeq
 from .rewrite import FToken, GNormal, Letter
-from .thompson import Y_STEP
+from .thompson import Y_STEP, consume_digits
 
 
 class PotentialCancellationFlag:
@@ -144,19 +144,6 @@ def calc_string(ys, xi):
     return CalcString(tuple(segs), xi.drop(prev))
 
 
-def _consume_emitting(o, buf):
-    """Greedily let a symbol of sign o consume the digit buffer to its
-    right; returns its sign after, the digits it wrote and the leftover."""
-    emitted = []
-    while True:
-        row = Y_STEP.get((o, buf[:2]))
-        if row is None:
-            return o, "".join(emitted), buf
-        n, written, o = row
-        emitted.append(written)
-        buf = buf[n:]
-
-
 def exponent(c):
     """Run the substitution process on a calculation with cycle detection.
     Returns the number of surviving symbols, or the potential-cancellation
@@ -180,7 +167,7 @@ def exponent(c):
         while moved:
             moved = False
             for j in range(k - 1):
-                o2, emitted, rest = _consume_emitting(signs[j], buffers[j])
+                o2, emitted, rest = consume_digits(signs[j], buffers[j])
                 if emitted:
                     moved = True
                 signs[j] = o2

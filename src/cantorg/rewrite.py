@@ -32,10 +32,10 @@ from .binseq import incompatible, lex_key
 from .thompson import (
     IDENTITY,
     Y_RULES,
-    Y_STEP,
     InternalError,
     TreePair,
     compose,
+    consume_digits,
     expand_letter,
     power,
     x_gen,
@@ -306,17 +306,6 @@ def split_standard(items):
 # potential cancellations
 
 
-def _outer_reduce(o, buf):
-    """Greedily let the left symbol (sign o) consume the digit buffer to its
-    right; returns the resulting sign and leftover buffer."""
-    while True:
-        row = Y_STEP.get((o, buf[:2]))
-        if row is None:
-            return o, buf
-        n, _, o = row
-        buf = buf[n:]
-
-
 def pair_potential_cancellation(outer, inner):
     """Whether the two-symbol calculation of y_inner y_outer on a sequence
     extending the inner subscript can bring the symbols together with
@@ -332,7 +321,7 @@ def pair_potential_cancellation(outer, inner):
         raise ValueError("outer subscript must properly prefix the inner one")
     if t not in (1, -1) or v not in (1, -1):
         raise ValueError("signs must be +1 or -1")
-    o0, buf0 = _outer_reduce(t, u[len(s):])
+    o0, _, buf0 = consume_digits(t, u[len(s):])
     start = (o0, buf0, v)
     seen = {start}
     frontier = [start]
@@ -342,7 +331,7 @@ def pair_potential_cancellation(outer, inner):
             return True
         # the right symbol writes one row's digits for the left to consume
         for _, digits, i2 in Y_RULES[i]:
-            o2, buf2 = _outer_reduce(o, buf + digits)
+            o2, _, buf2 = consume_digits(o, buf + digits)
             st = (o2, buf2, i2)
             if st not in seen:
                 seen.add(st)

@@ -21,8 +21,10 @@ mirror.  Everything else derives from this one table:
     (`expand_letter`) lists the rows' written words and signs after, so
     y_s = x_s y_s0 y_s10^-1 y_s11;
   - `Y_STEP` looks the applicable row up by the sign and the next one or
-    two digits, for the digit-by-digit loops of the rewriter, the
-    evaluation oracle and the exponent calculation.
+    two digits, for the digit-by-digit loops of the evaluation oracle and
+    the exponent calculation, and for `consume_digits`, the greedy run of
+    one symbol over a digit buffer that the cancellation automaton and the
+    exponent calculation share.
 """
 
 import functools
@@ -49,6 +51,20 @@ Y_STEP = {
     for read, written, after in rows
     if key.startswith(read)
 }
+
+
+def consume_digits(sign, digits):
+    """Greedily let a symbol y^sign consume the digits to its right, row by
+    row, until they no longer determine a row; returns its sign after, the
+    digits it wrote and the digits left."""
+    written = ""
+    while True:
+        row = Y_STEP.get((sign, digits[:2]))
+        if row is None:
+            return sign, written, digits
+        n, w, sign = row
+        written += w
+        digits = digits[n:]
 
 
 def expand_letter(s, sign):

@@ -14,20 +14,18 @@ import substitution_oracles as oracle
 from cantorg.binseq import RationalSeq, is_constant, lex_key
 from cantorg.calculus import (
     POTENTIAL_CANCELLATION,
-    _consume_emitting,
     calc_string,
     eval_letter,
     exponent,
 )
 from cantorg.rewrite import (
     Letter,
-    _outer_reduce,
     contraction,
     expand_unit,
     find_potential_contraction,
 )
 from cantorg.special import descends, expand_letter
-from cantorg.thompson import TreePair, x_gen
+from cantorg.thompson import TreePair, consume_digits, x_gen
 
 SIGNS = (1, -1)
 
@@ -49,8 +47,9 @@ POINTS = sorted(
 def test_digit_word_consumers_match_oracle():
     for w in WORDS:
         for o in SIGNS:
-            assert _outer_reduce(o, w) == oracle.outer_reduce(o, w), (o, w)
-            assert _consume_emitting(o, w) == oracle.consume_emitting(o, w)
+            sign, written, rest = consume_digits(o, w)
+            assert (sign, rest) == oracle.outer_reduce(o, w), (o, w)
+            assert (sign, written, rest) == oracle.consume_emitting(o, w)
 
 
 def test_expansions_match_oracle():
