@@ -154,7 +154,7 @@ def _mirror_system():
 
 
 def test_balance_scan_matches_oracle(monkeypatch):
-    """Every scan of the pipeline, reading the verdicts kept on the cells,
+    """Every scan of the pipeline, classifying the readings kept on the cells,
     finds the same undecided cells and the same missing flag as a scan that
     decides every pair again."""
     scans = []
