@@ -53,6 +53,12 @@ class NonConvergenceError(RuntimeError):
     """An iterative procedure hit its round limit without stabilizing."""
 
 
+def _by_vertices(item):
+    """The order in which cells (and clusters) are scanned: by their sorted
+    vertices, so that no scan depends on the hash seed."""
+    return sorted(item.vertices)
+
+
 # ---------------------------------------------------------------------------
 # supports and the nullset test
 
@@ -337,7 +343,7 @@ def decouple(cells, at):
     """Pairwise disparate offsprings of the given cells at a common
     vertex: each parameter there is split into blocks that are cancellation
     free from every block of the other parameters."""
-    ordered = sorted(set(cells), key=lambda e: sorted(e.vertices))
+    ordered = sorted(set(cells), key=_by_vertices)
     for e in ordered:
         if not e.incident(at):
             raise ValueError("cell is not incident to the vertex")
@@ -391,53 +397,48 @@ class CellSystem:
         return f"CellSystem({len(self.cells)} cells, {len(self.vertices)} vertices)"
 
     def incident_cells(self, v):
-        return sorted(
-            (e for e in self.cells if e.incident(v)),
-            key=lambda e: sorted(e.vertices),
-        )
+        return sorted((e for e in self.cells if e.incident(v)), key=_by_vertices)
 
 
 def _undecided(cells, vertices):
-    """Scan every cell against the tracked vertices it misses: the cells
-    neither disparate from nor matched at some vertex, and whether the
-    criterion produced a cell that is missing from `cells`.  A cell's scan
-    stops at its first such vertex, so the vertices go in sorted order to
-    make the work the same under every hash seed."""
+    """One separation scan of every cell against the tracked vertices it
+    misses: the cells neither disparate from nor matched at some vertex,
+    and the criterion cells that the other cells give at those vertices,
+    side by side.  At a cell's own ends the criterion gives the cell itself
+    or nothing.  A cell's scan stops at its first undecided vertex, so cells
+    and vertices go in sorted order to make the work, and which of equal
+    criterion cells comes first, the same under every hash seed."""
     vertices = sorted(vertices)
-    bad = set()
-    missing = False
-    for e in cells:
+    bad = []
+    found = []
+    for e in sorted(cells, key=_by_vertices):
+        readings = []
         for v in vertices:
             if e.incident(v):
                 continue
-            kind, cand = disparate_cell_vertex(e, v)
-            if kind == DISPARATE:
-                continue
-            if kind == EQUIVALENT_AT:
-                missing = missing or cand not in cells
-                continue
-            bad.add(e)
-            break
-    return bad, missing
+            if disparate_cell_vertex(e, v)[0] == NEITHER:
+                bad.append(e)
+                break
+            readings.append(e.at(v))
+        else:
+            found.extend(cand for on_side in zip(*readings)
+                         for _, cand in on_side if cand is not None)
+    return bad, found
 
 
 def is_balanced_system(system):
-    """Every cell is, against every tracked vertex it misses, either
-    disparate or matched by an equivalent cell of the system there."""
-    bad, missing = _undecided(system.cells, system.vertices)
-    return not bad and not missing
+    """No cell is undecided against a tracked vertex it misses, and every
+    criterion cell there is already in the system."""
+    bad, found = _undecided(system.cells, system.vertices)
+    return not bad and system.cells.issuperset(found)
 
 
 def is_free_system(system):
     """Balanced, with pairwise disparate cells at every tracked vertex."""
-    if not is_balanced_system(system):
-        return False
-    for v in system.vertices:
-        at_v = system.incident_cells(v)
-        for a, b in itertools.combinations(at_v, 2):
-            if not disparate_pair(a, b, v):
-                return False
-    return True
+    return (
+        is_balanced_system(system)
+        and _coupled_vertex(system.cells, system.vertices) is None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,45 +469,32 @@ def _deep_singles(cell, supports):
 
 def _two_sided_offsprings(cell, vertices):
     """Two-sided expansion of a cell into single letters deep enough to be
-    decided against every tracked vertex on both sides."""
+    decided against every tracked vertex on both sides.  A side's offsprings
+    end at its near end, so they are built only where that end is tracked."""
     supports = [cones for v in vertices for cones, _ in cell.at(v)]
     letters = _deep_singles(cell, supports)
-    top = cell.sides[1][1]
-    out = [ParamCell((lt,), cell.tau) for lt in letters]
-    out.extend(ParamCell(((s, -t),), top) for s, t in letters)
-    return out
-
-
-def _closure(cells, vertices):
-    """Add, for every cell and tracked vertex, the equivalent cell there
-    whenever the criterion produces one.  Equal cells may differ in their
-    parametrization; the scan is sorted so that the one kept does not
-    depend on the hash seed."""
-    out = set(cells)
-    vertices = sorted(vertices)
-    for e in sorted(cells, key=lambda c: sorted(c.vertices)):
-        for side in range(len(e.sides)):
-            for v in vertices:
-                _, cand = e.at(v)[side]
-                if cand is not None:
-                    out.add(cand)
-    return out
+    return [
+        ParamCell(((s, sign * t),), base)
+        for sign, (_, base, near, _) in zip((1, -1), cell.sides)
+        if near in vertices
+        for s, t in letters
+    ]
 
 
 def _make_balanced(cells, vertices):
-    """Close the cells under equivalence at the tracked vertices, expanding
-    two-sidedly exactly those cells that stay undecided against some vertex,
-    until the system is balanced.  Balanced input is a fixpoint."""
+    """Expand two-sidedly exactly those cells that are undecided against
+    some tracked vertex, and add the criterion cells the others give there,
+    one scan a round, until the system is balanced.  Balanced input is a
+    fixpoint."""
     cells = set(cells)
     for _ in range(SEPARATION_ROUNDS):
-        bad, missing = _undecided(cells, vertices)
-        if not bad and not missing:
+        bad, found = _undecided(cells, vertices)
+        if not bad and cells.issuperset(found):
             return cells
-        if bad:
-            for e in sorted(bad, key=lambda c: sorted(c.vertices)):
-                cells.discard(e)
-                cells.update(_two_sided_offsprings(e, vertices))
-        cells = _closure(cells, vertices)
+        for e in bad:
+            cells.discard(e)
+            cells.update(_two_sided_offsprings(e, vertices))
+        cells.update(found)
     raise NonConvergenceError("separation rounds exceeded without balance")
 
 
@@ -546,6 +534,17 @@ def _coupled_component(cells_at_v, at):
     return None
 
 
+def _coupled_vertex(cells, vertices):
+    """The first tracked vertex, in sorted order, whose coupling graph has
+    an edge, with a coupled component there; else None."""
+    ordered = sorted(cells, key=_by_vertices)
+    for v in sorted(vertices):
+        comp = _coupled_component([e for e in ordered if e.incident(v)], v)
+        if comp is not None:
+            return v, comp
+    return None
+
+
 def equivariant_decoupling(system):
     """Decouple every coupled component, mirroring each decomposition at
     every tracked vertex carrying an equivalent cell, until all coupling
@@ -555,16 +554,13 @@ def equivariant_decoupling(system):
     cells = set(system.cells)
     vertices = system.vertices
     for _ in range(DECOUPLING_ROUNDS):
-        ordered = sorted(cells, key=lambda c: sorted(c.vertices))
-        for v in sorted(vertices):
-            comp = _coupled_component([e for e in ordered if e.incident(v)], v)
-            if comp is not None:
-                break
-        else:
+        coupled = _coupled_vertex(cells, vertices)
+        if coupled is None:
             out = CellSystem(cells, vertices)
-            if not is_free_system(out):
+            if not is_balanced_system(out):
                 raise InternalError("edgeless coupling graphs but not free")
             return out
+        v, comp = coupled
         offsprings = decouple(comp, v)
         stale = {
             p
@@ -653,7 +649,7 @@ def cubulate(system, max_dim=None):
             for d in clusters
         )
     }
-    ordered = sorted(clusters, key=lambda c: sorted(c.vertices))
+    ordered = sorted(clusters, key=_by_vertices)
     at_vertex = {}
     for i, c in enumerate(ordered):
         for v in c.vertices:

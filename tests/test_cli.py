@@ -135,6 +135,25 @@ def test_cubulate_max_dim_bounds_before_building(tmp_path, capsys):
     )
 
 
+def test_cubulate_expands_only_at_tracked_ends(tmp_path, capsys):
+    # separation expands cells with an untracked end here, whose offsprings
+    # on that side would miss the vertex set of the cell system
+    text = "y[10]^2 ; y[01100] ; y[10]^-1\ny[10]^2 ; y[01]^-1\n"
+    f = tmp_path / "complex.txt"
+    f.write_text(text)
+    code, out = run(capsys, "cubulate", str(f))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "clusters: 8"
+    assert lines[-2:] == ["vertices: 2040", "flag links: 2040 of 2040 ok"]
+    built = [commands.parse_cluster_line(line) for line in lines[1:-2]]
+    assert all(len(c.vertices) == 2 ** c.n for c in built)
+    for c in map(commands.parse_cluster_line, text.splitlines()):
+        assert any(
+            c.vertices <= d.vertices and c.edges <= d.edges for d in built
+        )
+
+
 def test_contract_loop_command(tmp_path, capsys):
     f = tmp_path / "loop.txt"
     f.write_text("1\ny[10]\n1\n")

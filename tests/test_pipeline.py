@@ -298,6 +298,29 @@ def test_envelope_decouples_overlapping_edges():
     assert all(ok for ok, _ in out.flag_report.values())
 
 
+def _assert_envelope_invariants(clusters, out):
+    """Every input cluster embeds, every link is flag and every output
+    cluster is a cube."""
+    for c in clusters:
+        assert any(
+            c.vertices <= d.vertices and c.edges <= d.edges
+            for d in out.clusters
+        )
+    assert all(ok for ok, _ in out.flag_report.values())
+    assert all(len(d.vertices) == 2 ** d.n for d in out.clusters)
+
+
+@pytest.mark.parametrize("forms", [
+    ("y[01100]", "y[01]"),
+    ("y[01]", "y[01100]"),
+])
+def test_envelope_expands_only_at_tracked_ends(forms):
+    # separation meets undecided criterion cells with one tracked end; the
+    # offsprings on the side of the other end would touch no tracked vertex
+    clusters = [cl("y[10]^2", f) for f in forms]
+    _assert_envelope_invariants(clusters, envelope(clusters))
+
+
 def test_envelope_of_empty_is_empty():
     out = envelope([])
     assert not out.clusters and not out.vertices

@@ -123,23 +123,45 @@ def test_equivalence_pairs_match_oracle():
     assert pairs > len(cells)
 
 
-def test_closure_matches_oracle():
-    """The closure keeps, of equal cells, the same parametrization as the
-    oracle, before and after separation."""
-    cells, vertices = _draw_cells()
-    got = pipeline._closure(cells, vertices)
+def _scan_matches_oracle(scan, cells, vertices):
+    """One separation scan against the oracle's two: the same undecided
+    cells, and, added to the other cells as a round of `_make_balanced`
+    adds them, criterion cells that keep, of equal cells, the same
+    parametrization as the oracle's closure of the other cells.  When no
+    cell is undecided, the oracle finds a missing criterion cell exactly
+    when the scan does."""
+    bad, found = scan(cells, vertices)
+    want_bad, want_missing = oracle._undecided(cells, vertices)
+    assert {id(e) for e in bad} == {id(e) for e in want_bad}
+    kept = [e for e in cells if e not in bad]
+    got = set(kept)
+    got.update(found)
     assert _parametrizations(got) == _parametrizations(
-        oracle._closure(cells, vertices))
-    assert len(got) > len(cells)
+        oracle._closure(kept, vertices))
+    if not bad:
+        assert want_missing == (len(got) > len(kept))
+    return bad, found
+
+
+def test_closure_matches_oracle():
+    cells, vertices = _draw_cells()
+    bad, found = _scan_matches_oracle(pipeline._undecided, cells, vertices)
+    assert bad and set(found) - set(cells)
 
 
 def test_offsprings_match_oracle():
+    """The offsprings of every side whose near end is tracked, which are
+    those the oracle builds at a tracked vertex."""
     cells, vertices = _draw_cells()
+    untracked = 0
     for e in cells:
         got = pipeline._two_sided_offsprings(e, vertices)
-        want = oracle._two_sided_offsprings(e, vertices)
+        every = oracle._two_sided_offsprings(e, vertices)
+        want = [c for c in every if c.bottom in vertices]
         assert list(map(_parametrization, got)) == list(
             map(_parametrization, want))
+        untracked += len(every) - len(want)
+    assert untracked
 
 
 def _mirror_system():
@@ -154,19 +176,15 @@ def _mirror_system():
 
 
 def test_balance_scan_matches_oracle(monkeypatch):
-    """Every scan of the pipeline, classifying the readings kept on the cells,
-    finds the same undecided cells and the same missing flag as a scan that
-    decides every pair again."""
+    """Every scan of the pipeline, classifying the readings kept on the
+    cells, matches the oracle's scan and closure, which decide every pair
+    again (see `_scan_matches_oracle`)."""
     scans = []
     library = pipeline._undecided
 
     def compared(cells, vertices):
-        bad, missing = library(cells, vertices)
-        want_bad, want_missing = oracle._undecided(cells, vertices)
-        assert {id(e) for e in bad} == {id(e) for e in want_bad}
-        assert missing == want_missing
         scans.append(len(cells))
-        return bad, missing
+        return _scan_matches_oracle(library, cells, vertices)
 
     monkeypatch.setattr(pipeline, "_undecided", compared)
     for draw in DRAWS:

@@ -132,16 +132,18 @@ def test_contract_loop_blowup_normalize_count(monkeypatch):
     assert check_certificate(loop, cert)
 
 
-# measured when each cell started reading itself at a vertex once,
-# through `ParamCell.at`, for every reader of its envelope: each count is
-# the calls of `_criterion_cell`, one per side of each reading derived,
-# the only place that computes the quotient of a vertex over a base.  The
-# verdict of `disparate_cell_vertex` became a classification of a kept
-# reading, made on every scan (175, 362 and 155 calls), so its count no
-# longer measures work.  While each cell kept only its verdicts, these
-# envelopes made 46, 74 and 38 verdict calls and 174, 304 and 127
-# `_criterion_cell` calls
-READINGS_DERIVED = [138, 224, 114]
+# measured when each separation round became one scan, which reads a cell
+# only at the tracked vertices it misses, and a side's offsprings were
+# built only at a tracked near end: each count is the calls of
+# `_criterion_cell`, one per side of each reading derived, the only place
+# that computes the quotient of a vertex over a base.  The verdict of
+# `disparate_cell_vertex` is a classification of a kept reading, made on
+# every scan, so its count does not measure work.  When each cell first
+# read itself at a vertex once, through `ParamCell.at`, and the closure
+# was a second scan that also read a cell at its own ends, these counts
+# were 138, 224 and 114; while each cell kept only its verdicts, they were
+# 174, 304 and 127
+READINGS_DERIVED = [110, 176, 90]
 
 
 def test_envelope_verdict_count(monkeypatch):
