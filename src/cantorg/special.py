@@ -9,7 +9,7 @@ which is also the canonical coset representative.
 
 from .binseq import incompatible, is_constant
 from .rewrite import GNormal, Letter, normalize, normalize_product
-from .thompson import Y_RULES, InternalError, TreePair, expand_letter
+from .thompson import InternalError, TreePair, consume_digits, expand_letter
 
 
 def to_letters(form):
@@ -196,22 +196,16 @@ def stabilizes_coset(f, form):
 
 def descends(anc, dec):
     """Whether iterated expansion of the ancestor letter produces the
-    descendant letter (equality counts).  Letters are (subscript, sign)."""
+    descendant letter (equality counts).  Letters are (subscript, sign).
+    The letter y^sg writes exactly what y^-sg reads, with the signs after
+    negated, so y^-sg must consume every digit between the subscripts and
+    end with the sign -w."""
     c, sg = anc
     u, w = dec
-    while True:
-        if c == u:
-            return sg == w
-        if not u.startswith(c):
-            return False
-        # step to the child letter of the expansion on the way to u
-        rest = u[len(c):]
-        for _, written, after in Y_RULES[sg]:
-            if rest.startswith(written):
-                c, sg = c + written, after
-                break
-        else:
-            return False
+    if not u.startswith(c):
+        return False
+    sign, _, left = consume_digits(-sg, u[len(c):])
+    return not left and sign == -w
 
 
 def overlay(form_a, form_b):

@@ -23,8 +23,8 @@ mirror.  Everything else derives from this one table:
   - `Y_STEP` looks the applicable row up by the sign and the next one or
     two digits, for the digit-by-digit loops of the evaluation oracle and
     the exponent calculation, and for `consume_digits`, the greedy run of
-    one symbol over a digit buffer that the cancellation automaton and the
-    exponent calculation share.
+    one symbol over a digit buffer that the cancellation automaton, the
+    exponent calculation and the descendant test of `special` share.
 """
 
 import functools

@@ -3,12 +3,14 @@
 Each function spells the substitution out as its own if-chain, the way the
 library did before every caller derived its rules from the one table
 `cantorg.thompson.Y_RULES`.  Nothing here reads that table, so a wrong row
-in it cannot hide behind the same row here.
+in it cannot hide behind the same row here, except `descends_by_rows`:
+the walk down the table's rows, one child letter a step, that the library
+made before it let one symbol consume the digits between the subscripts.
 """
 
 from cantorg.binseq import RationalSeq
 from cantorg.rewrite import FToken, Letter
-from cantorg.thompson import x_gen
+from cantorg.thompson import Y_RULES, x_gen
 
 
 def outer_reduce(o, buf):
@@ -289,3 +291,23 @@ def exponent(segs, tail, max_steps=200_000):
         if k >= 2:
             buffers[k - 2] += emit
     raise RuntimeError("calculation did not stabilize")
+
+
+def descends_by_rows(anc, dec):
+    """Whether iterated expansion of the ancestor letter produces the
+    descendant letter, by stepping to the child letter of the expansion on
+    the way to the descendant's subscript."""
+    c, sg = anc
+    u, w = dec
+    while True:
+        if c == u:
+            return sg == w
+        if not u.startswith(c):
+            return False
+        rest = u[len(c):]
+        for _, written, after in Y_RULES[sg]:
+            if rest.startswith(written):
+                c, sg = c + written, after
+                break
+        else:
+            return False

@@ -78,6 +78,21 @@ def test_descends_matches_oracle():
                     ), (anc, sg, u, w)
 
 
+def test_descends_matches_walk_down_the_rows():
+    """On the first 64 ancestor subscripts, every descendant subscript of
+    up to 7 digits and all four sign pairs."""
+    true = 0
+    for anc in WORDS[:64]:
+        for u in WORDS[:255]:
+            for sg in SIGNS:
+                for w in SIGNS:
+                    got = descends((anc, sg), (u, w))
+                    assert got == oracle.descends_by_rows(
+                        (anc, sg), (u, w)), (anc, sg, u, w)
+                    true += got
+    assert true == 1996
+
+
 def test_eval_letter_matches_oracle():
     assert len(POINTS) == 640  # distinct canonical sequences
     for xi in POINTS:
