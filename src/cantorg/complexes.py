@@ -88,6 +88,14 @@ def _concat_forms(forms):
     return [lt for f in forms for lt in to_letters(f)]
 
 
+def _junctions(params):
+    """Whether each junction k of a parameter list is consecutive: the last
+    leaf of parameter k and the first leaf of parameter k + 1."""
+    return [
+        pair_consecutive(a[-1][0], b[0][0]) for a, b in zip(params, params[1:])
+    ]
+
+
 def _interval_edges(params, corners):
     """The edges of a cluster whose corner vertices are listed by bitmask
     (bit i set when parameter i is chosen).  By the interval lemma an edge
@@ -98,8 +106,8 @@ def _interval_edges(params, corners):
     parameters it does not hold."""
     n = len(params)
     same_sign = [
-        a[-1][1] == b[0][1] if pair_consecutive(a[-1][0], b[0][0]) else None
-        for a, b in zip(params, params[1:])
+        a[-1][1] == b[0][1] if joined else None
+        for joined, a, b in zip(_junctions(params), params, params[1:])
     ]
     for mask, v in enumerate(corners):
         for i in range(n):
@@ -200,8 +208,8 @@ def is_proper(params):
     """Consecutive junctions must alternate in sign."""
     return all(
         a[-1][1] == -b[0][1]
-        for a, b in zip(params, params[1:])
-        if pair_consecutive(a[-1][0], b[0][0])
+        for joined, a, b in zip(_junctions(params), params, params[1:])
+        if joined
     )
 
 
@@ -228,13 +236,11 @@ def a_delta(cluster):
     parametrization used."""
     params = balanced_parametrizations(cluster)[0].params
     n = len(params)
+    joined = _junctions(params)
     out = {frozenset((i,)) for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
-            if all(
-                pair_consecutive(params[k][-1][0], params[k + 1][0][0])
-                for k in range(i, j)
-            ):
+            if all(joined[i:j]):
                 out.add(frozenset(range(i, j + 1)))
     return frozenset(out)
 
@@ -411,11 +417,7 @@ def enumerate_cells(cluster, max_dim=MAX_CELL_DIM):
     if cluster.n > max_dim:
         raise ValueError("cluster dimension exceeds the configured bound")
     params = balanced_parametrizations(cluster)[0].params
-    cuts = [
-        j
-        for j in range(len(params) - 1)
-        if pair_consecutive(params[j][-1][0], params[j + 1][0][0])
-    ]
+    cuts = [j for j, joined in enumerate(_junctions(params)) if joined]
     return CellComplexPiece(cluster.n, cuts)
 
 
@@ -446,10 +448,7 @@ def cluster_orbit_invariant(cluster):
     return (
         type_of(params[0]) if params else 0,
         tuple(parity_of(f) for f in params),
-        tuple(
-            pair_consecutive(a[-1][0], b[0][0])
-            for a, b in zip(params, params[1:])
-        ),
+        tuple(_junctions(params)),
     )
 
 
