@@ -4,10 +4,12 @@ Every function, class and method defined in `src/cantorg/` must be
 referenced somewhere in `src/`, `tests/` or `bench/`: by name, as an
 attribute, or inside a string literal (so the dotted names that the
 benchmark's tracer rebinds count).  Dunder methods are exempt.  Every
-module of the package must also use each name it imports.
+module of the package must also use each name it imports, and every
+dotted name the tracer rebinds must resolve in the package.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -63,3 +65,28 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_tracer_names_resolve():
+    """`LAYERS` of `bench/tracer.py`, read without importing it, names
+    (layer, module.function or module.Class.method, keep spans) triples;
+    a rename in the package would break `bench/run.py --trace 1`."""
+    tree = _parse(ROOT / "bench" / "tracer.py")
+    layers = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)]
+        == ["LAYERS"]
+    )
+    names = [qual for _, qual, _ in ast.literal_eval(layers)]
+    assert len(names) > 20
+    missing = []
+    for qual in names:
+        module, *attrs = qual.split(".")
+        obj = importlib.import_module("cantorg." + module)
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(qual)
+    assert missing == []
