@@ -79,18 +79,19 @@ class _Word:
         self.sfx[lo:hi] = forms[:0:-1]
 
     def rewrite(self, lo, hi, new, move=None, window=None):
-        """Splice, and record the move with the parameters of the window."""
+        """Splice, record the move with the window's parameters, return lo."""
         self.splice(lo, hi, new)
         if move is not None:
             params = None if window is None else self.params(*window)
             self.moves.emit(move, self.path(), params)
+        return lo
 
     def ys(self):
         return _merge([it for it in self.items if _is_y(it)])
 
     def commute(self, src, dst):
         """Move the y-letter at src to dst by adjacent swaps, one
-        commuting move each."""
+        commuting move each; returns the least index changed."""
         items = self.items
         step = -1 if dst < src else 1
         for k in range(src, dst, step):
@@ -99,6 +100,7 @@ class _Word:
             lo = min(k, k + step)
             self.rewrite(lo, lo + 2, [items[lo + 1], items[lo]], COMMUTING,
                          (lo, lo + 2))
+        return min(src, dst)
 
     def sort(self):
         """Bubble-sort the y-letters into lex order by commuting swaps."""

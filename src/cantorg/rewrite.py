@@ -18,17 +18,19 @@ The rewriting rules used are exactly the group identities:
 One engine applies them (`standardize`, `remove_potential_cancellations`
 and the driver `reduce_word`) to a word object.  It reads the word's
 `items` and merged y-letters (`ys()`), and changes it only by `rewrite(lo,
-hi, new, move, window)`, `commute(src, dst)`, `sort()` and `contract(case,
-s)`.  `normalize` passes a `_ListWord`: a plain list with merged exponents
-that spends a step budget, commutes in one jump and sorts with `sorted`.
-A `loops._Word` holds unit letters and records each rewrite as a move of a
-loop-contraction certificate.
+hi, new, move, window)` and `commute(src, dst)`, which return the least
+index they changed, where `standardize` resumes its scans, `sort()` and
+`contract(case, s)`.  `normalize` passes a `_ListWord`: a plain list with
+merged exponents that spends a step budget, commutes in one jump and sorts
+with `sorted`.  A `loops._Word` holds unit letters and records each
+rewrite as a move of a loop-contraction certificate.
 """
 
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import NamedTuple
 
-from .binseq import incompatible, lex_key
+from .binseq import lex_key
 from .thompson import (
     IDENTITY,
     Y_RULES,
@@ -67,13 +69,8 @@ class FToken(NamedTuple):
 
 
 def inverse_word(letters):
-    out = []
-    for item in reversed(list(letters)):
-        if isinstance(item, FToken):
-            out.append(FToken(item.pair.invert()))
-        else:
-            out.append(item.inverse())
-    return out
+    return [FToken(it.pair.invert()) if isinstance(it, FToken)
+            else it.inverse() for it in reversed(list(letters))]
 
 
 def _merge(items):
@@ -175,13 +172,13 @@ class _ListWord:
     def rewrite(self, lo, hi, new, move=None, window=None):
         self.budget.spend()
         self.items[lo:hi] = new
-        self._fuse(lo, lo + len(new))
+        return self._fuse(lo, lo + len(new))
 
     def commute(self, src, dst):
         """Move the letter at src left to dst in one jump."""
         self.budget.spend()
         self.items.insert(dst, self.items.pop(src))
-        self._fuse(dst, src + 1)
+        return self._fuse(dst, src + 1)
 
     def ys(self):
         return split_standard(self.items)[1]
@@ -197,7 +194,8 @@ class _ListWord:
 
     def _fuse(self, lo, hi):
         """Merge across the edges of `items[lo:hi]`, which holds no fusable
-        pair, until none is left; the rest of the list is merged already."""
+        pair, until none is left; the rest of the list is merged already;
+        returns where the merged window begins."""
         items = self.items
         while (0 < lo < len(items) and _fusable(items[lo - 1], items[lo])
                or 0 < hi < len(items) and _fusable(items[hi - 1], items[hi])):
@@ -205,6 +203,7 @@ class _ListWord:
             merged = _merge(items[lo:hi])
             items[lo:hi] = merged
             hi = lo + len(merged)
+        return lo
 
 
 def _as_word(items, budget):
@@ -216,8 +215,8 @@ def _expand(word, i, leftmost):
     move's window is the three y-letters of the expanded unit."""
     lt = word.items[i]
     lo = i + (lt.exp > 0) + (not leftmost and abs(lt.exp) > 1)
-    word.rewrite(i, i + 1, _merge(_expand_end(lt, leftmost)), EXPANSION,
-                 (lo, lo + 3))
+    return word.rewrite(i, i + 1, _merge(_expand_end(lt, leftmost)),
+                        EXPANSION, (lo, lo + 3))
 
 
 def standardize(items, budget=None):
@@ -230,69 +229,82 @@ def standardize(items, budget=None):
     At the leftmost place one applies, adjacent factors compose, a y-letter
     before a factor is rearranged or expanded, or adjacent inverse letters
     cancel; then letters of one subscript are commuted together, and then
-    the shallow letter of a misordered pair expands."""
+    the shallow letter of a misordered pair expands.  Each scan resumes at
+    the least index rewritten since it last ran (the first one just before
+    it): nothing before that index changed."""
     word = _as_word(items, budget)
     items = word.items
+    start = merge_lo = order_lo = 0
     while True:
-        for i in range(len(items) - 1):
+        for i in range(start, len(items) - 1):
             a, b = items[i], items[i + 1]
             if isinstance(b, FToken):
                 if isinstance(a, FToken):
                     p = compose(a.pair, b.pair)
-                    word.rewrite(i, i + 2,
-                                 [] if p.is_identity() else [FToken(p)])
-                    break
-                t2 = b.pair.act_on_word(a.sub)
-                if t2 is None:
-                    _expand(word, i, False)
+                    lo = word.rewrite(i, i + 2,
+                                      [] if p.is_identity() else [FToken(p)])
+                elif (t2 := b.pair.act_on_word(a.sub)) is None:
+                    lo = _expand(word, i, False)
                 else:
-                    word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)],
-                                 REARRANGEMENT)
+                    lo = word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)],
+                                      REARRANGEMENT)
                 break
             if isinstance(a, Letter) and a.sub == b.sub and a.exp == -b.exp:
-                word.rewrite(i, i + 2, [], CANCELLATION)
+                lo = word.rewrite(i, i + 2, [], CANCELLATION)
                 break
         else:
-            found = find_merge(items)
+            # a merge pair spans three y-letters, a misordered pair two
+            first = bool(items) and isinstance(items[0], FToken)
+            found = (find_merge(items, merge_lo)
+                     if max(merge_lo, first + 2) < len(items) else None)
+            merge_lo = len(items)
             if found is not None:
-                word.commute(found[1], found[0] + 1)
-                continue
-            i = find_misordered(items)
-            if i is None:
-                return items
-            _expand(word, i, True)
+                lo = word.commute(found[1], found[0] + 1)
+            else:
+                i = (find_misordered(items, order_lo)
+                     if max(order_lo, first + 1) < len(items) else None)
+                order_lo = len(items)
+                if i is None:
+                    return items
+                lo = _expand(word, i, True)
+        start = max(lo - 1, 0)
+        merge_lo, order_lo = min(merge_lo, lo), min(order_lo, lo)
 
 
-def find_merge(items):
+def find_merge(items, lo=0):
     """The first pair (i, j) of y-letters with equal subscripts, j > i + 1,
-    separated only by y-letters incompatible with them, or None."""
+    separated only by y-letters incompatible with them, or None.  The caller
+    knows that no pair ending before `lo` is one."""
     subs = [it.sub if _is_y(it) else None for it in items]
-    for i, s in enumerate(subs):
+    found, last = None, {}  # the last index of each subscript in the run
+    for j, s in enumerate(subs):
         if s is None:
+            last = {}
             continue
-        for j in range(i + 1, len(subs)):
-            t = subs[j]
-            if t is None:
-                break
-            if t == s:
-                if j > i + 1 and all(
-                        incompatible(u, s) for u in subs[i + 1:j]):
-                    return i, j
-                break
-    return None
+        i, last[s] = last.get(s), j
+        if (i is not None and lo <= j > i + 1
+                and (found is None or i < found[0])
+                and not any(u.startswith(s) or s.startswith(u)
+                            for u in subs[i + 1:j])):
+            found = i, j
+    return found
 
 
-def find_misordered(items):
+def find_misordered(items, lo=0):
     """The index of the first y-letter that precedes a y-letter whose
-    subscript it properly prefixes, or None."""
-    subs = [it.sub if _is_y(it) else None for it in items]
-    for i, s in enumerate(subs):
-        if s is None:
-            continue
-        for t in subs[i + 1:]:
-            if t is not None and t != s and t.startswith(s):
-                return i
-    return None
+    subscript it properly prefixes, or None.  The caller knows that no pair
+    ending before `lo` is one."""
+    # the sorted subscripts right of i from `lo` on: s's extensions follow s
+    found, right = None, []
+    for i in range(len(items) - 1, -1, -1):
+        if _is_y(items[i]):
+            s = items[i].sub
+            k = bisect_right(right, s)
+            if k < len(right) and right[k].startswith(s):
+                found = i
+            if i >= lo:
+                right.insert(k, s)
+    return found
 
 
 def split_standard(items):
@@ -306,6 +318,12 @@ def split_standard(items):
 # potential cancellations
 
 
+# the answers of `pair_potential_cancellation`; an insert past this many
+# drops the oldest
+CANCELLATION_CACHE_SIZE = 65_536
+_CANCELLATION_CACHE = OrderedDict()
+
+
 def pair_potential_cancellation(outer, inner):
     """Whether the two-symbol calculation of y_inner y_outer on a sequence
     extending the inner subscript can bring the symbols together with
@@ -314,48 +332,52 @@ def pair_potential_cancellation(outer, inner):
     `outer` and `inner` are (subscript, sign) with the outer subscript a
     proper prefix of the inner one.  Decided by finite-state reachability:
     a state is (left sign, leftover digit buffer, right sign) and accepting
-    states have an empty buffer and opposite signs.
+    states have an empty buffer and opposite signs.  The answer is kept by
+    the signs and the inner digits past the outer subscript, all it reads.
     """
     (s, t), (u, v) = outer, inner
     if not (u.startswith(s) and u != s):
         raise ValueError("outer subscript must properly prefix the inner one")
     if t not in (1, -1) or v not in (1, -1):
         raise ValueError("signs must be +1 or -1")
-    o0, _, buf0 = consume_digits(t, u[len(s):])
-    start = (o0, buf0, v)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        o, buf, i = frontier.pop()
-        if buf == "" and o == -i:
-            return True
-        # the right symbol writes one row's digits for the left to consume
-        for _, digits, i2 in Y_RULES[i]:
-            o2, _, buf2 = consume_digits(o, buf + digits)
-            st = (o2, buf2, i2)
-            if st not in seen:
-                seen.add(st)
-                frontier.append(st)
-    return False
+    key = (t, u[len(s):], v)
+    found = _CANCELLATION_CACHE.get(key)
+    if found is None:
+        o0, _, buf0 = consume_digits(t, key[1])
+        frontier = [(o0, buf0, v)]
+        seen = set(frontier)
+        found = False
+        while frontier and not found:
+            o, buf, i = frontier.pop()
+            found = buf == "" and o == -i
+            # the right symbol writes a row's digits for the left to consume
+            for _, digits, i2 in Y_RULES[i]:
+                o2, _, buf2 = consume_digits(o, buf + digits)
+                if (o2, buf2, i2) not in seen:
+                    seen.add((o2, buf2, i2))
+                    frontier.append((o2, buf2, i2))
+        if len(_CANCELLATION_CACHE) >= CANCELLATION_CACHE_SIZE:
+            del _CANCELLATION_CACHE[next(iter(_CANCELLATION_CACHE))]
+        _CANCELLATION_CACHE[key] = found
+    return found
 
 
 def neighboring_pairs(ys):
     """All (outer_index, inner_index) pairs of y-letters where the outer
     subscript properly prefixes the inner one with no occurring subscript
     strictly between them in the prefix order.  The inner letter is the
-    earlier (deeper) one."""
-    subs = {lt.sub for lt in ys}
+    earlier (deeper) one: the outer subscript is the longest proper prefix
+    of the inner one that occurs."""
+    at = {}
+    for j, lt in enumerate(ys):
+        at.setdefault(lt.sub, []).append(j)
     out = []
-    for i, inner in enumerate(ys):
-        for j in range(i + 1, len(ys)):
-            outer = ys[j]
-            si, sj = inner.sub, outer.sub
-            if si != sj and si.startswith(sj):
-                if not any(
-                    u in subs
-                    for u in (si[:k] for k in range(len(sj) + 1, len(si)))
-                ):
-                    out.append((j, i))
+    for i, lt in enumerate(ys):
+        s = lt.sub
+        for k in range(len(s) - 1, -1, -1):
+            if s[:k] in at:
+                out.extend([(j, i) for j in at[s[:k]] if j > i])
+                break
     return out
 
 

@@ -9,6 +9,14 @@ drove its word with rewriters of its own (`_standardize_moves`,
 emitting the certificate moves of its rewrites.  The library runs the
 rules once, in `rewrite.standardize`, `rewrite.remove_potential_cancellations`
 and `rewrite.reduce_word`, on a `rewrite._ListWord` or a `loops._Word`.
+
+The engine's passes as they were before they resumed at the rewritten
+window are kept too: `scan_standardize` restarts its first scan at
+position 0 after every rewrite, and `find_merge`, `find_misordered` and
+`scan_neighboring_pairs` scan every pair of y-letters.
+`pair_potential_cancellation` decides every call by its automaton, with no
+table.  `scan_remove_potential_cancellations` drives `scan_standardize`
+with these, and the list rewriter above uses the two full scans.
 """
 
 from cantorg.binseq import incompatible, lex_key
@@ -25,26 +33,192 @@ from cantorg.loops import (
     path_of,
 )
 from cantorg.rewrite import (
+    CANCELLATION as _CANCELLATION,
+    REARRANGEMENT as _REARRANGEMENT,
     FToken,
     GNormal,
     Letter,
     _apply_contraction,
+    _as_word,
     _Budget,
+    _expand,
     _expand_end,
     _is_y,
     _lex_sorted,
     _merge,
     contraction,
     expand_unit,
-    find_merge,
-    find_misordered,
     find_potential_contraction,
     has_potential_cancellation,
     normalize as _normalize,
     split_standard,
 )
 from cantorg.special import from_letters
-from cantorg.thompson import InternalError, compose
+from cantorg.thompson import Y_RULES, InternalError, compose, consume_digits
+
+# ---------------------------------------------------------------------------
+# the engine's full scans
+
+
+def scan_standardize(items, budget=None):
+    """Rewrite to a standard form: one tree-pair factor at the front, if any,
+    and among the y-letters any letter whose subscript extends another's
+    occurs earlier.  Preserves the group element.  `items` is a word object,
+    or an iterable of items that becomes a `_ListWord` spending `budget`;
+    returns the word's items.
+
+    At the leftmost place one applies, adjacent factors compose, a y-letter
+    before a factor is rearranged or expanded, or adjacent inverse letters
+    cancel; then letters of one subscript are commuted together, and then
+    the shallow letter of a misordered pair expands."""
+    word = _as_word(items, budget)
+    items = word.items
+    while True:
+        for i in range(len(items) - 1):
+            a, b = items[i], items[i + 1]
+            if isinstance(b, FToken):
+                if isinstance(a, FToken):
+                    p = compose(a.pair, b.pair)
+                    word.rewrite(i, i + 2,
+                                 [] if p.is_identity() else [FToken(p)])
+                    break
+                t2 = b.pair.act_on_word(a.sub)
+                if t2 is None:
+                    _expand(word, i, False)
+                else:
+                    word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)],
+                                 _REARRANGEMENT)
+                break
+            if isinstance(a, Letter) and a.sub == b.sub and a.exp == -b.exp:
+                word.rewrite(i, i + 2, [], _CANCELLATION)
+                break
+        else:
+            found = find_merge(items)
+            if found is not None:
+                word.commute(found[1], found[0] + 1)
+                continue
+            i = find_misordered(items)
+            if i is None:
+                return items
+            _expand(word, i, True)
+
+
+def find_merge(items):
+    """The first pair (i, j) of y-letters with equal subscripts, j > i + 1,
+    separated only by y-letters incompatible with them, or None."""
+    subs = [it.sub if _is_y(it) else None for it in items]
+    for i, s in enumerate(subs):
+        if s is None:
+            continue
+        for j in range(i + 1, len(subs)):
+            t = subs[j]
+            if t is None:
+                break
+            if t == s:
+                if j > i + 1 and all(
+                        incompatible(u, s) for u in subs[i + 1:j]):
+                    return i, j
+                break
+    return None
+
+
+def find_misordered(items):
+    """The index of the first y-letter that precedes a y-letter whose
+    subscript it properly prefixes, or None."""
+    subs = [it.sub if _is_y(it) else None for it in items]
+    for i, s in enumerate(subs):
+        if s is None:
+            continue
+        for t in subs[i + 1:]:
+            if t is not None and t != s and t.startswith(s):
+                return i
+    return None
+
+
+def pair_potential_cancellation(outer, inner):
+    """Whether the two-symbol calculation of y_inner y_outer on a sequence
+    extending the inner subscript can bring the symbols together with
+    opposite signs.
+
+    `outer` and `inner` are (subscript, sign) with the outer subscript a
+    proper prefix of the inner one.  Decided by finite-state reachability:
+    a state is (left sign, leftover digit buffer, right sign) and accepting
+    states have an empty buffer and opposite signs.
+    """
+    (s, t), (u, v) = outer, inner
+    if not (u.startswith(s) and u != s):
+        raise ValueError("outer subscript must properly prefix the inner one")
+    if t not in (1, -1) or v not in (1, -1):
+        raise ValueError("signs must be +1 or -1")
+    o0, _, buf0 = consume_digits(t, u[len(s):])
+    start = (o0, buf0, v)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        o, buf, i = frontier.pop()
+        if buf == "" and o == -i:
+            return True
+        # the right symbol writes one row's digits for the left to consume
+        for _, digits, i2 in Y_RULES[i]:
+            o2, _, buf2 = consume_digits(o, buf + digits)
+            st = (o2, buf2, i2)
+            if st not in seen:
+                seen.add(st)
+                frontier.append(st)
+    return False
+
+
+def scan_neighboring_pairs(ys):
+    """All (outer_index, inner_index) pairs of y-letters where the outer
+    subscript properly prefixes the inner one with no occurring subscript
+    strictly between them in the prefix order.  The inner letter is the
+    earlier (deeper) one."""
+    subs = {lt.sub for lt in ys}
+    out = []
+    for i, inner in enumerate(ys):
+        for j in range(i + 1, len(ys)):
+            outer = ys[j]
+            si, sj = inner.sub, outer.sub
+            if si != sj and si.startswith(sj):
+                if not any(
+                    u in subs
+                    for u in (si[:k] for k in range(len(sj) + 1, len(si)))
+                ):
+                    out.append((j, i))
+    return out
+
+
+def scan_has_potential_cancellation(ys):
+    """The tightest neighboring pair (outer_index, inner_index) of a
+    standard-form y-letter list that admits a cancellation: least depth
+    gap, then least indices.  None when no pair does."""
+    flagged = [
+        (len(ys[i].sub) - len(ys[j].sub), j, i)
+        for j, i in scan_neighboring_pairs(ys)
+        if pair_potential_cancellation(
+            (ys[j].sub, 1 if ys[j].exp > 0 else -1),
+            (ys[i].sub, 1 if ys[i].exp > 0 else -1),
+        )
+    ]
+    return min(flagged)[1:] if flagged else None
+
+
+def scan_remove_potential_cancellations(items, budget=None):
+    """Rewrite a word so that no neighboring pair admits a cancellation.
+    Flagged pairs are resolved by expanding the shallow letter; the expansion
+    offspring either separate from or exactly cancel against the deep one.
+    Takes and returns what `scan_standardize` does."""
+    word = _as_word(items, budget)
+    while True:
+        scan_standardize(word)
+        ys = word.ys()
+        found = scan_has_potential_cancellation(ys)
+        if found is None:
+            return word.items
+        # expand the outer (shallow, later) letter of the tightest pair
+        sub = ys[found[0]].sub
+        _expand(word, next(k for k, it in enumerate(word.items)
+                           if _is_y(it) and it.sub == sub), True)
 
 # ---------------------------------------------------------------------------
 # the list rewriter of `normalize`

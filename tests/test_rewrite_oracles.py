@@ -1,8 +1,14 @@
 """Differential tests of the one rewriting engine against the two rewriters
 it replaced (`rewrite_oracles`): the list rewriter of `normalize` and the
-move-emitting rewriters of `contract_loop`."""
+move-emitting rewriters of `contract_loop`; and of the engine's passes
+that resume at the rewritten window and its table of cancellation answers
+against the full scans and the automaton they replaced."""
 
+import itertools
 import random
+from collections import OrderedDict
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,12 +21,18 @@ from cantorg.rewrite import (
     GNormal,
     Letter,
     _Budget,
+    _is_y,
     _ListWord,
+    find_merge,
+    find_misordered,
+    neighboring_pairs,
+    pair_potential_cancellation,
     reduce_word,
     remove_potential_cancellations,
     split_standard,
     standardize,
 )
+from substitution_oracles import pair_cancellation_bruteforce
 from test_rewrite import random_word
 from test_work_counts import _loop_of
 
@@ -106,3 +118,110 @@ def test_loop_certificates_match_oracle(word):
     loop = _loop_of(word)
     assert _certificate(contract_loop, loop) == _certificate(
         oracle.contract_loop, loop)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_worklist_matches_full_scan(seed):
+    """The passes that resume at the rewritten window leave the items the
+    full scans leave and spend the same steps, or both run out."""
+    word = random_word(random.Random(seed))
+    for lib, old in ((standardize, oracle.scan_standardize),
+                     (remove_potential_cancellations,
+                      oracle.scan_remove_potential_cancellations)):
+        assert _run(lib, word) == _run(old, word)
+
+
+def _hits(subs, is_hit):
+    return [(i, j) for i, j in itertools.combinations(range(len(subs)), 2)
+            if subs[i] is not None and subs[j] is not None
+            and is_hit(subs, i, j)]
+
+
+def _merges(subs, i, j):
+    between = subs[i + 1:j]
+    return (subs[i] == subs[j] and j > i + 1 and None not in between
+            and not any(u.startswith(subs[i]) or subs[i].startswith(u)
+                        for u in between))
+
+
+def _misordered(subs, i, j):
+    return subs[j] != subs[i] and subs[j].startswith(subs[i])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_scans_match_full_scan(seed):
+    """On raw words, x-letters standing between the y-letters: the first
+    merge pair and the first misordered letter are the full scans' for
+    every low up to the end of the earliest-ending pair, which is all a
+    caller may know to hold none; the neighboring pairs are the full
+    scan's.  Letters over a few subscripts make repeats, and so merge
+    pairs, common."""
+    rng = random.Random(seed)
+    items = random_word(rng) + [Letter("y", rng.choice(SUBS), rng.choice(
+        [1, -1])) for _ in range(rng.randint(0, 12))]
+    rng.shuffle(items)
+    subs = [it.sub if _is_y(it) else None for it in items]
+    for lib, old, is_hit in ((find_merge, oracle.find_merge, _merges),
+                             (find_misordered, oracle.find_misordered,
+                              _misordered)):
+        want = old(items)
+        hits = _hits(subs, is_hit)
+        assert (want is None) == (not hits)
+        for lo in range(min([j for _, j in hits], default=len(items)) + 1):
+            assert lib(items, lo) == want
+    ys = [it for it in items if _is_y(it)]
+    assert neighboring_pairs(ys) == oracle.scan_neighboring_pairs(ys)
+
+
+OUTER = ["1", "01", "110"]
+
+
+def test_cancellation_table_matches_automaton(monkeypatch):
+    """Every inner suffix of up to 8 digits and every sign pair, under
+    several outer subscripts: the answer the table keeps for the first
+    outer serves the others, and equals the automaton's under each and the
+    simulation over all 8-digit tails."""
+    monkeypatch.setattr(rewrite, "_CANCELLATION_CACHE", OrderedDict())
+    for n in range(1, 9):
+        for digits in map("".join, itertools.product("01", repeat=n)):
+            for t, v in itertools.product((1, -1), repeat=2):
+                want = pair_cancellation_bruteforce(
+                    (OUTER[0], t), (OUTER[0] + digits, v))
+                for s in OUTER:
+                    outer, inner = (s, t), (s + digits, v)
+                    assert oracle.pair_potential_cancellation(
+                        outer, inner) == want
+                    assert pair_potential_cancellation(outer, inner) == want
+    assert len(rewrite._CANCELLATION_CACHE) == 4 * (2 ** 9 - 2)
+
+
+@pytest.mark.parametrize("outer, inner", [
+    (("10", 1), ("01", -1)),
+    (("10", 1), ("10", -1)),
+    (("10", 2), ("100", 1)),
+    (("10", 1), ("100", 0)),
+])
+def test_cancellation_table_keeps_the_checks(monkeypatch, outer, inner):
+    """Bad subscripts and signs raise before the table is read, also when
+    the table holds the key they would make."""
+    monkeypatch.setattr(rewrite, "_CANCELLATION_CACHE", OrderedDict())
+    (s, t), (u, v) = outer, inner
+    rewrite._CANCELLATION_CACHE[(t, u[len(s):], v)] = True
+    with pytest.raises(ValueError):
+        pair_potential_cancellation(outer, inner)
+
+
+def test_cancellation_table_drops_its_oldest_entry(monkeypatch):
+    monkeypatch.setattr(rewrite, "CANCELLATION_CACHE_SIZE", 5)
+    monkeypatch.setattr(rewrite, "_CANCELLATION_CACHE", OrderedDict())
+    pairs = [(("1", t), ("1" + digits, v))
+             for digits in ("0", "1", "00", "01", "10", "11", "101")
+             for t, v in ((1, -1), (-1, 1))]
+    for outer, inner in pairs + pairs:
+        assert pair_potential_cancellation(outer, inner) == (
+            oracle.pair_potential_cancellation(outer, inner))
+        assert len(rewrite._CANCELLATION_CACHE) <= 5
+    assert list(rewrite._CANCELLATION_CACHE) == [
+        (t, u[1:], v) for (_, t), (u, v) in pairs[-5:]]

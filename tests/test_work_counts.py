@@ -7,6 +7,8 @@ without timing anything.  Each counted function is wrapped in every
 """
 
 import importlib
+import random
+from collections import OrderedDict
 
 import pytest
 
@@ -16,8 +18,15 @@ from cantorg.commands import parse_cluster_line
 from cantorg.complexes import Cluster, vertex_of
 from cantorg.loops import check_certificate, contract_loop, path_of
 from cantorg.pipeline import envelope
-from cantorg.rewrite import inverse_word, normalize
+from cantorg.rewrite import (
+    IDENTITY_NORMAL,
+    inverse_word,
+    invert_normal,
+    normalize,
+    normalize_product,
+)
 from test_hash_seed import DRAWS
+from test_rewrite import random_word
 
 MODULES = [
     importlib.import_module("cantorg." + name)
@@ -30,6 +39,8 @@ COUNTED = [
     ("rewrite", "remove_potential_cancellations"),
     ("rewrite", "pair_potential_cancellation"),
     ("thompson", "compose"),
+    ("rewrite", "find_merge"),
+    ("rewrite", "find_misordered"),
 ]
 
 WORDS = [
@@ -74,12 +85,20 @@ LOOP_WORDS = [
 # `normalize`, its own standardization and cancellation rounds became calls
 # of `standardize` and `remove_potential_cancellations` on the loop word:
 # the five loops add 8 and 5 calls (419 -> 427, 384 -> 389), and the calls
-# that `normalize` makes are as many as before
+# that `normalize` makes are as many as before.
+# `find_merge` and `find_misordered` were first counted when `standardize`
+# began to call them only when a pair of theirs can end at or after the
+# least index rewritten since they last ran: a merge pair spans three
+# y-letters and a misordered pair two, so a word with fewer, or a rewrite
+# at its end, needs no scan.  While every completed first scan called
+# them, they made 665 and 456 calls; the rewrites did not change
 EXPECTED = {
     "standardize": 427,
     "remove_potential_cancellations": 389,
     "pair_potential_cancellation": 190,
     "compose": 167,
+    "find_merge": 382,
+    "find_misordered": 258,
 }
 
 
@@ -115,6 +134,45 @@ def test_exact_work_counts(monkeypatch):
     for loop in loops:
         assert check_certificate(loop, contract_loop(loop))
     assert counts == EXPECTED
+
+
+# the budget steps of (normalizing the word, inverting its normal form,
+# normalizing the product of the two), each from a cold cache, for the
+# draws of `test_rewrite.test_inverse_roundtrip`'s generator known to take
+# longest and one word whose round trip took seconds.  They held when the
+# scans of `standardize` began to resume at the rewritten window, which
+# took seed 1952's inversion from about 18 s to under 2 s and seed 1240's
+# product from about 23 s to about 2 s on a 2-core box
+TAIL_STEPS = {
+    653: [432, 15959, 435],
+    1240: [226, 10827, 144579],
+    1952: [1690, 25674, 4265],
+    "y[10]^-2 y[100] y[10]^2": [278, 2785, 3940],
+}
+
+
+@pytest.mark.parametrize("case", list(TAIL_STEPS))
+def test_normalize_tail_budget_steps(monkeypatch, case):
+    word = (parse_word(case) if isinstance(case, str)
+            else random_word(random.Random(case), max_len=5, max_sub=3))
+    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", OrderedDict())
+    steps = []
+    spend = rewrite._Budget.spend
+
+    def counting(budget):
+        steps[-1] += 1
+        spend(budget)
+
+    monkeypatch.setattr(rewrite._Budget, "spend", counting)
+
+    def stage(fn, *args):
+        steps.append(0)
+        return fn(*args)
+
+    n = stage(normalize, word)
+    inv = stage(invert_normal, n)
+    assert stage(normalize_product, n, inv) == IDENTITY_NORMAL
+    assert steps == TAIL_STEPS[case]
 
 
 # a loop of 901 moves whose contraction made 30,710 `normalize` calls while
