@@ -23,7 +23,8 @@ index they changed, where `standardize` resumes its scans, `sort()` and
 `contract(case, s)`.  `normalize` passes a `_ListWord`: a plain list with
 merged exponents that spends a step budget, commutes in one jump and sorts
 with `sorted`.  A `loops._Word` holds unit letters and records each
-rewrite as a move of a loop-contraction certificate.
+rewrite as a move of a loop-contraction certificate.  The cancellation
+automaton keeps its answers in a bounded table.
 """
 
 from bisect import bisect_right
@@ -229,12 +230,12 @@ def standardize(items, budget=None):
     At the leftmost place one applies, adjacent factors compose, a y-letter
     before a factor is rearranged or expanded, or adjacent inverse letters
     cancel; then letters of one subscript are commuted together, and then
-    the shallow letter of a misordered pair expands.  Each scan resumes at
-    the least index rewritten since it last ran (the first one just before
-    it): nothing before that index changed."""
+    the shallow letter of a misordered pair expands.  The first scan
+    resumes just before the last rewrite, and `find_merge` at the least
+    index rewritten since it last ran: nothing before that index changed."""
     word = _as_word(items, budget)
     items = word.items
-    start = merge_lo = order_lo = 0
+    start = merge_lo = 0
     while True:
         for i in range(start, len(items) - 1):
             a, b = items[i], items[i + 1]
@@ -261,14 +262,11 @@ def standardize(items, budget=None):
             if found is not None:
                 lo = word.commute(found[1], found[0] + 1)
             else:
-                i = (find_misordered(items, order_lo)
-                     if max(order_lo, first + 1) < len(items) else None)
-                order_lo = len(items)
+                i = find_misordered(items) if first + 1 < len(items) else None
                 if i is None:
                     return items
                 lo = _expand(word, i, True)
-        start = max(lo - 1, 0)
-        merge_lo, order_lo = min(merge_lo, lo), min(order_lo, lo)
+        start, merge_lo = max(lo - 1, 0), min(merge_lo, lo)
 
 
 def find_merge(items, lo=0):
@@ -282,7 +280,7 @@ def find_merge(items, lo=0):
             last = {}
             continue
         i, last[s] = last.get(s), j
-        if (i is not None and lo <= j > i + 1
+        if (i is not None and j > i + 1 and j >= lo
                 and (found is None or i < found[0])
                 and not any(u.startswith(s) or s.startswith(u)
                             for u in subs[i + 1:j])):
@@ -290,11 +288,10 @@ def find_merge(items, lo=0):
     return found
 
 
-def find_misordered(items, lo=0):
+def find_misordered(items):
     """The index of the first y-letter that precedes a y-letter whose
-    subscript it properly prefixes, or None.  The caller knows that no pair
-    ending before `lo` is one."""
-    # the sorted subscripts right of i from `lo` on: s's extensions follow s
+    subscript it properly prefixes, or None."""
+    # the sorted subscripts right of i, where s's extensions follow s
     found, right = None, []
     for i in range(len(items) - 1, -1, -1):
         if _is_y(items[i]):
@@ -302,8 +299,7 @@ def find_misordered(items, lo=0):
             k = bisect_right(right, s)
             if k < len(right) and right[k].startswith(s):
                 found = i
-            if i >= lo:
-                right.insert(k, s)
+            right.insert(k, s)
     return found
 
 
@@ -385,6 +381,8 @@ def has_potential_cancellation(ys):
     """The tightest neighboring pair (outer_index, inner_index) of a
     standard-form y-letter list that admits a cancellation: least depth
     gap, then least indices.  None when no pair does."""
+    if len(ys) < 2:
+        return None
     flagged = [
         (len(ys[i].sub) - len(ys[j].sub), j, i)
         for j, i in neighboring_pairs(ys)
@@ -446,6 +444,8 @@ def find_potential_contraction(ys):
     (case 2, y_{s00}^-1 y_{s01} y_{s1}^-1), each letter at least once with
     its sign, and no letter at the parent of the triple's two deeper
     subscripts.  Returns (case, s) or None."""
+    if len(ys) < 3:
+        return None
     exps = {lt.sub: lt.exp for lt in ys}
     for sub, e in exps.items():
         for case, _, ((w0, a0), (w1, a1), (w2, a2)), parent in _CONTRACTIONS:

@@ -4,11 +4,29 @@ These are the versions the library used before `RationalSeq` read its
 prefixes as slices and rebuilt prefix replacements in one step
 (`RationalSeq.replace_prefix`).  Every result here goes through the
 validating constructor, so a field that the fast path carries over
-unchecked is recomputed from scratch here.
+unchecked is recomputed from scratch here.  `lex_compare` is the
+comparison of binary words that `binseq.lex_key` sorted by before it
+became a string key.
 """
 
 from cantorg.binseq import RationalSeq
 from cantorg.thompson import InternalError
+
+
+def lex_compare(s, t):
+    """Total order on binary words: -1, 0 or 1.
+
+    A proper extension is smaller than its prefix; incompatible words compare
+    by the first differing digit.
+    """
+    if s == t:
+        return 0
+    if s.startswith(t):
+        return -1  # s extends t, so s is smaller
+    if t.startswith(s):
+        return 1
+    i = next(i for i in range(min(len(s), len(t))) if s[i] != t[i])
+    return -1 if s[i] < t[i] else 1
 
 
 def check_bits(w):

@@ -10,10 +10,10 @@ from cantorg.binseq import (
     RationalSeq,
     incompatible,
     is_constant,
-    lex_compare,
     lex_key,
     prefix_relation,
 )
+from binseq_oracles import lex_compare
 
 bits = st.text(alphabet="01", max_size=8)
 nonempty_bits = st.text(alphabet="01", min_size=1, max_size=6)
@@ -43,6 +43,12 @@ def test_is_constant():
 @given(bits, bits)
 def test_lex_antisymmetric(s, t):
     assert lex_compare(s, t) == -lex_compare(t, s)
+
+
+@given(bits, bits)
+def test_lex_key_orders_as_lex_compare(s, t):
+    a, b = lex_key(s), lex_key(t)
+    assert (a > b) - (a < b) == lex_compare(s, t)
 
 
 @given(st.lists(bits, max_size=8))

@@ -207,7 +207,7 @@ def test_normalize_sound_and_idempotent(seed):
     ys = list(n.ys)
     assert has_potential_cancellation(ys) is None
     assert find_potential_contraction(ys) is None
-    from cantorg.binseq import lex_compare
+    from binseq_oracles import lex_compare
 
     for a, b in zip(ys, ys[1:]):
         assert lex_compare(a.sub, b.sub) < 0

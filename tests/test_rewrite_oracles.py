@@ -153,24 +153,23 @@ def _misordered(subs, i, j):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_scans_match_full_scan(seed):
     """On raw words, x-letters standing between the y-letters: the first
-    merge pair and the first misordered letter are the full scans' for
-    every low up to the end of the earliest-ending pair, which is all a
-    caller may know to hold none; the neighboring pairs are the full
-    scan's.  Letters over a few subscripts make repeats, and so merge
-    pairs, common."""
+    merge pair is the full scan's for every low up to the end of the
+    earliest-ending pair, which is all a caller may know to hold none; the
+    first misordered letter and the neighboring pairs are the full scans'.
+    Letters over a few subscripts make repeats, and so merge pairs,
+    common."""
     rng = random.Random(seed)
     items = random_word(rng) + [Letter("y", rng.choice(SUBS), rng.choice(
         [1, -1])) for _ in range(rng.randint(0, 12))]
     rng.shuffle(items)
     subs = [it.sub if _is_y(it) else None for it in items]
-    for lib, old, is_hit in ((find_merge, oracle.find_merge, _merges),
-                             (find_misordered, oracle.find_misordered,
-                              _misordered)):
-        want = old(items)
-        hits = _hits(subs, is_hit)
-        assert (want is None) == (not hits)
-        for lo in range(min([j for _, j in hits], default=len(items)) + 1):
-            assert lib(items, lo) == want
+    want = oracle.find_merge(items)
+    hits = _hits(subs, _merges)
+    assert (want is None) == (not hits)
+    for lo in range(min([j for _, j in hits], default=len(items)) + 1):
+        assert find_merge(items, lo) == want
+    assert find_misordered(items) == oracle.find_misordered(items)
+    assert (find_misordered(items) is None) == (not _hits(subs, _misordered))
     ys = [it for it in items if _is_y(it)]
     assert neighboring_pairs(ys) == oracle.scan_neighboring_pairs(ys)
 

@@ -87,11 +87,11 @@ LOOP_WORDS = [
 # the five loops add 8 and 5 calls (419 -> 427, 384 -> 389), and the calls
 # that `normalize` makes are as many as before.
 # `find_merge` and `find_misordered` were first counted when `standardize`
-# began to call them only when a pair of theirs can end at or after the
-# least index rewritten since they last ran: a merge pair spans three
-# y-letters and a misordered pair two, so a word with fewer, or a rewrite
-# at its end, needs no scan.  While every completed first scan called
-# them, they made 665 and 456 calls; the rewrites did not change
+# began to call them only when a pair of theirs can exist: a merge pair
+# spans three y-letters and must end at or after the least index rewritten
+# since `find_merge` last ran, and a misordered pair spans two y-letters.
+# While every completed first scan called them, they made 665 and 456
+# calls; the rewrites did not change
 EXPECTED = {
     "standardize": 427,
     "remove_potential_cancellations": 389,
