@@ -147,6 +147,7 @@ TAIL_STEPS = {
     653: [432, 15959, 435],
     1240: [226, 10827, 144579],
     1952: [1690, 25674, 4265],
+    4487: [591, 12404, 21616],
     "y[10]^-2 y[100] y[10]^2": [278, 2785, 3940],
 }
 
