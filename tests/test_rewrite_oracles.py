@@ -9,7 +9,6 @@ import random
 from collections import OrderedDict
 
 import pytest
-
 from hypothesis import given, settings, strategies as st
 
 import rewrite_oracles as oracle

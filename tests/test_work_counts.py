@@ -142,7 +142,7 @@ def test_exact_work_counts(monkeypatch):
 # longest and one word whose round trip took seconds.  They held when the
 # scans of `standardize` began to resume at the rewritten window, which
 # took seed 1952's inversion from about 18 s to under 2 s and seed 1240's
-# product from about 23 s to about 2 s on a 2-core box
+# product from about 27 s to about 3 s on a 2-core box
 TAIL_STEPS = {
     653: [432, 15959, 435],
     1240: [226, 10827, 144579],
