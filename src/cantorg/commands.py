@@ -22,7 +22,7 @@ from .cli import (
     parse_word,
     render_word,
 )
-from .rewrite import normalize
+from .rewrite import equal_words, normalize
 from .special import (
     coset_vertex,
     from_letters,
@@ -45,12 +45,15 @@ def _y_form(text):
     return from_letters(word)
 
 
-def parse_cluster_line(line):
-    from .complexes import Cluster
+def _cluster_fields(line):
     fields = [f.strip() for f in line.split(";")]
     base = normalize(parse_word("" if fields[0] == "1" else fields[0]))
-    params = tuple(_y_form(f) for f in fields[1:])
-    return Cluster(base, params)
+    return base, tuple(_y_form(f) for f in fields[1:])
+
+
+def parse_cluster_line(line):
+    from .complexes import Cluster
+    return Cluster(*_cluster_fields(line))
 
 
 def render_cluster_line(cluster):
@@ -74,7 +77,7 @@ def read_cluster_file(path):
     return [parse_cluster_line(line) for line in _lines(path)]
 
 
-def _print_cluster(cluster, cells=False, max_dim=None):
+def _print_cluster(cluster, piece=None):
     print("cluster: %s" % render_cluster_line(cluster))
     print("vertices: %d" % len(cluster.vertices))
     for v in sorted(cluster.vertices):
@@ -82,10 +85,7 @@ def _print_cluster(cluster, cells=False, max_dim=None):
     print("edges: %d" % len(cluster.edges))
     for e in sorted(map(sorted, cluster.edges)):
         print("  %s ; %s" % (render_vertex(e[0]), render_vertex(e[1])))
-    if cells:
-        from .complexes import MAX_CELL_DIM, enumerate_cells
-        piece = enumerate_cells(
-            cluster, MAX_CELL_DIM if max_dim is None else max_dim)
+    if piece is not None:
         print("f-vector: %s" % " ".join(map(str, piece.f_vector())))
 
 
@@ -94,9 +94,8 @@ def cmd_normalize(args):
 
 
 def cmd_equal(args):
-    a = normalize(parse_word(args.first))
-    b = normalize(parse_word(args.second))
-    print("equal" if a == b else "distinct")
+    first, second = parse_word(args.first), parse_word(args.second)
+    print("equal" if equal_words(first, second) else "distinct")
 
 
 def cmd_eval(args):
@@ -135,9 +134,15 @@ def cmd_special(args):
 
 
 def cmd_cluster(args):
+    from .complexes import (
+        MAX_CELL_DIM, Cluster, check_fill_dim, enumerate_cells)
+    base, params = _cluster_fields(args.spec)
+    max_dim = MAX_CELL_DIM if args.max_dim is None else args.max_dim
+    if args.cells:
+        check_fill_dim(len(params), max_dim)
+    cluster = Cluster(base, params)
     _print_cluster(
-        parse_cluster_line(args.spec), cells=args.cells, max_dim=args.max_dim
-    )
+        cluster, enumerate_cells(cluster, max_dim) if args.cells else None)
 
 
 def cmd_intersect(args):

@@ -411,11 +411,16 @@ class CellComplexPiece:
         return True
 
 
+def check_fill_dim(n, max_dim=MAX_CELL_DIM):
+    """Refuse to fill a cluster of more than `max_dim` parameters."""
+    if n > max_dim:
+        raise ValueError("cluster dimension exceeds the configured bound")
+
+
 def enumerate_cells(cluster, max_dim=MAX_CELL_DIM):
     """Fill the cluster: the cellular decomposition of the n-cube subdivided
     along its consecutive junctions."""
-    if cluster.n > max_dim:
-        raise ValueError("cluster dimension exceeds the configured bound")
+    check_fill_dim(cluster.n, max_dim)
     params = balanced_parametrizations(cluster)[0].params
     cuts = [j for j, joined in enumerate(_junctions(params)) if joined]
     return CellComplexPiece(cluster.n, cuts)

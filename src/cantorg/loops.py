@@ -207,7 +207,7 @@ def contract_loop(loop):
                 state.emit(SPLIT, path, params)
         pos += k
 
-    if path_of(word.items) != path:
+    if fine != path:
         raise InternalError("split phase lost track of the path")
 
     # phase 2: drive the single-letter word to the empty word

@@ -6,16 +6,17 @@ disparateness against vertices and against other cells, expansions, and
 decoupling are all decided by exact cone combinatorics.  A system of cells is
 driven through separation (making it balanced) and equivariant decoupling
 (making it free), after which the incident parameters at each vertex span
-clusters that assemble into a nonpositively curved cube complex.
+clusters that assemble into a nonpositively curved cube complex.  Cubulation
+reuses the coupled-vertex verdict that a free system carries from decoupling.
 """
 
+import functools
 import itertools
 
 from .binseq import ConeSet, incompatible
 from .calculus import supp_y
 from .complexes import (
     Cluster,
-    is_one_cell,
     link_flag_check,
     maximal_cliques,
     meet_in_face,
@@ -98,7 +99,9 @@ class ParamCell:
     `sides` holds both exact parametrizations as (form, base normal form,
     near end, far end): the form over `tau` from `bottom` to `top`, then
     the inverted form over the top's exact element back to `bottom`.  Both
-    forms have the cones of `support` (see `supp`).
+    forms have the cones of `support` (see `supp`).  Distinct ends span a
+    one-cell: their quotient is the inverted form moved by the top's
+    F-factor, and F keeps cones adjacent, in order and nonconstant.
 
     `readings` maps a vertex to what `at` read there.  The reading depends
     only on the parametrization, so it lives on the object: an equal cell
@@ -115,8 +118,6 @@ class ParamCell:
         self.top = top.ys
         if self.top == self.bottom:
             raise ValueError("parameter does not move the base coset")
-        if not is_one_cell(self.bottom, self.top):
-            raise ValueError("endpoints are not joined by a one-cell")
         self.vertices = frozenset((self.bottom, self.top))
         self.sides = (
             (self.form, tau, self.bottom, self.top),
@@ -367,7 +368,8 @@ def decouple(cells, at):
 
 class CellSystem:
     """A finite set of parametrized one-cells together with the finite set
-    of coset vertices against which they are tracked."""
+    of coset vertices against which they are tracked.  A system searches
+    its cells for a coupled vertex at most once (`coupled`)."""
 
     def __init__(self, cells, vertices):
         cells = frozenset(cells)
@@ -398,6 +400,18 @@ class CellSystem:
 
     def incident_cells(self, v):
         return sorted((e for e in self.cells if e.incident(v)), key=_by_vertices)
+
+    @functools.cached_property
+    def coupled(self):
+        """The first tracked vertex, in sorted order, whose coupling graph
+        has an edge, with a coupled component there; else None."""
+        ordered = sorted(self.cells, key=_by_vertices)
+        for v in sorted(self.vertices):
+            comp = _coupled_component(
+                [e for e in ordered if e.incident(v)], v)
+            if comp is not None:
+                return v, comp
+        return None
 
 
 def _undecided(cells, vertices):
@@ -435,10 +449,7 @@ def is_balanced_system(system):
 
 def is_free_system(system):
     """Balanced, with pairwise disparate cells at every tracked vertex."""
-    return (
-        is_balanced_system(system)
-        and _coupled_vertex(system.cells, system.vertices) is None
-    )
+    return is_balanced_system(system) and system.coupled is None
 
 
 # ---------------------------------------------------------------------------
@@ -534,42 +545,26 @@ def _coupled_component(cells_at_v, at):
     return None
 
 
-def _coupled_vertex(cells, vertices):
-    """The first tracked vertex, in sorted order, whose coupling graph has
-    an edge, with a coupled component there; else None."""
-    ordered = sorted(cells, key=_by_vertices)
-    for v in sorted(vertices):
-        comp = _coupled_component([e for e in ordered if e.incident(v)], v)
-        if comp is not None:
-            return v, comp
-    return None
-
-
 def equivariant_decoupling(system):
     """Decouple every coupled component, mirroring each decomposition at
     every tracked vertex carrying an equivalent cell, until all coupling
     graphs are edgeless."""
     if not is_balanced_system(system):
         raise ValueError("system is not balanced")
-    cells = set(system.cells)
     vertices = system.vertices
     for _ in range(DECOUPLING_ROUNDS):
-        coupled = _coupled_vertex(cells, vertices)
-        if coupled is None:
-            out = CellSystem(cells, vertices)
-            if not is_balanced_system(out):
-                raise InternalError("edgeless coupling graphs but not free")
-            return out
-        v, comp = coupled
+        if system.coupled is None:
+            return system
+        v, comp = system.coupled
         offsprings = decouple(comp, v)
         stale = {
             p
-            for p in cells
+            for p in system.cells
             if p not in comp
             and any(equivalent_cells(p, e) is not None for e in comp)
         }
-        cells = (cells - set(comp) - stale) | set(offsprings)
-        cells = _make_balanced(cells, vertices)
+        cells = (system.cells - set(comp) - stale) | set(offsprings)
+        system = CellSystem(_make_balanced(cells, vertices), vertices)
     raise NonConvergenceError("decoupling rounds exceeded")
 
 

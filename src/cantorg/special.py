@@ -239,19 +239,12 @@ def complete_tree(subs):
     return leaves
 
 
-def _pad_left(leaves, k):
+def _pad(leaves, k, at):
+    """Split the first (at=0) or the last (at=-1) leaf k times over."""
     leaves = list(leaves)
     for _ in range(k):
-        w = leaves[0]
-        leaves[0:1] = [w + "0", w + "1"]
-    return leaves
-
-
-def _pad_right(leaves, k):
-    leaves = list(leaves)
-    for _ in range(k):
-        w = leaves[-1]
-        leaves[-1:] = [w + "0", w + "1"]
+        i = at % len(leaves)
+        leaves[i:i + 1] = [leaves[i] + "0", leaves[i] + "1"]
     return leaves
 
 
@@ -276,13 +269,13 @@ def find_carrier(form_a, form_b):
     ia = ta.index(a[0][0])
     ib = tb.index(b[0][0])
     if ia < ib:
-        ta = _pad_left(ta, ib - ia)
+        ta = _pad(ta, ib - ia, 0)
     else:
-        tb = _pad_left(tb, ia - ib)
+        tb = _pad(tb, ia - ib, 0)
     ra = len(ta) - ta.index(a[-1][0]) - 1
     rb = len(tb) - tb.index(b[-1][0]) - 1
     if ra < rb:
-        ta = _pad_right(ta, rb - ra)
+        ta = _pad(ta, rb - ra, -1)
     else:
-        tb = _pad_right(tb, ra - rb)
+        tb = _pad(tb, ra - rb, -1)
     return TreePair(ta, tb)

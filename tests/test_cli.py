@@ -168,10 +168,10 @@ def test_contract_loop_command(tmp_path, capsys):
 def test_contract_loop_invariant_failure_exits_3(tmp_path, monkeypatch, capsys):
     from cantorg import loops
 
-    real = loops.path_of
+    real = loops._Word.path
     # a path that disagrees with the loop at its first vertex
     monkeypatch.setattr(
-        loops, "path_of", lambda items: [("bogus",)] + real(items)[1:]
+        loops._Word, "path", lambda self: [("bogus",)] + real(self)[1:]
     )
     f = tmp_path / "loop.txt"
     f.write_text("1\ny[10]\n1\n")
@@ -276,6 +276,39 @@ def test_cluster_cells_obeys_max_dim(capsys):
     assert out.splitlines()[-1] == "f-vector: 64 192 240 160 60 12 1"
     # without --max-dim the filling keeps its default bound of 4
     assert run(capsys, "cluster", SPEC6, "--cells")[0] == 2
+
+
+def test_cluster_cells_over_bound_builds_nothing(monkeypatch, capsys):
+    from cantorg.complexes import Cluster
+
+    def refuse(self, base, params):
+        raise AssertionError("a cluster was built past the fill bound")
+
+    monkeypatch.setattr(Cluster, "__init__", refuse)
+    assert commands.run(["cluster", SPEC6, "--cells"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "domain error: cluster dimension exceeds the configured bound\n")
+
+
+def test_equal_parses_both_words_before_normalizing(monkeypatch, capsys):
+    from cantorg import rewrite
+
+    calls = []
+    real = rewrite.normalize
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    for module in (commands, rewrite):
+        monkeypatch.setattr(module, "normalize", counting)
+    assert commands.run(["equal", "y[10]", "y[10] nonsense"]) == 1
+    assert calls == []
+    expansion = "x[10] y[100] y[1010]^-1 y[1011]"
+    assert run(capsys, "equal", "y[10]", expansion) == (0, "equal\n")
+    assert len(calls) == 2
 
 
 def test_closed_stdout_pipe_is_not_an_error():

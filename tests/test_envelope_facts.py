@@ -1,0 +1,84 @@
+"""Facts that the envelope pipeline decides once, decided again here.
+
+A parametrized cell's ends are joined by a one-cell because its form is
+special, so `ParamCell` does not test it.  Decoupling returns a system only
+once its coupled-vertex search has found nothing, over cells that
+separation has just balanced, and `cubulate` reads that verdict off the
+system instead of searching again.  These tests re-derive both facts from
+scratch: the one-cell test on each cell's ends, and freeness on a new
+system over the same cells and vertices, which carries no verdict.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cantorg import pipeline
+from cantorg.commands import parse_cluster_line
+from cantorg.complexes import is_one_cell
+from cantorg.pipeline import CellSystem, ParamCell, envelope, is_free_system
+from cantorg.rewrite import normalize
+from test_canonical_oracles import random_special_form
+from test_envelope_digest import _pool_draws
+from test_hash_seed import DRAWS
+from test_rewrite import random_word
+
+POOL_DRAWS = 50
+
+
+def _clusters(draw):
+    return [parse_cluster_line(part) for part in draw.split("||")]
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_random_cells_span_one_cells(seed):
+    rng = random.Random(seed)
+    form = random_special_form(rng)
+    cell = ParamCell(form, normalize(random_word(rng)))
+    assert is_one_cell(cell.bottom, cell.top)
+
+
+def test_envelope_cells_span_one_cells(monkeypatch):
+    built = []
+    init = ParamCell.__init__
+
+    def recording(self, form, tau):
+        init(self, form, tau)
+        built.append(self)
+
+    monkeypatch.setattr(ParamCell, "__init__", recording)
+    for draw in DRAWS:
+        envelope(_clusters(draw))
+    assert built
+    for cell in built:
+        assert is_one_cell(cell.bottom, cell.top)
+
+
+class _Decoupled(Exception):
+    """Stops an envelope once decoupling has returned its system."""
+
+
+def decoupled_systems(monkeypatch, draws):
+    """The system that decoupling hands to `cubulate` in the envelope of
+    each draw; the clusters themselves are not built."""
+    systems = []
+
+    def stop(system, max_dim=None):
+        systems.append(system)
+        raise _Decoupled
+
+    monkeypatch.setattr(pipeline, "cubulate", stop)
+    for draw in draws:
+        with pytest.raises(_Decoupled):
+            envelope(_clusters(draw))
+    return systems
+
+
+def test_decoupled_systems_are_free(monkeypatch):
+    draws = DRAWS + _pool_draws()[:POOL_DRAWS]
+    systems = decoupled_systems(monkeypatch, draws)
+    assert len(systems) == len(draws)
+    for free in systems:
+        assert is_free_system(CellSystem(free.cells, free.vertices))

@@ -177,7 +177,8 @@ def test_normalize_tail_budget_steps(monkeypatch, case):
 
 
 # a loop of 901 moves whose contraction made 30,710 `normalize` calls while
-# every move normalized every suffix of the word again
+# every move normalized every suffix of the word again, and 2,674 while the
+# split phase checked its path against a rebuilt copy of its 26-letter word
 BLOWUP_WORD = "y[10] y[10] y[1010] y[011]^-1 y[10]"
 
 
@@ -187,7 +188,7 @@ def test_contract_loop_blowup_normalize_count(monkeypatch):
     counts = _install_counters(monkeypatch, [("rewrite", "normalize")])
     cert = contract_loop(loop)
     assert len(cert) - 1 == 901
-    assert counts == {"normalize": 2674}
+    assert counts == {"normalize": 2648}
     assert check_certificate(loop, cert)
 
 
@@ -215,6 +216,20 @@ def test_envelope_verdict_count(monkeypatch):
         got.append(counts["_criterion_cell"])
         monkeypatch.undo()
     assert got == READINGS_DERIVED
+
+
+# the pair tests of decoupling over the three hash-seed draws.  There were
+# 108 while `cubulate`'s freeness check searched every pair again on the
+# system whose last decoupling round had just found no coupled vertex; that
+# system now carries the verdict of its search
+DISPARATE_PAIRS = 54
+
+
+def test_envelope_disparate_pair_count(monkeypatch):
+    counts = _install_counters(monkeypatch, [("pipeline", "disparate_pair")])
+    for draw in DRAWS:
+        envelope([parse_cluster_line(part) for part in draw.split("||")])
+    assert counts["disparate_pair"] == DISPARATE_PAIRS
 
 
 def draw_clusters():
