@@ -241,7 +241,3 @@ class ConeSet:
     def meets_cone(self, s):
         """True iff the denoted set intersects cone(s) in a cone."""
         return any(not incompatible(s, b) for b in self.cones)
-
-
-EMPTY_CONES = ConeSet()
-FULL_CONES = ConeSet(("",))

@@ -6,8 +6,8 @@ disparateness against vertices and against other cells, expansions, and
 decoupling are all decided by exact cone combinatorics.  A system of cells is
 driven through separation (making it balanced) and equivariant decoupling
 (making it free), after which the incident parameters at each vertex span
-clusters that assemble into a nonpositively curved cube complex.  Cubulation
-reuses the coupled-vertex verdict that a free system carries from decoupling.
+clusters that assemble into a nonpositively curved cube complex.  Each phase
+reads the balance and coupled-vertex verdicts of the system it is handed.
 """
 
 import functools
@@ -368,8 +368,8 @@ def decouple(cells, at):
 
 class CellSystem:
     """A finite set of parametrized one-cells together with the finite set
-    of coset vertices against which they are tracked.  A system searches
-    its cells for a coupled vertex at most once (`coupled`)."""
+    of coset vertices against which they are tracked.  A system decides its
+    balance (`undecided`) and its coupled vertex (`coupled`) once each."""
 
     def __init__(self, cells, vertices):
         cells = frozenset(cells)
@@ -400,6 +400,11 @@ class CellSystem:
 
     def incident_cells(self, v):
         return sorted((e for e in self.cells if e.incident(v)), key=_by_vertices)
+
+    @functools.cached_property
+    def undecided(self):
+        """One separation scan of the system (see `_undecided`)."""
+        return _undecided(self.cells, self.vertices)
 
     @functools.cached_property
     def coupled(self):
@@ -443,7 +448,7 @@ def _undecided(cells, vertices):
 def is_balanced_system(system):
     """No cell is undecided against a tracked vertex it misses, and every
     criterion cell there is already in the system."""
-    bad, found = _undecided(system.cells, system.vertices)
+    bad, found = system.undecided
     return not bad and system.cells.issuperset(found)
 
 
@@ -492,20 +497,20 @@ def _two_sided_offsprings(cell, vertices):
     ]
 
 
-def _make_balanced(cells, vertices):
-    """Expand two-sidedly exactly those cells that are undecided against
-    some tracked vertex, and add the criterion cells the others give there,
-    one scan a round, until the system is balanced.  Balanced input is a
-    fixpoint."""
-    cells = set(cells)
+def _make_balanced(system):
+    """Expand two-sidedly the cells undecided against some tracked vertex
+    and add the criterion cells the others give there, one scan a round,
+    until the system is balanced; balanced input is returned as it is."""
     for _ in range(SEPARATION_ROUNDS):
-        bad, found = _undecided(cells, vertices)
-        if not bad and cells.issuperset(found):
-            return cells
+        if is_balanced_system(system):
+            return system
+        bad, found = system.undecided
+        cells = set(system.cells)
         for e in bad:
             cells.discard(e)
-            cells.update(_two_sided_offsprings(e, vertices))
+            cells.update(_two_sided_offsprings(e, system.vertices))
         cells.update(found)
+        system = CellSystem(cells, system.vertices)
     raise NonConvergenceError("separation rounds exceeded without balance")
 
 
@@ -513,8 +518,7 @@ def separation_procedure(system):
     """Split every undecided cell two-sidedly along the support boundaries
     of the tracked vertices and close under equivalence at those vertices,
     repeating until the system is balanced."""
-    cells = _make_balanced(system.cells, system.vertices)
-    return CellSystem(cells, system.vertices)
+    return _make_balanced(system)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +555,6 @@ def equivariant_decoupling(system):
     graphs are edgeless."""
     if not is_balanced_system(system):
         raise ValueError("system is not balanced")
-    vertices = system.vertices
     for _ in range(DECOUPLING_ROUNDS):
         if system.coupled is None:
             return system
@@ -564,7 +567,7 @@ def equivariant_decoupling(system):
             and any(equivalent_cells(p, e) is not None for e in comp)
         }
         cells = (system.cells - set(comp) - stale) | set(offsprings)
-        system = CellSystem(_make_balanced(cells, vertices), vertices)
+        system = _make_balanced(CellSystem(cells, system.vertices))
     raise NonConvergenceError("decoupling rounds exceeded")
 
 

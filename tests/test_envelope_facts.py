@@ -1,12 +1,13 @@
 """Facts that the envelope pipeline decides once, decided again here.
 
 A parametrized cell's ends are joined by a one-cell because its form is
-special, so `ParamCell` does not test it.  Decoupling returns a system only
-once its coupled-vertex search has found nothing, over cells that
-separation has just balanced, and `cubulate` reads that verdict off the
-system instead of searching again.  These tests re-derive both facts from
-scratch: the one-cell test on each cell's ends, and freeness on a new
-system over the same cells and vertices, which carries no verdict.
+special, so `ParamCell` does not test it.  Separation returns the first
+system whose balance scan passes, and decoupling the first whose
+coupled-vertex search finds nothing; each system keeps both verdicts, and
+the next phase reads them instead of deciding again.  These tests
+re-derive the facts from scratch: the one-cell test on each cell's ends,
+and balance and freeness on a new system over the same cells and
+vertices, which carries no verdict.
 """
 
 import random
@@ -17,7 +18,13 @@ from hypothesis import given, settings, strategies as st
 from cantorg import pipeline
 from cantorg.commands import parse_cluster_line
 from cantorg.complexes import is_one_cell
-from cantorg.pipeline import CellSystem, ParamCell, envelope, is_free_system
+from cantorg.pipeline import (
+    CellSystem,
+    ParamCell,
+    envelope,
+    is_balanced_system,
+    is_free_system,
+)
 from cantorg.rewrite import normalize
 from test_canonical_oracles import random_special_form
 from test_envelope_digest import _pool_draws
@@ -82,3 +89,25 @@ def test_decoupled_systems_are_free(monkeypatch):
     assert len(systems) == len(draws)
     for free in systems:
         assert is_free_system(CellSystem(free.cells, free.vertices))
+
+
+def test_handed_balance_verdicts_hold(monkeypatch):
+    """The balance verdict that the systems out of separation and out of
+    decoupling carry equals a fresh scan of their cells."""
+    handed = []
+
+    def recording(phase):
+        def run(system):
+            handed.append(phase(system))
+            return handed[-1]
+        return run
+
+    for name in ("separation_procedure", "equivariant_decoupling"):
+        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+    draws = DRAWS + _pool_draws()[:POOL_DRAWS]
+    decoupled_systems(monkeypatch, draws)
+    assert len(handed) == 2 * len(draws)
+    for out in handed:
+        assert "undecided" in vars(out)
+        fresh = CellSystem(out.cells, out.vertices)
+        assert is_balanced_system(out) == is_balanced_system(fresh)

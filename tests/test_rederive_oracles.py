@@ -21,7 +21,6 @@ from cantorg.pipeline import (
     cubulate,
     disparate_cell_vertex,
     envelope,
-    equivariant_decoupling,
     separation_procedure,
 )
 from cantorg.rewrite import (
@@ -178,7 +177,10 @@ def _mirror_system():
 def test_balance_scan_matches_oracle(monkeypatch):
     """Every scan of the pipeline, classifying the readings kept on the
     cells, matches the oracle's scan and closure, which decide every pair
-    again (see `_scan_matches_oracle`)."""
+    again (see `_scan_matches_oracle`).  Each phase hands over a system
+    that carries its balance verdict, so the output of separation and of
+    decoupling is scanned again, as a new system over the same cells and
+    vertices, which must be balanced too."""
     scans = []
     library = pipeline._undecided
 
@@ -186,11 +188,21 @@ def test_balance_scan_matches_oracle(monkeypatch):
         scans.append(len(cells))
         return _scan_matches_oracle(library, cells, vertices)
 
+    def rescanned(phase):
+        def run(system):
+            out = phase(system)
+            assert pipeline.is_balanced_system(
+                CellSystem(out.cells, out.vertices))
+            return out
+        return run
+
     monkeypatch.setattr(pipeline, "_undecided", compared)
+    for name in ("separation_procedure", "equivariant_decoupling"):
+        monkeypatch.setattr(pipeline, name, rescanned(getattr(pipeline, name)))
     for draw in DRAWS:
         envelope([parse_cluster_line(part) for part in draw.split("||")])
     _, system = _mirror_system()
-    cubulate(equivariant_decoupling(system))
+    cubulate(pipeline.equivariant_decoupling(system))
     assert len(scans) >= 4 * (len(DRAWS) + 1)
 
 

@@ -232,6 +232,22 @@ def test_envelope_disparate_pair_count(monkeypatch):
     assert counts["disparate_pair"] == DISPARATE_PAIRS
 
 
+# the balance scans (`_undecided`) and the cell-vertex classifications of
+# the envelopes of the three hash-seed draws.  There were 13 scans and 572
+# classifications while decoupling's entry check and `cubulate`'s freeness
+# check scanned again the system that the previous phase had just found
+# balanced; each system now carries the verdict of its scan
+BALANCE_SCANS = {"_undecided": 7, "disparate_cell_vertex": 278}
+
+
+def test_envelope_balance_scan_count(monkeypatch):
+    counts = _install_counters(monkeypatch, [
+        ("pipeline", "_undecided"), ("pipeline", "disparate_cell_vertex")])
+    for draw in DRAWS:
+        envelope([parse_cluster_line(part) for part in draw.split("||")])
+    assert counts == BALANCE_SCANS
+
+
 def draw_clusters():
     """The distinct clusters, as (base, parameters) in the order first
     built, that the envelopes of the three hash-seed draws construct."""
