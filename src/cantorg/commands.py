@@ -45,8 +45,17 @@ def _y_form(text):
     return from_letters(word)
 
 
+# the most parameters a cluster SPEC or file line may have, checked before
+# any of its 2^n corners is built (13 parameters take about 2 s)
+MAX_CLUSTER_PARAMS = 16
+
+
 def _cluster_fields(line):
     fields = [f.strip() for f in line.split(";")]
+    if len(fields) - 1 > MAX_CLUSTER_PARAMS:
+        raise DomainError(
+            f"a cluster of {len(fields) - 1} parameters exceeds the bound "
+            f"of {MAX_CLUSTER_PARAMS}")
     base = normalize(parse_word("" if fields[0] == "1" else fields[0]))
     return base, tuple(_y_form(f) for f in fields[1:])
 

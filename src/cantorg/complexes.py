@@ -396,20 +396,6 @@ class CellComplexPiece:
             raise ValueError("not a vertex cell")
         return frozenset(i for i in range(self.n) if cell[i] == "1")
 
-    def check_incidence(self):
-        """Grading sanity of the face poset: each edge has two vertex ends,
-        each k-cell has at least two codimension-one faces for k >= 1."""
-        for cell in self.cells:
-            d = self.dim(cell)
-            faces = self.faces_of(cell)
-            if d >= 1:
-                ends = [c for c in faces if self.dim(c) == 0]
-                if d == 1 and len(ends) != 2:
-                    return False
-                if len([c for c in faces if self.dim(c) == d - 1]) < 2:
-                    return False
-        return True
-
 
 def check_fill_dim(n, max_dim=MAX_CELL_DIM):
     """Refuse to fill a cluster of more than `max_dim` parameters."""
@@ -424,25 +410,6 @@ def enumerate_cells(cluster, max_dim=MAX_CELL_DIM):
     params = balanced_parametrizations(cluster)[0].params
     cuts = [j for j, joined in enumerate(_junctions(params)) if joined]
     return CellComplexPiece(cluster.n, cuts)
-
-
-def skeleton_matches(piece, cluster):
-    """Whether the 1-skeleton of a filling agrees with the cluster graph."""
-    ref = balanced_parametrizations(cluster)[0]
-    verts = {c: ref.vertex(piece.vertex_subset(c))
-             for c in piece.cells if piece.dim(c) == 0}
-    if set(verts.values()) != cluster.vertices:
-        return False
-    edge_cells = [c for c in piece.cells if piece.dim(c) == 1]
-    if len(edge_cells) != len(cluster.edges):
-        return False
-    seen = set()
-    for c in edge_cells:
-        ends = [verts[f] for f in piece.faces_of(c) if piece.dim(f) == 0]
-        if len(ends) != 2:
-            return False
-        seen.add(frozenset(ends))
-    return seen == set(cluster.edges)
 
 
 def cluster_orbit_invariant(cluster):

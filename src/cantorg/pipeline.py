@@ -8,10 +8,13 @@ driven through separation (making it balanced) and equivariant decoupling
 (making it free), after which the incident parameters at each vertex span
 clusters that assemble into a nonpositively curved cube complex.  Each phase
 reads the balance and coupled-vertex verdicts of the system it is handed.
+A parametrization is built into a cell once per process, so what a cell
+reads at a vertex is derived once for every envelope that meets it.
 """
 
 import functools
 import itertools
+from collections import OrderedDict
 
 from .binseq import ConeSet, incompatible
 from .calculus import supp_y
@@ -91,10 +94,20 @@ def null_intersect(cones, g):
 # parametrized one-cells
 
 
+# the cells built so far, keyed by parametrization (form, normalized base);
+# an insert past this many drops the oldest, as `rewrite.normalize` does
+CELL_CACHE_SIZE = 4096
+_CELLS = OrderedDict()
+
+
 class ParamCell:
     """A one-cell with a chosen parametrization: a special form over an
     explicit base element.  Cells compare equal when their endpoint pairs
     agree, whichever parametrization either carries.
+
+    A process holds one object per parametrization: the constructor hands
+    out the cell already built for the same form and base, from a table of
+    at most `CELL_CACHE_SIZE` cells, and builds and checks only a new one.
 
     `sides` holds both exact parametrizations as (form, base normal form,
     near end, far end): the form over `tau` from `bottom` to `top`, then
@@ -104,13 +117,18 @@ class ParamCell:
     F-factor, and F keeps cones adjacent, in order and nonconstant.
 
     `readings` maps a vertex to what `at` read there.  The reading depends
-    only on the parametrization, so it lives on the object: an equal cell
-    with another parametrization keeps its own table."""
+    only on the parametrization, so every holder of the object shares it:
+    an equal cell with another parametrization keeps its own table."""
 
-    def __init__(self, form, tau):
+    def __new__(cls, form, tau):
         if not isinstance(tau, GNormal):
             tau = normalize(list(tau))
-        self.form = check_special(tuple(form))
+        key = (tuple(form), tau)
+        self = _CELLS.get(key)
+        if self is not None:
+            return self
+        self = super().__new__(cls)
+        self.form = check_special(key[0])
         self.support = ConeSet([s for s, _ in self.form])
         self.tau = tau
         self.bottom = tau.ys
@@ -124,6 +142,10 @@ class ParamCell:
             (invert_form(self.form), top, self.top, self.bottom),
         )
         self.readings = {}
+        if len(_CELLS) >= CELL_CACHE_SIZE:
+            del _CELLS[next(iter(_CELLS))]
+        _CELLS[key] = self
+        return self
 
     @classmethod
     def from_edge(cls, u, v):

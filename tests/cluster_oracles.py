@@ -11,12 +11,20 @@ the cluster must be all of each side or a face of it by `subcluster_type`.
 and keeps the maximal ones with a quadratic scan.  `whole_word_corners` is
 the corner construction of `Cluster` before it built each corner from a
 smaller one: every subset's parameters, in order, then the base, normalized
-as one word.
+as one word.  `skeleton_matches` and `check_incidence` verify a filling of
+a cluster: its one-skeleton is the cluster graph, and its face poset is
+graded.
 """
 
 import itertools
 
-from cantorg.complexes import FACE, Cluster, subcluster_type, vertex_of
+from cantorg.complexes import (
+    FACE,
+    Cluster,
+    balanced_parametrizations,
+    subcluster_type,
+    vertex_of,
+)
 from cantorg.special import (
     check_special,
     from_letters,
@@ -107,3 +115,38 @@ def enumerated_independent_subsets(forms):
         for s in subsets
         if not any(set(s) < set(t) for t in subsets)
     ]
+
+
+def skeleton_matches(piece, cluster):
+    """Whether the 1-skeleton of a filling agrees with the cluster graph."""
+    ref = balanced_parametrizations(cluster)[0]
+    verts = {c: ref.vertex(piece.vertex_subset(c))
+             for c in piece.cells if piece.dim(c) == 0}
+    if set(verts.values()) != cluster.vertices:
+        return False
+    edge_cells = [c for c in piece.cells if piece.dim(c) == 1]
+    if len(edge_cells) != len(cluster.edges):
+        return False
+    seen = set()
+    for c in edge_cells:
+        ends = [verts[f] for f in piece.faces_of(c) if piece.dim(f) == 0]
+        if len(ends) != 2:
+            return False
+        seen.add(frozenset(ends))
+    return seen == set(cluster.edges)
+
+
+def check_incidence(piece):
+    """Grading sanity of the face poset of a filling: each edge has two
+    vertex ends, each k-cell has at least two codimension-one faces for
+    k >= 1."""
+    for cell in piece.cells:
+        d = piece.dim(cell)
+        faces = piece.faces_of(cell)
+        if d >= 1:
+            ends = [c for c in faces if piece.dim(c) == 0]
+            if d == 1 and len(ends) != 2:
+                return False
+            if len([c for c in faces if piece.dim(c) == d - 1]) < 2:
+                return False
+    return True

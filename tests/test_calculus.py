@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from cantorg.binseq import RationalSeq
+from cantorg.binseq import RationalSeq, is_constant
 from cantorg.calculus import (
     POTENTIAL_CANCELLATION,
     calc_string,
@@ -12,7 +12,7 @@ from cantorg.calculus import (
     supp_y,
 )
 from cantorg.cli import parse_word
-from cantorg.rewrite import normalize
+from cantorg.rewrite import Letter, normalize
 
 
 def seq(text):
@@ -131,3 +131,26 @@ def test_normal_form_calculations_never_flag(seed):
         xi = RationalSeq(pre, per)
         c = calc_string(list(n.ys), xi)
         assert exponent(c) != POTENTIAL_CANCELLATION
+
+
+_SUBSCRIPTS = st.text(alphabet="01", max_size=4)
+_EXPONENTS = st.sampled_from([-2, -1, 1, 2])
+_LETTERS = st.one_of(
+    st.builds(Letter, st.just("x"), _SUBSCRIPTS, _EXPONENTS),
+    st.builds(Letter, st.just("y"),
+              _SUBSCRIPTS.filter(lambda s: not is_constant(s)), _EXPONENTS),
+)
+_POINTS = st.builds(
+    RationalSeq,
+    st.text(alphabet="01", max_size=6),
+    st.text(alphabet="01", min_size=1, max_size=3),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_LETTERS, max_size=6), st.lists(_POINTS, min_size=1,
+                                                 max_size=4))
+def test_normal_form_evaluates_as_its_word(word, points):
+    normal = normalize(word)
+    for xi in points:
+        assert evaluate(word, xi) == evaluate(normal, xi)

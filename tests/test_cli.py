@@ -292,6 +292,34 @@ def test_cluster_cells_over_bound_builds_nothing(monkeypatch, capsys):
         "domain error: cluster dimension exceeds the configured bound\n")
 
 
+SPEC17 = "1 ; " + " ; ".join("y[%s1]" % format(i, "05b") for i in range(17))
+
+
+def test_cluster_parameters_over_bound_exit_2_at_once(
+        tmp_path, monkeypatch, capsys):
+    from cantorg.complexes import Cluster
+
+    build = Cluster.__init__
+
+    def refuse(self, base, params):
+        if len(params) > commands.MAX_CLUSTER_PARAMS:
+            raise AssertionError("a cluster was built past the bound")
+        build(self, base, params)
+
+    monkeypatch.setattr(Cluster, "__init__", refuse)
+    assert commands.MAX_CLUSTER_PARAMS == 16
+    path = tmp_path / "complex.txt"
+    path.write_text("1 ; y[01] ; y[10]\n" + SPEC17 + "\n")
+    for argv in (["cluster", SPEC17], ["cluster", SPEC17, "--cells"],
+                 ["intersect", SPEC17, "1 ; y[01]"],
+                 ["cubulate", str(path)]):
+        assert commands.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("domain error: a cluster of 17 parameters exceeds "
+                       "the bound of 16\n")
+
+
 def test_equal_parses_both_words_before_normalizing(monkeypatch, capsys):
     from cantorg import rewrite
 

@@ -18,13 +18,16 @@ from cantorg.complexes import (
     is_one_cell,
     is_proper,
     link_flag_check,
-    skeleton_matches,
     subcluster_type,
     vertex_of,
 )
 from cantorg.rewrite import normalize
 from cantorg.special import from_letters
-from cluster_oracles import brute_intersection
+from cluster_oracles import (
+    brute_intersection,
+    check_incidence,
+    skeleton_matches,
+)
 
 
 def form_of(text):
@@ -173,7 +176,7 @@ def test_enumerate_cells_three_cluster():
     assert fv[0] == 8 and fv[1] == 17
     assert piece.euler_characteristic() == 1
     assert skeleton_matches(piece, c)
-    assert piece.check_incidence()
+    assert check_incidence(piece)
 
 
 def test_enumerate_cells_diagonal_free():

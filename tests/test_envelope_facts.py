@@ -8,9 +8,16 @@ the next phase reads them instead of deciding again.  These tests
 re-derive the facts from scratch: the one-cell test on each cell's ends,
 and balance and freeness on a new system over the same cells and
 vertices, which carries no verdict.
+
+A process also builds each parametrization into a cell once, and hands
+out that cell, with the readings it has derived, to every later
+construction of the same form and base.  `test_shared_cells_match_fresh`
+compares envelopes and cells built through one shared table with those
+built from an empty one.
 """
 
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,13 +56,13 @@ def test_random_cells_span_one_cells(seed):
 
 def test_envelope_cells_span_one_cells(monkeypatch):
     built = []
-    init = ParamCell.__init__
+    new = ParamCell.__new__
 
-    def recording(self, form, tau):
-        init(self, form, tau)
-        built.append(self)
+    def recording(cls, form, tau):
+        built.append(new(cls, form, tau))
+        return built[-1]
 
-    monkeypatch.setattr(ParamCell, "__init__", recording)
+    monkeypatch.setattr(ParamCell, "__new__", staticmethod(recording))
     for draw in DRAWS:
         envelope(_clusters(draw))
     assert built
@@ -111,3 +118,41 @@ def test_handed_balance_verdicts_hold(monkeypatch):
         assert "undecided" in vars(out)
         fresh = CellSystem(out.cells, out.vertices)
         assert is_balanced_system(out) == is_balanced_system(fresh)
+
+
+def _outline(out):
+    return ({(c.vertices, c.edges) for c in out.clusters}, out.flag_report)
+
+
+def test_shared_cells_match_fresh(monkeypatch):
+    """The envelopes of the first pool draws are the same whether their
+    cells come from one table or from an empty table per draw, and every
+    cell handed out again equals one built anew from its arguments."""
+    draws = _pool_draws()[:2 * POOL_DRAWS]
+    fresh = []
+    for draw in draws:
+        monkeypatch.setattr(pipeline, "_CELLS", OrderedDict())
+        fresh.append(_outline(envelope(_clusters(draw))))
+
+    monkeypatch.setattr(pipeline, "_CELLS", OrderedDict())
+    handed = []
+    new = ParamCell.__new__
+
+    def recording(cls, form, tau):
+        size = len(pipeline._CELLS)
+        cell = new(cls, form, tau)
+        if len(pipeline._CELLS) == size:
+            handed.append((form, tau, cell))
+        return cell
+
+    monkeypatch.setattr(ParamCell, "__new__", staticmethod(recording))
+    shared = [_outline(envelope(_clusters(draw))) for draw in draws]
+    assert len(pipeline._CELLS) < pipeline.CELL_CACHE_SIZE
+    assert shared == fresh
+    assert handed
+    for form, tau, cell in handed:
+        monkeypatch.setattr(pipeline, "_CELLS", OrderedDict())
+        built = new(ParamCell, form, tau)
+        assert built is not cell
+        assert (built.form, built.tau, built.sides, built.vertices) == (
+            cell.form, cell.tau, cell.sides, cell.vertices)

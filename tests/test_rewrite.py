@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cantorg.binseq import RationalSeq, is_constant
 from cantorg.calculus import evaluate
 from cantorg.cli import parse_word
-from cantorg import rewrite
+from cantorg import pipeline, rewrite
+from cantorg.pipeline import ParamCell
 from cantorg.rewrite import (
     IDENTITY_NORMAL,
     FToken,
@@ -24,6 +25,7 @@ from cantorg.rewrite import (
     split_standard,
     standardize,
 )
+from cantorg.special import from_letters
 from cantorg.thompson import IDENTITY, compose, x_gen
 from substitution_oracles import pair_cancellation_bruteforce
 
@@ -268,3 +270,26 @@ def test_normalize_cache_drops_only_its_oldest_entry(monkeypatch):
     # a hit changes nothing
     normalize(words[1])
     assert list(rewrite._NORMALIZE_CACHE) == words[1:]
+
+
+def test_cell_table_drops_only_its_oldest_entry(monkeypatch):
+    monkeypatch.setattr(pipeline, "CELL_CACHE_SIZE", 3)
+    base = normalize([])
+    forms = [from_letters(parse_word(t))
+             for t in ("y[10]", "y[01]", "y[100] y[101]^-1", "y[10]^-1")]
+    cells = [ParamCell(form, base) for form in forms[:3]]
+    assert list(pipeline._CELLS) == [(form, base) for form in forms[:3]]
+    ParamCell(forms[3], base)
+    assert list(pipeline._CELLS) == [(form, base) for form in forms[1:]]
+    # a hit hands out the same cell and changes nothing
+    assert ParamCell(list(forms[1]), []) is cells[1]
+    assert list(pipeline._CELLS) == [(form, base) for form in forms[1:]]
+    # a construction that raises stores nothing
+    with pytest.raises(ValueError):
+        ParamCell((("10", 2),), base)
+    assert list(pipeline._CELLS) == [(form, base) for form in forms[1:]]
+    # a dropped parametrization is built again
+    again = ParamCell(forms[0], base)
+    assert again is not cells[0] and again.sides == cells[0].sides
+    assert list(pipeline._CELLS) == [
+        (form, base) for form in forms[2:] + forms[:1]]

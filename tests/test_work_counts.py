@@ -12,7 +12,7 @@ from collections import OrderedDict
 
 import pytest
 
-from cantorg import rewrite
+from cantorg import pipeline, rewrite
 from cantorg.cli import parse_word
 from cantorg.commands import parse_cluster_line
 from cantorg.complexes import Cluster, vertex_of
@@ -25,6 +25,7 @@ from cantorg.rewrite import (
     normalize,
     normalize_product,
 )
+from test_envelope_digest import _pool_draws
 from test_hash_seed import DRAWS
 from test_rewrite import random_word
 
@@ -207,15 +208,31 @@ READINGS_DERIVED = [110, 176, 90]
 
 
 def test_envelope_verdict_count(monkeypatch):
+    counts = _install_counters(monkeypatch, [("pipeline", "_criterion_cell")])
     got = []
     for draw in DRAWS:
-        clusters = [parse_cluster_line(part) for part in draw.split("||")]
-        counts = _install_counters(
-            monkeypatch, [("pipeline", "_criterion_cell")])
-        envelope(clusters)
-        got.append(counts["_criterion_cell"])
-        monkeypatch.undo()
+        before = counts["_criterion_cell"]
+        envelope([parse_cluster_line(part) for part in draw.split("||")])
+        got.append(counts["_criterion_cell"] - before)
     assert got == READINGS_DERIVED
+
+
+# the cells built (the size of the table of cells, which drops none here)
+# and the readings derived (`_criterion_cell` calls) over the envelopes of
+# the first pool draws, in one process.  While every construction built a
+# new cell, with a table of readings of its own, the draws made 2,420 cells
+# and derived 4,298 readings
+SHARED_CELL_DRAWS = 100
+SHARED_CELL_WORK = {"cells": 542, "_criterion_cell": 3258}
+
+
+def test_shared_cell_work_count(monkeypatch):
+    counts = _install_counters(monkeypatch, [("pipeline", "_criterion_cell")])
+    for draw in _pool_draws()[:SHARED_CELL_DRAWS]:
+        envelope([parse_cluster_line(part) for part in draw.split("||")])
+    counts["cells"] = len(pipeline._CELLS)
+    assert len(pipeline._CELLS) < pipeline.CELL_CACHE_SIZE
+    assert counts == SHARED_CELL_WORK
 
 
 # the pair tests of decoupling over the three hash-seed draws.  There were
