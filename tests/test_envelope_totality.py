@@ -58,8 +58,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cantorg.__file__)))
 
 def test_cubulate_command_is_total_under_the_bound(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
-    codes = []
-    for i, draw in enumerate(_pool_draws()[::40][:CLI_DRAWS]):
+    draws = _pool_draws()[::40][:CLI_DRAWS]
+    assert len(draws) == CLI_DRAWS
+    for i, draw in enumerate(draws):
         path = tmp_path / ("draw%d.txt" % i)
         path.write_text(draw.replace("||", "\n") + "\n")
         done = subprocess.run(
@@ -68,5 +69,3 @@ def test_cubulate_command_is_total_under_the_bound(tmp_path):
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode in (0, 2), done.stderr
         assert "Traceback" not in done.stdout + done.stderr
-        codes.append(done.returncode)
-    assert len(codes) == CLI_DRAWS
