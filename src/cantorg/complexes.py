@@ -31,11 +31,13 @@ Four facts keep the work polynomial in the 2^n corners:
   parameters; its corners are A ^ B over B <= F.  So corners V, v0 among
   them, form a face exactly when the sets A_v ^ A_v0 over V have a union F
   with |V| = 2^|F|; a diagonal or an unrelated vertex set fails the count.
-  Two clusters meet in a common face when their shared corners pass it in
-  both and their shared edges are all the edges of either among them, all
-  read off the corner indices, with no re-parametrization.
+  Two clusters meet in a common face when their shared corners pass the
+  count in both.  By the interval lemma each holds every ambient edge
+  among those corners, so their shared edges need no test: only the
+  corner indices are read, with no re-parametrization.
 """
 
+import functools
 import itertools
 
 from .rewrite import GNormal, normalize, inverse_word
@@ -96,40 +98,14 @@ def _junctions(params):
     ]
 
 
-def _interval_edges(params, corners):
-    """The edges of a cluster whose corner vertices are listed by bitmask
-    (bit i set when parameter i is chosen).  By the interval lemma an edge
-    is a corner A and an index interval [i..j]; it is emitted once, from the
-    end with i outside A.  The interval extends across junction k exactly
-    when its leaves are consecutive and A's bits at k and k + 1 differ iff
-    the facing signs agree, so that the signs alternate once A inverts the
-    parameters it does not hold."""
-    n = len(params)
-    same_sign = [
-        a[-1][1] == b[0][1] if joined else None
-        for joined, a, b in zip(_junctions(params), params, params[1:])
-    ]
-    for mask, v in enumerate(corners):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            other = mask ^ (1 << i)
-            yield frozenset((v, corners[other]))
-            for k in range(i, n - 1):
-                want = same_sign[k]
-                if want is None or (mask >> k ^ mask >> (k + 1)) & 1 != want:
-                    break
-                other ^= 1 << (k + 1)
-                yield frozenset((v, corners[other]))
-
-
 class Cluster:
     """The subgraph with vertices F(prod_{i in A} lambda_i) tau over all
     subsets A, together with every edge of the ambient complex among them.
 
     Building it normalizes each corner from the next-smaller one (the corner
-    recursion of the module docstring); the interval lemma then gives the
-    edges in O(2^n * n) steps, one consecutiveness test per junction."""
+    recursion of the module docstring).  The edges are generated on first
+    read of `edges`; the corner indices already decide every edge question,
+    so the cubulation never reads them."""
 
     def __init__(self, base, params):
         if not isinstance(base, GNormal):
@@ -151,7 +127,35 @@ class Cluster:
         }
         self._subset_of = {v: a for a, v in self._by_subset.items()}
         self.vertices = frozenset(corners)
-        self.edges = frozenset(_interval_edges(self.params, corners))
+
+    @functools.cached_property
+    def edges(self):
+        """Every ambient edge among the corners, by the interval lemma: a
+        corner A and an index interval [i..j], emitted once, from the end
+        with i outside A.  The interval extends across junction k exactly
+        when its leaves are consecutive (`same_sign` is None otherwise) and
+        A's bits at k and k + 1 differ iff the facing signs agree, so that
+        the signs alternate once A inverts the parameters it does not hold."""
+        n, params = self.n, self.params
+        # the corners in bitmask order: bit i set when parameter i is chosen
+        corners = list(self._by_subset.values())
+        same_sign = [
+            a[-1][1] == b[0][1] if joined else None
+            for joined, a, b in zip(_junctions(params), params, params[1:])
+        ]
+        edges = []
+        for mask, v in enumerate(corners):
+            for i in range(n):
+                if mask >> i & 1:
+                    continue
+                other = mask ^ (1 << i)
+                edges.append(frozenset((v, corners[other])))
+                for k in range(i, n - 1):
+                    if (mask >> k ^ mask >> (k + 1)) & 1 != same_sign[k]:
+                        break
+                    other ^= 1 << (k + 1)
+                    edges.append(frozenset((v, corners[other])))
+        return frozenset(edges)
 
     def vertex(self, subset):
         return self._by_subset[frozenset(subset)]
@@ -189,12 +193,12 @@ class Cluster:
         return out
 
     def facial_edges_at(self, vertex):
-        """Edges of the cluster at a vertex along a single parameter."""
+        """The edges at a vertex along single parameters, intervals [i..i]."""
         a = self.subset_of(vertex)
         if a is None:
             raise ValueError("not a vertex of the cluster")
-        ends = [self.vertex(a ^ {i}) for i in range(self.n)]
-        return {frozenset((vertex, u)) for u in ends} & self.edges
+        return frozenset(
+            frozenset((vertex, self.vertex(a ^ {i}))) for i in range(self.n))
 
 
 def is_balanced(params):
@@ -250,7 +254,7 @@ def subcluster_type(sub, sup):
     blocks of parent parameters its edges span."""
     if not isinstance(sub, Cluster) or not isinstance(sup, Cluster):
         raise TypeError("subcluster_type takes clusters")
-    if not sub.vertices <= sup.vertices or not sub.edges <= sup.edges:
+    if not sub.vertices <= sup.vertices:
         raise ValueError("first argument is not a subcluster of the second")
     base = sup.subset_of(sub.base_vertex)
     blocks = [sup.subset_of(sub.vertex({j})) ^ base for j in range(sub.n)]
@@ -278,7 +282,9 @@ def intersect_clusters(c1, c2):
         _concat_forms(c1.params[i] for i in sorted(shift))
         + c1.base.to_items()
     )
-    shared = [e for e in c1.edges & c2.edges if pivot in e]
+    # c1 holds every ambient edge among the common vertices, so the shared
+    # edges are c1's edges there
+    shared = [e for e in c1.edges if pivot in e and e <= common]
     if not shared:
         return Cluster(base, ())
     blocks = [
@@ -303,12 +309,10 @@ def meet_in_face(c1, c2):
     vertices = c1.vertices & c2.vertices
     if not vertices:
         return False
-    edges = c1.edges & c2.edges
     for c in (c1, c2):
         a0 = c.subset_of(next(iter(vertices)))
         free = frozenset().union(*(c.subset_of(v) ^ a0 for v in vertices))
-        inside = {e for e in c.edges if e <= vertices}
-        if len(vertices) != 1 << len(free) or edges != inside:
+        if len(vertices) != 1 << len(free):
             return False
     return True
 
@@ -461,15 +465,12 @@ def link_flag_check(clusters, vertex):
     the cliques come from Bron-Kerbosch, each tested against every corner
     as a bitmask.  The witness is a minimal unfilled subset of the first
     bad clique: each of its proper subsets is filled."""
-    corners = [
-        frozenset(c.facial_edges_at(vertex))
-        for c in clusters
-        if vertex in c.vertices
-    ]
-    if len(corners) < 3:
+    clusters = [c for c in clusters if vertex in c.vertices]
+    if len(clusters) < 3:
         # an unfilled clique holds an edge outside each corner, but with
         # corners A and B only, an edge of A - B and one of B - A share none
         return True, None
+    corners = [c.facial_edges_at(vertex) for c in clusters]
     nodes = sorted(set().union(*corners), key=sorted)
     index = {e: u for u, e in enumerate(nodes)}
     masks = [sum(1 << index[e] for e in corner) for corner in corners]

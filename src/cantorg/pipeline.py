@@ -639,7 +639,9 @@ def cubulate(system, max_dim=None):
     clusters that share a vertex must meet in a common face (the face
     criterion, see `complexes`), and the link at every vertex, over the
     clusters there, must be a flag complex.  The largest cluster is checked
-    against `max_dim` before any is built."""
+    against `max_dim` before any is built.  Each cluster holds every ambient
+    edge among its vertices, so maximality, meets and links are read off
+    vertex sets and corner indices: no cluster's `edges` is ever built."""
     if not is_free_system(system):
         raise ValueError("system is not free")
     spans = [
@@ -662,12 +664,8 @@ def cubulate(system, max_dim=None):
         except ValueError as exc:
             raise InternalError(f"parameters failed to span: {exc}")
     clusters = {
-        c
-        for c in clusters
-        if not any(
-            c is not d and c.vertices <= d.vertices and c.edges <= d.edges
-            for d in clusters
-        )
+        c for c in clusters
+        if not any(c is not d and c.vertices <= d.vertices for d in clusters)
     }
     ordered = sorted(clusters, key=_by_vertices)
     at_vertex = {}
@@ -710,9 +708,6 @@ def envelope(clusters, max_dim=None):
     free = equivariant_decoupling(balanced)
     complex_ = cubulate(free, max_dim=max_dim)
     for c in clusters:
-        if not any(
-            c.vertices <= d.vertices and c.edges <= d.edges
-            for d in complex_.clusters
-        ):
+        if not any(c.vertices <= d.vertices for d in complex_.clusters):
             raise InternalError("input cluster missing from the output complex")
     return complex_

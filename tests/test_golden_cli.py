@@ -35,6 +35,7 @@ CALLS = {
         "cubulate", os.path.join(GOLDEN, "seven_cube.txt")
     ],
     "cubulate_squares": ["cubulate", os.path.join(GOLDEN, "squares.txt")],
+    "cubulate_twelve": ["cubulate", os.path.join(GOLDEN, "twelve.txt")],
     "normalize_contraction": ["normalize", "y[100] y[1010]^-1 y[1011]"],
     "normalize_mixed": [
         "normalize", "y[1000]^-1 y[1001] y[101]^-1 x[1]^2 y[01]^3"

@@ -7,6 +7,7 @@ without timing anything.  Each counted function is wrapped in every
 """
 
 import importlib
+import os
 import random
 from collections import OrderedDict
 
@@ -14,7 +15,7 @@ import pytest
 
 from cantorg import pipeline, rewrite
 from cantorg.cli import parse_word
-from cantorg.commands import parse_cluster_line
+from cantorg.commands import parse_cluster_line, read_cluster_file
 from cantorg.complexes import Cluster, vertex_of
 from cantorg.loops import check_certificate, contract_loop, path_of
 from cantorg.pipeline import envelope
@@ -26,6 +27,7 @@ from cantorg.rewrite import (
     normalize_product,
 )
 from test_envelope_digest import _pool_draws
+from test_golden_cli import GOLDEN
 from test_hash_seed import DRAWS
 from test_rewrite import random_word
 
@@ -263,6 +265,24 @@ def test_envelope_balance_scan_count(monkeypatch):
     for draw in DRAWS:
         envelope([parse_cluster_line(part) for part in draw.split("||")])
     assert counts == BALANCE_SCANS
+
+
+# the output clusters whose edge sets were built, over the envelopes of the
+# three hash-seed draws and of the golden squares file, whose 11 clusters
+# meet pairwise and share 52 vertices three or more at a time, so that
+# `meet_in_face` and the flag check both run.  While every `Cluster` stored
+# its edges on construction, all 14 had them
+EDGE_SETS_BUILT = 0
+
+
+def test_envelope_builds_no_output_edge_set():
+    inputs = [[parse_cluster_line(p) for p in draw.split("||")]
+              for draw in DRAWS]
+    inputs.append(read_cluster_file(os.path.join(GOLDEN, "squares.txt")))
+    built = 0
+    for clusters in inputs:
+        built += sum("edges" in vars(c) for c in envelope(clusters).clusters)
+    assert built == EDGE_SETS_BUILT
 
 
 def draw_clusters():
