@@ -5,40 +5,41 @@ pairwise independent special forms over a basepoint.  Clusters fill to cubes,
 possibly subdivided along diagonal hyperplanes, one per consecutive junction
 of the parameter list.
 
-Four facts keep the work polynomial in the 2^n corners:
+A corner is named by the bitmask of its subset A, sum 2^i over i in A, and
+sets below are such ints.  Four facts keep the work polynomial in the 2^n
+corners:
 
 * Corner recursion.  The corner of a subset A with least index m is
   lambda_m times the corner of A - {m}.  Normal forms are unique, so
   normalizing lambda_m followed by that corner's normal form gives the
   corner exactly, from a word that is normal past its first parameter.
-* Interval lemma.  The corners indexed by subsets A and B are joined by an
-  edge exactly when the parameters indexed by A ^ B, in order and inverted
-  on one side, multiply to a special form.  The subscripts of sorted,
-  pairwise independent parameters are sorted, and no subscript independent
-  of both fits lexicographically between two consecutive leaves, so A ^ B
-  is always an index interval [i..j] whose junctions are all consecutive
-  with alternating signs.  Edges are generated as corners x intervals in
-  O(2^n * n) steps instead of testing all C(2^n, 2) corner pairs.
-* Clique criterion.  At a vertex of a union of filled clusters, each
-  cluster contributes a corner (its facial edges there), and filled sets
-  of edges are exactly the subsets of corners, so they are closed
-  downward.  The link is flag iff every maximal clique of the graph "two
-  edges share a corner" lies in one corner.  Maximal cliques come from
-  Bron-Kerbosch with pivoting (CACM Algorithm 457, 1973): at most
-  3^(m/3) of them for m edges at the vertex, each tested against the k
-  corners as bitmasks, instead of the 2^m subsets of a scan.
-* Face criterion.  A face is spanned at a corner A by a subset F of the
-  parameters; its corners are A ^ B over B <= F.  So corners V, v0 among
-  them, form a face exactly when the sets A_v ^ A_v0 over V have a union F
-  with |V| = 2^|F|; a diagonal or an unrelated vertex set fails the count.
-  Two clusters meet in a common face when their shared corners pass the
-  count in both.  By the interval lemma each holds every ambient edge
-  among those corners, so their shared edges need no test: only the
-  corner indices are read, with no re-parametrization.
+* Interval lemma.  The corners A and B are joined by an edge exactly when
+  the parameters indexed by A ^ B, in order and inverted on one side,
+  multiply to a special form.  The subscripts of sorted, pairwise
+  independent parameters are sorted, and no subscript independent of both
+  fits lexicographically between two consecutive leaves, so A ^ B is
+  always an index interval [i..j] whose junctions are all consecutive with
+  alternating signs.  So a corner's edges take O(n^2) steps, not 2^n tests.
+* Clique criterion.  At a vertex with bitmask A, a cluster's facial edges
+  lead to the corners A ^ 2^i; naming edges by their far ends, it
+  contributes a corner of the link, a bitmask over the edges there.
+  Filled sets of edges are exactly the subsets of corners, so the link is
+  flag iff every maximal clique C of the graph "two edges share a corner"
+  has C & ~M == 0 for some corner M.  Maximal cliques come from
+  Bron-Kerbosch with pivoting (CACM Algorithm 457, 1973): at most 3^(m/3)
+  of them for m edges at the vertex, instead of the 2^m subsets of a scan.
+* Face criterion.  The face spanned at a corner A by a mask F has the
+  corners A ^ B over B & ~F == 0.  So corners V, v0 among them, form a face
+  exactly when the OR of A_v ^ A_v0 over V is an F with |V| = 2^popcount(F);
+  a diagonal or an unrelated vertex set fails the count.  Two clusters
+  meet in a common face when their shared corners pass the count in both.
+  By the interval lemma each holds every ambient edge among those corners,
+  so only their bitmasks are read, with no edge test or re-parametrization.
 """
 
 import functools
 import itertools
+import operator
 
 from .rewrite import GNormal, normalize, inverse_word
 from .special import (
@@ -98,14 +99,18 @@ def _junctions(params):
     ]
 
 
+def _bits(mask):
+    return [u for u in range(mask.bit_length()) if mask >> u & 1]
+
+
 class Cluster:
     """The subgraph with vertices F(prod_{i in A} lambda_i) tau over all
     subsets A, together with every edge of the ambient complex among them.
 
-    Building it normalizes each corner from the next-smaller one (the corner
-    recursion of the module docstring).  The edges are generated on first
-    read of `edges`; the corner indices already decide every edge question,
-    so the cubulation never reads them."""
+    `corners[mask]` is the corner of the subset with bitmask `mask`, and
+    `mask_of` inverts it.  Each corner is normalized from the next-smaller
+    one (the corner recursion of the module docstring).  `neighbours` reads
+    the edges at one corner; `edges` is built on first read only."""
 
     def __init__(self, base, params):
         if not isinstance(base, GNormal):
@@ -118,54 +123,56 @@ class Cluster:
             low = mask & -mask
             word = to_letters(self.params[low.bit_length() - 1])
             forms.append(normalize(word + forms[mask ^ low].to_items()))
-        corners = [g.ys for g in forms]
-        if len(set(corners)) != 1 << n:
+        self.corners = [g.ys for g in forms]
+        self.mask_of = {v: mask for mask, v in enumerate(self.corners)}
+        if len(self.mask_of) != 1 << n:
             raise ValueError("cluster vertices are not pairwise distinct")
-        self._by_subset = {
-            frozenset(i for i in range(n) if mask >> i & 1): v
-            for mask, v in enumerate(corners)
-        }
-        self._subset_of = {v: a for a, v in self._by_subset.items()}
-        self.vertices = frozenset(corners)
+        self.vertices = frozenset(self.corners)
 
     @functools.cached_property
-    def edges(self):
-        """Every ambient edge among the corners, by the interval lemma: a
-        corner A and an index interval [i..j], emitted once, from the end
-        with i outside A.  The interval extends across junction k exactly
-        when its leaves are consecutive (`same_sign` is None otherwise) and
-        A's bits at k and k + 1 differ iff the facing signs agree, so that
-        the signs alternate once A inverts the parameters it does not hold."""
-        n, params = self.n, self.params
-        # the corners in bitmask order: bit i set when parameter i is chosen
-        corners = list(self._by_subset.values())
-        same_sign = [
+    def _same_sign(self):
+        # per junction: None unless consecutive, else whether signs agree
+        params = self.params
+        return [
             a[-1][1] == b[0][1] if joined else None
             for joined, a, b in zip(_junctions(params), params, params[1:])
         ]
-        edges = []
-        for mask, v in enumerate(corners):
-            for i in range(n):
-                if mask >> i & 1:
-                    continue
-                other = mask ^ (1 << i)
-                edges.append(frozenset((v, corners[other])))
-                for k in range(i, n - 1):
-                    if (mask >> k ^ mask >> (k + 1)) & 1 != same_sign[k]:
-                        break
-                    other ^= 1 << (k + 1)
-                    edges.append(frozenset((v, corners[other])))
-        return frozenset(edges)
+
+    def neighbours(self, mask):
+        """The corners joined to the corner `mask` by the interval lemma:
+        mask ^ [i..j], extended across junction k when it is consecutive and
+        the bits at k and k + 1 differ iff its facing signs agree."""
+        same_sign = self._same_sign
+        for i in range(self.n):
+            other = mask ^ (1 << i)
+            yield other
+            for k in range(i, self.n - 1):
+                if (mask >> k ^ mask >> (k + 1)) & 1 != same_sign[k]:
+                    break
+                other ^= 1 << (k + 1)
+                yield other
+
+    @functools.cached_property
+    def edges(self):
+        """Every ambient edge among the corners, read at its smaller end."""
+        corners = self.corners
+        return frozenset(
+            frozenset((v, corners[other]))
+            for mask, v in enumerate(corners)
+            for other in self.neighbours(mask)
+            if other > mask
+        )
 
     def vertex(self, subset):
-        return self._by_subset[frozenset(subset)]
+        return self.corners[sum(1 << i for i in set(subset))]
 
     def subset_of(self, vertex):
-        return self._subset_of.get(vertex)
+        mask = self.mask_of.get(vertex)
+        return None if mask is None else frozenset(_bits(mask))
 
     @property
     def base_vertex(self):
-        return self._by_subset[frozenset()]
+        return self.corners[0]
 
     def __eq__(self, other):
         return isinstance(other, Cluster) and self.vertices == other.vertices
@@ -191,14 +198,6 @@ class Cluster:
         if out.vertices != self.vertices:
             raise InternalError("reparametrization changed the vertex set")
         return out
-
-    def facial_edges_at(self, vertex):
-        """The edges at a vertex along single parameters, intervals [i..i]."""
-        a = self.subset_of(vertex)
-        if a is None:
-            raise ValueError("not a vertex of the cluster")
-        return frozenset(
-            frozenset((vertex, self.vertex(a ^ {i}))) for i in range(self.n))
 
 
 def is_balanced(params):
@@ -237,10 +236,9 @@ def balanced_parametrizations(cluster):
 def a_delta(cluster):
     """The index intervals of chained equalities: singletons plus every
     interval of consecutive parameters; independent of the proper
-    parametrization used."""
-    params = balanced_parametrizations(cluster)[0].params
-    n = len(params)
-    joined = _junctions(params)
+    parametrization used, as inverting forms keeps their subscripts."""
+    n = cluster.n
+    joined = _junctions(cluster.params)
     out = {frozenset((i,)) for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
@@ -256,12 +254,11 @@ def subcluster_type(sub, sup):
         raise TypeError("subcluster_type takes clusters")
     if not sub.vertices <= sup.vertices:
         raise ValueError("first argument is not a subcluster of the second")
-    base = sup.subset_of(sub.base_vertex)
-    blocks = [sup.subset_of(sub.vertex({j})) ^ base for j in range(sub.n)]
-    union = frozenset().union(*blocks)
-    if union == frozenset(range(sup.n)):
+    base = sup.mask_of[sub.base_vertex]
+    blocks = [sup.mask_of[sub.corners[1 << j]] ^ base for j in range(sub.n)]
+    if functools.reduce(operator.or_, blocks, 0) == (1 << sup.n) - 1:
         return DIAGONAL
-    if all(len(c) == 1 for c in blocks):
+    if all(b.bit_count() == 1 for b in blocks):
         return FACE
     return DIAGONAL_OF_FACE
 
@@ -277,29 +274,25 @@ def intersect_clusters(c1, c2):
     if not common:
         return None
     pivot = min(common)
-    shift = c1.subset_of(pivot)
+    shift = c1.mask_of[pivot]
     base = normalize(
-        _concat_forms(c1.params[i] for i in sorted(shift))
+        _concat_forms(c1.params[i] for i in _bits(shift))
         + c1.base.to_items()
     )
     # c1 holds every ambient edge among the common vertices, so the shared
-    # edges are c1's edges there
-    shared = [e for e in c1.edges if pivot in e and e <= common]
-    if not shared:
-        return Cluster(base, ())
+    # edges at the pivot are c1's edges there
     blocks = [
-        c1.subset_of(next(v for v in e if v != pivot)) ^ shift
-        for e in shared
+        other ^ shift for other in c1.neighbours(shift)
+        if c1.corners[other] in common
     ]
-    minimal = [ca for ca in blocks if not any(cb < ca for cb in blocks)]
-    params = []
-    for ca in minimal:
-        form = from_letters(_concat_forms(
-            invert_form(c1.params[i]) if i in shift else c1.params[i]
-            for i in sorted(ca)
-        ))
-        params.append(form)
-    params.sort(key=lambda f: f[0][0])
+    minimal = [a for a in blocks
+               if not any(b != a and b & ~a == 0 for b in blocks)]
+    params = sorted(
+        (from_letters(_concat_forms(
+            invert_form(c1.params[i]) if shift >> i & 1 else c1.params[i]
+            for i in _bits(a)
+        )) for a in minimal),
+        key=lambda f: f[0][0])
     return Cluster(base, tuple(params))
 
 
@@ -309,10 +302,12 @@ def meet_in_face(c1, c2):
     vertices = c1.vertices & c2.vertices
     if not vertices:
         return False
+    v0 = next(iter(vertices))
     for c in (c1, c2):
-        a0 = c.subset_of(next(iter(vertices)))
-        free = frozenset().union(*(c.subset_of(v) ^ a0 for v in vertices))
-        if len(vertices) != 1 << len(free):
+        a0 = c.mask_of[v0]
+        free = functools.reduce(
+            operator.or_, (c.mask_of[v] ^ a0 for v in vertices))
+        if len(vertices) != 1 << free.bit_count():
             return False
     return True
 
@@ -411,25 +406,22 @@ def enumerate_cells(cluster, max_dim=MAX_CELL_DIM):
     """Fill the cluster: the cellular decomposition of the n-cube subdivided
     along its consecutive junctions."""
     check_fill_dim(cluster.n, max_dim)
-    params = balanced_parametrizations(cluster)[0].params
-    cuts = [j for j, joined in enumerate(_junctions(params)) if joined]
+    cuts = [j for j, joined in enumerate(_junctions(cluster.params)) if joined]
     return CellComplexPiece(cluster.n, cuts)
 
 
 def cluster_orbit_invariant(cluster):
     """Orbit invariant under the group action: computed at the type-1
     balanced basepoint as (leading type, parities, junction consecutiveness).
-    Two clusters lie in one orbit exactly when the invariants agree."""
-    params = balanced_parametrizations(cluster)[0].params
+    Two clusters lie in one orbit exactly when the invariants agree.  That
+    basepoint leads with type 1 by construction, and its parameters are the
+    cluster's own, some inverted, which keeps lengths and subscripts."""
+    params = cluster.params
     return (
-        type_of(params[0]) if params else 0,
+        1 if params else 0,
         tuple(parity_of(f) for f in params),
         tuple(_junctions(params)),
     )
-
-
-def _bits(mask):
-    return [u for u in range(mask.bit_length()) if mask >> u & 1]
 
 
 def maximal_cliques(adj):
@@ -461,19 +453,21 @@ def link_flag_check(clusters, vertex):
 
     Filled sets are the subsets of corners, so by the clique criterion (see
     the module docstring) it suffices that every maximal clique of size at
-    least two of the graph "two edges share a corner" lies in one corner;
-    the cliques come from Bron-Kerbosch, each tested against every corner
-    as a bitmask.  The witness is a minimal unfilled subset of the first
-    bad clique: each of its proper subsets is filled."""
+    least two of the graph "two edges share a corner" lies in one corner.
+    The witness is a minimal unfilled subset of the first bad clique: each
+    of its proper subsets is filled."""
     clusters = [c for c in clusters if vertex in c.vertices]
     if len(clusters) < 3:
         # an unfilled clique holds an edge outside each corner, but with
         # corners A and B only, an edge of A - B and one of B - A share none
         return True, None
-    corners = [c.facial_edges_at(vertex) for c in clusters]
-    nodes = sorted(set().union(*corners), key=sorted)
-    index = {e: u for u, e in enumerate(nodes)}
-    masks = [sum(1 << index[e] for e in corner) for corner in corners]
+    # each facial edge {vertex, w} is named by its far end w; sorting the far
+    # ends orders the edges as sorting them by their sorted ends would
+    corners = [[c.corners[c.mask_of[vertex] ^ 1 << i] for i in range(c.n)]
+               for c in clusters]
+    nodes = sorted(set().union(*corners))
+    index = {w: u for u, w in enumerate(nodes)}
+    masks = [sum(1 << index[w] for w in corner) for corner in corners]
     adj = [0] * len(nodes)
     for m in masks:
         for u in _bits(m):
@@ -488,5 +482,6 @@ def link_flag_check(clusters, vertex):
         for u in _bits(clique):
             if not filled(clique & ~(1 << u)):
                 clique &= ~(1 << u)
-        return False, frozenset(nodes[u] for u in _bits(clique))
+        return False, frozenset(
+            frozenset((vertex, nodes[u])) for u in _bits(clique))
     return True, None

@@ -87,7 +87,7 @@ def facial_intersection(c1, c2):
 
 def whole_word_corners(base, params):
     """The corners of the cluster on a base normal form and a parameter
-    list, keyed and ordered as `Cluster._by_subset`."""
+    list, keyed by subset and ordered as `Cluster.corners`."""
     n = len(params)
     chosen = [
         [i for i in range(n) if mask >> i & 1] for mask in range(1 << n)

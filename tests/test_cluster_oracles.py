@@ -86,7 +86,9 @@ def pair_scan_edges(cluster):
 
 def _corners_at(clusters, vertex):
     return [
-        frozenset(c.facial_edges_at(vertex))
+        frozenset(
+            frozenset((vertex, c.vertex(c.subset_of(vertex) ^ {i})))
+            for i in range(c.n))
         for c in clusters
         if vertex in c.vertices
     ]
@@ -203,7 +205,7 @@ def test_large_cluster_edges():
 
 def assert_corners_match_whole_words(c):
     want = whole_word_corners(c.base, c.params)
-    assert list(c._by_subset.items()) == list(want.items())
+    assert c.corners == list(want.values())
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)

@@ -6,7 +6,9 @@ without timing anything.  Each counted function is wrapped in every
 `cantorg` module that binds it, so calls through imported names count too.
 """
 
+import contextlib
 import importlib
+import io
 import os
 import random
 from collections import OrderedDict
@@ -15,8 +17,9 @@ import pytest
 
 from cantorg import pipeline, rewrite
 from cantorg.cli import parse_word
+from cantorg import commands
 from cantorg.commands import parse_cluster_line, read_cluster_file
-from cantorg.complexes import Cluster, vertex_of
+from cantorg.complexes import Cluster, intersect_clusters, vertex_of
 from cantorg.loops import check_certificate, contract_loop, path_of
 from cantorg.pipeline import envelope
 from cantorg.rewrite import (
@@ -27,7 +30,7 @@ from cantorg.rewrite import (
     normalize_product,
 )
 from test_envelope_digest import _pool_draws
-from test_golden_cli import GOLDEN
+from test_golden_cli import CALLS, GOLDEN
 from test_hash_seed import DRAWS
 from test_rewrite import random_word
 
@@ -317,3 +320,33 @@ def test_cluster_corner_normalize_count(monkeypatch):
         Cluster(base, params)
     counts["distinct_words"] = len(rewrite._NORMALIZE_CACHE)
     assert counts == CORNER_NORMALIZE
+
+
+# the clusters built by the golden `cluster ... --cells` call.  While the
+# filling read the parameters of the type-1 balanced parametrization, which
+# `balanced_parametrizations` builds together with the other one, it built 3
+CELLS_CLUSTER_BUILDS = 1
+
+
+def test_cluster_cells_builds_one_cluster(monkeypatch):
+    built = []
+    init = Cluster.__init__
+
+    def recording(self, base, params):
+        built.append(params)
+        init(self, base, params)
+
+    monkeypatch.setattr(Cluster, "__init__", recording)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert commands.run(CALLS["cluster_diagonals_cells"]) == 0
+    assert len(built) == CELLS_CLUSTER_BUILDS
+
+
+# the inputs of the golden `intersect` call whose edge sets the intersection
+# built.  While it collected the shared edges from the first cluster's full
+# edge set, it built that one; it now reads the edges at its pivot alone
+def test_intersect_builds_no_edge_set():
+    clusters = [parse_cluster_line(spec)
+                for spec in CALLS["intersect"][1:]]
+    assert intersect_clusters(*clusters) is not None
+    assert ["edges" in vars(c) for c in clusters] == [False, False]
