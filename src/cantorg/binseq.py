@@ -26,29 +26,10 @@ def is_constant(w):
     return w.count("0") == 0 or w.count("1") == 0
 
 
-EQUAL = "equal"
-FIRST_PREFIX = "prefixOfFirst"  # first argument is a proper prefix of second
-SECOND_PREFIX = "prefixOfSecond"
-INCOMPATIBLE = "incompatible"
-
-
-def prefix_relation(s, t):
-    """Classify the prefix relation between two finite words.
-
-    Returns FIRST_PREFIX when s is a proper prefix of t (and symmetrically),
-    EQUAL, or INCOMPATIBLE when the words differ at some common index.
-    """
-    if s == t:
-        return EQUAL
-    if t.startswith(s):
-        return FIRST_PREFIX
-    if s.startswith(t):
-        return SECOND_PREFIX
-    return INCOMPATIBLE
-
-
 def incompatible(s, t):
-    return prefix_relation(s, t) == INCOMPATIBLE
+    """Whether the two words differ at some index below both lengths, that
+    is, whether their cones are disjoint."""
+    return not (s.startswith(t) or t.startswith(s))
 
 
 def lex_key(s):
@@ -120,11 +101,8 @@ class RationalSeq:
         return f"RationalSeq({self.render()})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RationalSeq)
-            and self.pre == other.pre
-            and self.per == other.per
-        )
+        return (isinstance(other, RationalSeq) and self.pre == other.pre
+                and self.per == other.per)
 
     def __hash__(self):
         return hash((self.pre, self.per))
@@ -161,9 +139,6 @@ class RationalSeq:
     def drop(self, n):
         """The sequence with its first n digits removed."""
         return self.replace_prefix(n, "")
-
-    def prepend(self, w):
-        return self.replace_prefix(0, w)
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +192,15 @@ class ConeSet:
         return ConeSet(self.cones + other.cones)
 
     def intersect(self, other):
-        out = []
-        for a in self.cones:
-            for b in other.cones:
-                rel = prefix_relation(a, b)
-                if rel == INCOMPATIBLE:
-                    continue
-                out.append(a if len(a) >= len(b) else b)
-        return ConeSet(out)
+        return ConeSet(
+            a if len(a) >= len(b) else b
+            for a in self.cones
+            for b in other.cones
+            if not incompatible(a, b)
+        )
 
     def subset_of(self, other):
         # canonical antichains: covered cones always extend a single member
         return all(
             any(a.startswith(b) for b in other.cones) for a in self.cones
         )
-
-    def contains_cone(self, s):
-        return any(s.startswith(b) for b in self.cones)
-
-    def contains_seq(self, xi):
-        return any(xi.starts_with(b) for b in self.cones)
-
-    def meets_cone(self, s):
-        """True iff the denoted set intersects cone(s) in a cone."""
-        return any(not incompatible(s, b) for b in self.cones)

@@ -185,11 +185,10 @@ class Cluster:
 
     def reparametrized(self, subset):
         """The same cluster based at the corner indexed by `subset`, with the
-        chosen parameters inverted."""
+        chosen parameters inverted: a cluster is spanned from each corner."""
         subset = frozenset(subset)
-        word = _concat_forms(
-            self.params[i] for i in sorted(subset)
-        ) + self.base.to_items()
+        word = (_concat_forms(self.params[i] for i in sorted(subset))
+                + self.base.to_items())
         params = tuple(
             invert_form(f) if i in subset else f
             for i, f in enumerate(self.params)
@@ -200,25 +199,9 @@ class Cluster:
         return out
 
 
-def is_balanced(params):
-    """Whether the parameter list has alternating signs across junctions."""
-    return all(
-        a[-1][1] == -b[0][1] for a, b in zip(params, params[1:])
-    )
-
-
-def is_proper(params):
-    """Consecutive junctions must alternate in sign."""
-    return all(
-        a[-1][1] == -b[0][1]
-        for joined, a, b in zip(_junctions(params), params, params[1:])
-        if joined
-    )
-
-
 def balanced_parametrizations(cluster):
     """The two balanced parametrizations, at the type-1 and type-2 corner
-    basepoints respectively."""
+    basepoints respectively; by the paper every cluster has exactly two."""
     if cluster.n == 0:
         return cluster, cluster
     params = cluster.params
@@ -236,7 +219,8 @@ def balanced_parametrizations(cluster):
 def a_delta(cluster):
     """The index intervals of chained equalities: singletons plus every
     interval of consecutive parameters; independent of the proper
-    parametrization used, as inverting forms keeps their subscripts."""
+    parametrization used, as inverting forms keeps their subscripts.  A
+    cluster has 2^(n - |K|) edges along each K here."""
     n = cluster.n
     joined = _junctions(cluster.params)
     out = {frozenset((i,)) for i in range(n)}
@@ -249,7 +233,7 @@ def a_delta(cluster):
 
 def subcluster_type(sub, sup):
     """Classify a subcluster as Face, Diagonal, or DiagonalOfFace via the
-    blocks of parent parameters its edges span."""
+    blocks of parent parameters its edges span (the paper's trichotomy)."""
     if not isinstance(sub, Cluster) or not isinstance(sup, Cluster):
         raise TypeError("subcluster_type takes clusters")
     if not sub.vertices <= sup.vertices:
@@ -352,11 +336,8 @@ class CellComplexPiece:
     def _dimension(self, sig):
         # an '=' cut between interior coordinates joins them into one free
         # class
-        joined = sum(
-            1
-            for j, rel in zip(self.cuts, sig[self.n:])
-            if rel == "=" and sig[j] == "*"
-        )
+        joined = sum(rel == "=" and sig[j] == "*"
+                     for j, rel in zip(self.cuts, sig[self.n:]))
         return sig[: self.n].count("*") - joined
 
     def dim(self, cell):
@@ -370,27 +351,22 @@ class CellComplexPiece:
         )
 
     def euler_characteristic(self):
+        """1: a filling is a subdivided cube (criterion 8)."""
         return sum((-1) ** d for d in self._dims.values())
 
     def is_face(self, c1, c2):
-        """Whether cell c1 lies in the closure of cell c2."""
-        for i in range(self.n):
-            if c2[i] in "01" and c1[i] != c2[i]:
-                return False
-        for k in range(len(self.cuts)):
-            r2 = c2[self.n + k]
-            r1 = c1[self.n + k]
-            if r2 == "=" and r1 != "=":
-                return False
-            if r2 in "<>" and r1 not in (r2, "="):
-                return False
-        return True
+        """Whether cell c1 lies in the closure of cell c2: it keeps every
+        fixed coordinate of c2, and each cut relation of c2 or equality."""
+        n = self.n
+        return all(b == "*" or a == b for a, b in zip(c1[:n], c2[:n])) and all(
+            r1 in (r2, "=") for r1, r2 in zip(c1[n:], c2[n:]))
 
     def faces_of(self, cell):
+        """The proper faces of a cell in the subdivided cube."""
         return [c for c in self.cells if c != cell and self.is_face(c, cell)]
 
     def vertex_subset(self, cell):
-        """The corner subset of a 0-cell."""
+        """The corner subset of a 0-cell: 0-cells are the corners."""
         if self.dim(cell) != 0:
             raise ValueError("not a vertex cell")
         return frozenset(i for i in range(self.n) if cell[i] == "1")
@@ -413,7 +389,8 @@ def enumerate_cells(cluster, max_dim=MAX_CELL_DIM):
 def cluster_orbit_invariant(cluster):
     """Orbit invariant under the group action: computed at the type-1
     balanced basepoint as (leading type, parities, junction consecutiveness).
-    Two clusters lie in one orbit exactly when the invariants agree.  That
+    Two clusters lie in one orbit exactly when the invariants agree
+    (criterion 9).  That
     basepoint leads with type 1 by construction, and its parameters are the
     cluster's own, some inverted, which keeps lengths and subscripts."""
     params = cluster.params

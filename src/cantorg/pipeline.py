@@ -77,7 +77,7 @@ def supp(form):
 def null_intersect(cones, g):
     """Whether a group element pointwise-fixes every cone of the set: no
     percolating letter of its normal form meets a cone, and the tree-pair
-    part restricts to the identity on each cone."""
+    part restricts to the identity on each cone (the paper's nullset)."""
     if not isinstance(cones, ConeSet):
         raise TypeError("null_intersect takes a ConeSet")
     if not isinstance(g, GNormal):
@@ -129,7 +129,7 @@ class ParamCell:
             return self
         self = super().__new__(cls)
         self.form = check_special(key[0])
-        self.support = ConeSet([s for s, _ in self.form])
+        self.support = supp(self.form)
         self.tau = tau
         self.bottom = tau.ys
         top = normalize(to_letters(self.form) + tau.to_items())
@@ -250,15 +250,6 @@ def disparate_pair(e1, e2, at=None):
     return cancellation_free(param_form_at(e1, v), param_form_at(e2, v))
 
 
-def orthogonal_pair(e1, e2, at=None):
-    """Whether the parameter supports at a shared vertex are disjoint;
-    orthogonal cells are always disparate."""
-    v = _shared_vertex(e1, e2, at)
-    a = supp(param_form_at(e1, v))
-    b = supp(param_form_at(e2, v))
-    return a.intersect(b).is_null()
-
-
 # ---------------------------------------------------------------------------
 # expansions
 
@@ -286,7 +277,8 @@ def _decomposition_at(cell, at, decomposition):
 
 def expand_cell(cell, at, decomposition):
     """Facial one-cells of the expansion of a cell at one of its endpoints;
-    the decomposition splits the parameter based there."""
+    the decomposition splits the parameter based there, and spans there the
+    cluster of the paper's expansion of the cell."""
     forms, tau = _decomposition_at(cell, at, decomposition)
     return [ParamCell(f, tau) for f in forms]
 
@@ -294,7 +286,8 @@ def expand_cell(cell, at, decomposition):
 def op_expand_cell(cell, at, decomposition):
     """The mirrored expansion at the endpoint opposite to `at`: each factor
     cancels against its copy in the full product, so the i-th offspring is
-    the factor based over the product of the remaining ones."""
+    the factor based over the product of the remaining ones: the expansion's
+    cluster at the cell's far end."""
     forms, tau = _decomposition_at(cell, at, decomposition)
     out = []
     for i, f in enumerate(forms):
@@ -348,12 +341,8 @@ def _merge_blocks(blocks_by_cell):
         for i, blocks in enumerate(blocks_by_cell):
             for k in range(len(blocks) - 1):
                 cand = blocks[k] + blocks[k + 1]
-                others = [
-                    b
-                    for j, bl in enumerate(blocks_by_cell)
-                    if j != i
-                    for b in bl
-                ]
+                others = [b for j, bl in enumerate(blocks_by_cell)
+                          if j != i for b in bl]
                 if all(cancellation_free(cand, o) for o in others):
                     blocks[k:k + 2] = [cand]
                     changed = True
@@ -408,11 +397,8 @@ class CellSystem:
         self.vertices = vertices
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CellSystem)
-            and self.cells == other.cells
-            and self.vertices == other.vertices
-        )
+        return (isinstance(other, CellSystem) and self.cells == other.cells
+                and self.vertices == other.vertices)
 
     def __hash__(self):
         return hash((self.cells, self.vertices))
@@ -557,17 +543,13 @@ def _coupled_component(cells_at_v, at):
             adj[i].add(j)
             adj[j].add(i)
     for i in range(n):
-        if not adj[i]:
-            continue
-        seen = {i}
-        queue = [i]
-        while queue:
-            k = queue.pop()
-            for m in adj[k]:
-                if m not in seen:
+        if adj[i]:
+            seen, queue = {i}, [i]
+            while queue:
+                for m in adj[queue.pop()] - seen:
                     seen.add(m)
                     queue.append(m)
-        return [cells_at_v[k] for k in sorted(seen)]
+            return [cells_at_v[k] for k in sorted(seen)]
     return None
 
 
@@ -610,10 +592,8 @@ class ClusterCubeComplex:
         return frozenset().union(*(c.vertices for c in self.clusters))
 
     def __repr__(self):
-        return (
-            f"ClusterCubeComplex({len(self.clusters)} clusters, "
-            f"{len(self.vertices)} vertices)"
-        )
+        return (f"ClusterCubeComplex({len(self.clusters)} clusters, "
+                f"{len(self.vertices)} vertices)")
 
 
 def _independent_subsets(forms):

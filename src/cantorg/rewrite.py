@@ -551,7 +551,7 @@ def normalize(word):
 
 def normalize_product(*factors):
     """Normal form of a product whose factors are words, letters or normal
-    forms."""
+    forms: the group's multiplication on normal forms."""
     items = []
     for fac in factors:
         if isinstance(fac, GNormal):
@@ -566,7 +566,7 @@ def normalize_product(*factors):
 
 
 def invert_normal(n):
-    """Normal form of the inverse of a normal form."""
+    """Normal form of the inverse of a normal form (criterion 5)."""
     return normalize(inverse_word(n.to_items()))
 
 

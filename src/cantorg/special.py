@@ -8,7 +8,7 @@ which is also the canonical coset representative.
 """
 
 from .binseq import incompatible, is_constant
-from .rewrite import GNormal, Letter, normalize, normalize_product
+from .rewrite import GNormal, Letter, normalize
 from .thompson import InternalError, TreePair, consume_digits, expand_letter
 
 
@@ -86,7 +86,8 @@ def expand_at(form, i):
 
 
 def contract_at(form, i):
-    """Inverse of expand_at: letters i..i+2 must be an expansion triple."""
+    """Inverse of expand_at, the paper's contraction: letters i..i+2 must be
+    an expansion triple."""
     form = tuple(form)
     if i + 3 > len(form):
         raise ValueError("no room for a contraction at this index")
@@ -142,16 +143,10 @@ def check_sorted_forms(forms):
     return forms
 
 
-def product_is_special(forms):
-    """Whether the concatenation of a sorted list of pairwise independent
-    special forms is itself a special form."""
-    return is_special(tuple(lt for f in check_sorted_forms(forms) for lt in f))
-
-
 def act_f(form, f):
     """The special form with subscripts carried through a tree pair, after
     expanding letters the pair does not yet act on.  Realizes right
-    multiplication of the coset by the pair."""
+    multiplication of the coset by the pair: F acting on special forms."""
     form = check_special(form)
     if not isinstance(f, TreePair):
         raise TypeError("act_f takes a tree pair")
@@ -175,23 +170,8 @@ def coset_vertex(word):
     return normalize(list(word)).ys
 
 
-def vertex_in_gamma(vertex):
-    """Whether a coset representative is the minimal form of a special form
-    (i.e. the coset is an edge label)."""
-    return is_special(from_letters(vertex))
-
-
-def stabilizes_coset(f, form):
-    """Whether right multiplication by the pair fixes the coset of the
-    special form."""
-    form = check_special(form)
-    base = coset_vertex(to_letters(form))
-    moved = coset_vertex(normalize_product(to_letters(form), f))
-    return base == moved
-
-
 # ---------------------------------------------------------------------------
-# descendant automaton and overlays
+# descendant automaton and cancellation freeness
 
 
 def descends(anc, dec):
@@ -208,17 +188,13 @@ def descends(anc, dec):
     return not left and sign == -w
 
 
-def overlay(form_a, form_b):
-    """Whether some expansions of the two minimal forms share a letter."""
+def cancellation_free(form_a, form_b):
+    """Whether no expansions of the two minimal forms share a letter."""
     a = minimal_form(form_a)
     b = minimal_form(form_b)
-    return any(
+    return not any(
         descends(la, lb) or descends(lb, la) for la in a for lb in b
     )
-
-
-def cancellation_free(form_a, form_b):
-    return not overlay(form_a, form_b)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +227,8 @@ def _pad(leaves, k, at):
 def find_carrier(form_a, form_b):
     """An explicit tree pair carrying the coset of the first special form to
     the coset of the second, or None when they lie in different orbit
-    classes.  Cosets share an orbit exactly when (type, parity) match."""
+    classes.  Cosets share an orbit exactly when (type, parity) match, which
+    gives the paper's four orbit classes (criterion 7)."""
     a = minimal_form(form_a)
     b = minimal_form(form_b)
     if (type_of(a), parity_of(a)) != (type_of(b), parity_of(b)):
@@ -266,16 +243,9 @@ def find_carrier(form_a, form_b):
         raise InternalError("equal type and parity gave different signs")
     ta = complete_tree([s for s, _ in a])
     tb = complete_tree([s for s, _ in b])
-    ia = ta.index(a[0][0])
-    ib = tb.index(b[0][0])
-    if ia < ib:
-        ta = _pad(ta, ib - ia, 0)
-    else:
-        tb = _pad(tb, ia - ib, 0)
-    ra = len(ta) - ta.index(a[-1][0]) - 1
-    rb = len(tb) - tb.index(b[-1][0]) - 1
-    if ra < rb:
-        ta = _pad(ta, rb - ra, -1)
-    else:
-        tb = _pad(tb, ra - rb, -1)
+    # pad the side with fewer leaves before the first letter, then the last
+    ia, ib = ta.index(a[0][0]), tb.index(b[0][0])
+    ta, tb = _pad(ta, ib - ia, 0), _pad(tb, ia - ib, 0)
+    ra, rb = len(ta) - ta.index(a[-1][0]), len(tb) - tb.index(b[-1][0])
+    ta, tb = _pad(ta, rb - ra, -1), _pad(tb, ra - rb, -1)
     return TreePair(ta, tb)

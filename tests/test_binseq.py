@@ -1,19 +1,17 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cantorg.binseq import (
     ConeSet,
-    EQUAL,
-    FIRST_PREFIX,
-    INCOMPATIBLE,
-    SECOND_PREFIX,
     RationalSeq,
     incompatible,
     is_constant,
     lex_key,
-    prefix_relation,
 )
 from binseq_oracles import lex_compare
+from verifiers import contains_seq
 
 bits = st.text(alphabet="01", max_size=8)
 nonempty_bits = st.text(alphabet="01", min_size=1, max_size=6)
@@ -26,11 +24,18 @@ def test_lex_compare_examples():
 
 
 def test_prefix_relation_examples():
-    assert prefix_relation("10", "100") == FIRST_PREFIX
-    assert prefix_relation("01", "10") == INCOMPATIBLE
-    assert prefix_relation("", "0110") == FIRST_PREFIX
-    assert prefix_relation("0110", "") == SECOND_PREFIX
-    assert prefix_relation("11", "11") == EQUAL
+    assert not incompatible("10", "100")
+    assert incompatible("01", "10")
+    assert not incompatible("", "0110")
+    assert not incompatible("0110", "")
+    assert not incompatible("11", "11")
+
+
+def test_incompatible_matches_definition():
+    # incompatible iff the words differ at some index below both lengths
+    words = ["".join(w) for n in range(5) for w in itertools.product("01", repeat=n)]
+    for s, t in itertools.product(words, repeat=2):
+        assert incompatible(s, t) == any(a != b for a, b in zip(s, t))
 
 
 def test_is_constant():
@@ -66,7 +71,8 @@ def test_lex_transitive(a, b, c):
 
 def test_rational_canonicalization():
     assert RationalSeq("1", "01") == RationalSeq("", "10")
-    assert RationalSeq("", "101").drop(2).prepend("10") == RationalSeq("", "101")
+    x = RationalSeq("", "101")
+    assert x.drop(2).replace_prefix(0, "10") == x
     a = RationalSeq("0111", "1")
     assert a.pre == "0" and a.per == "1"
     b = RationalSeq("", "0101")
@@ -87,7 +93,7 @@ def test_rational_digits_and_drop():
     assert x.prefix(6) == "100101"
     assert x.drop(3) == RationalSeq("", "10")
     assert x.drop(0) == x
-    assert x.prepend("11").prefix(4) == "1110"
+    assert x.replace_prefix(0, "11").prefix(4) == "1110"
     assert x.starts_with("1001")
     assert not x.starts_with("11")
 
@@ -129,12 +135,8 @@ def test_coneset_merging_cascades():
 
 def test_coneset_queries():
     a = ConeSet(["10", "01"])
-    assert a.contains_cone("100")
-    assert not a.contains_cone("1")
-    assert a.contains_seq(RationalSeq("01", "1"))
-    assert not a.contains_seq(RationalSeq("", "0"))
-    assert a.meets_cone("0")
-    assert not a.meets_cone("00")
+    assert contains_seq(a, RationalSeq("01", "1"))
+    assert not contains_seq(a, RationalSeq("", "0"))
 
 
 @given(st.lists(bits, max_size=6), st.lists(bits, max_size=6))
@@ -147,8 +149,8 @@ def test_coneset_ops_denotational(ws1, ws2):
     # spot-check membership on sample points
     for w in ws1 + ws2:
         p = RationalSeq(w, "01")
-        assert u.contains_seq(p) == (a.contains_seq(p) or b.contains_seq(p))
-        assert i.contains_seq(p) == (a.contains_seq(p) and b.contains_seq(p))
+        assert contains_seq(u, p) == (contains_seq(a, p) or contains_seq(b, p))
+        assert contains_seq(i, p) == (contains_seq(a, p) and contains_seq(b, p))
 
 
 @given(st.lists(bits, max_size=6))

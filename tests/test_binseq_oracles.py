@@ -52,7 +52,7 @@ def test_prefix_replacement_matches_oracle(pre, per, w):
         want = oracle.prepend(oracle.drop(x, n), w)
         assert fields(x.replace_prefix(n, w)) == fields(want)
         assert fields(x.drop(n)) == fields(oracle.drop(x, n))
-        assert fields(x.prepend(w)) == fields(oracle.prepend(x, w))
+        assert fields(x.replace_prefix(0, w)) == fields(oracle.prepend(x, w))
         assert x.prefix(n) == oracle.prefix(x, n)
         assert x.starts_with(w) == oracle.starts_with(x, w)
         head = x.prefix(n)
@@ -107,7 +107,7 @@ def test_non_binary_words_rejected(bad):
     for build in (
         lambda: RationalSeq(bad, "1"),
         lambda: RationalSeq("0", bad),
-        lambda: x.prepend(bad),
+        lambda: x.replace_prefix(0, bad),
         lambda: x.replace_prefix(1, bad),
         lambda: x.replace_prefix(5, bad),
         lambda: ConeSet([bad]),
@@ -120,7 +120,7 @@ def test_non_binary_words_rejected(bad):
 
 def test_empty_word_accepted():
     x = RationalSeq("", "1")
-    assert x.prepend("") == x.replace_prefix(0, "") == x
+    assert x.replace_prefix(0, "") == x
     assert ConeSet([""]).cones == ("",)
     assert x_gen("").domain == ("00", "01", "1")
     assert TreePair(("",), ("",)).is_identity()

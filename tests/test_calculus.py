@@ -49,11 +49,11 @@ def test_eval_letter_substitution_consistency(pre, per):
     xi = RationalSeq(pre, per)
     out = eval_letter(1, xi)
     if xi.starts_with("00"):
-        assert out == eval_letter(1, xi.drop(2)).prepend("0")
+        assert out == eval_letter(1, xi.drop(2)).replace_prefix(0, "0")
     elif xi.starts_with("01"):
-        assert out == eval_letter(-1, xi.drop(2)).prepend("10")
+        assert out == eval_letter(-1, xi.drop(2)).replace_prefix(0, "10")
     else:
-        assert out == eval_letter(1, xi.drop(1)).prepend("11")
+        assert out == eval_letter(1, xi.drop(1)).replace_prefix(0, "11")
 
 
 def test_evaluate_examples():

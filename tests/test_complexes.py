@@ -14,9 +14,7 @@ from cantorg.complexes import (
     cluster_orbit_invariant,
     enumerate_cells,
     intersect_clusters,
-    is_balanced,
     is_one_cell,
-    is_proper,
     link_flag_check,
     subcluster_type,
     vertex_of,
@@ -28,6 +26,7 @@ from cluster_oracles import (
     check_incidence,
     skeleton_matches,
 )
+from verifiers import is_balanced, is_proper
 
 
 def form_of(text):

@@ -24,12 +24,12 @@ from cantorg.pipeline import (
     is_free_system,
     null_intersect,
     op_expand_cell,
-    orthogonal_pair,
     separation_procedure,
     supp,
 )
 from cantorg.rewrite import normalize
 from cantorg.special import from_letters
+from verifiers import orthogonal_pair
 
 
 def form_of(text):

@@ -5,10 +5,13 @@ referenced somewhere in `src/`, `tests/` or `bench/`: by name, as an
 attribute, or inside a string literal (so the dotted names that the
 benchmark's tracer rebinds count).  Dunder methods are exempt.  Every
 module of the package must also use each name it imports, and every
-dotted name the tracer rebinds must resolve in the package.
+dotted name the tracer rebinds must resolve in the package.  The library
+keeps what `src/` or `bench/` reaches outside docstrings, and the paper
+constructs in `STATEMENTS`; verifiers live in `tests/verifiers.py`.
 """
 
 import ast
+import collections
 import importlib
 import pathlib
 import re
@@ -23,8 +26,15 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _references(tree):
+def _references(tree, docstrings=True):
+    skip = set() if docstrings else {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module,) + _DEFINITIONS)
+        and ast.get_docstring(node) is not None
+    }
     for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -90,3 +100,50 @@ def test_tracer_names_resolve():
         if not callable(obj):
             missing.append(qual)
     assert missing == []
+
+
+# Paper constructs (Lodha, arXiv 1408.3127) that only tests reach, by the
+# statement each computes
+STATEMENTS = {
+    "complexes.balanced_parametrizations": "two balanced parametrizations",
+    "complexes.Cluster.reparametrized": "spanned from each corner",
+    "complexes.a_delta": "the edges of a cluster by A_Delta",
+    "complexes.subcluster_type": "face, diagonal or diagonal of a face",
+    "complexes.cluster_orbit_invariant": "orbits of clusters (criterion 9)",
+    "complexes.CellComplexPiece.euler_characteristic": "fillings are cubes",
+    "complexes.CellComplexPiece.faces_of": "the face poset of a filling",
+    "complexes.CellComplexPiece.vertex_subset": "0-cells are corners",
+    "pipeline.null_intersect": "the nullset condition",
+    "pipeline.expand_cell": "the expansion of a one-cell",
+    "pipeline.op_expand_cell": "the expansion at the cell's far end",
+    "special.act_f": "F acting on special forms",
+    "special.contract_at": "the contraction of special forms",
+    "special.find_carrier": "four orbit classes (criterion 7)",
+    "rewrite.invert_normal": "inverse normal forms (criterion 5)",
+    "rewrite.normalize_product": "the normal form of a product",
+}
+
+
+def _definitions(node, prefix):
+    for child in ast.iter_child_nodes(node):
+        qual = prefix
+        if isinstance(child, _DEFINITIONS):
+            qual = f"{prefix}.{child.name}"
+            yield qual, child
+        yield from _definitions(child, qual)
+
+
+def test_library_definitions_are_reached():
+    reached = collections.Counter()
+    for top in ("src", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            reached.update(_references(_parse(path), docstrings=False))
+    defined, unreached = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, node in _definitions(_parse(path), path.stem):
+            defined.add(qual)
+            own = list(_references(node, docstrings=False)).count(node.name)
+            if not _is_dunder(node.name) and reached[node.name] <= own:
+                unreached.add(qual)
+    assert sorted(unreached - STATEMENTS.keys()) == []
+    assert sorted(STATEMENTS.keys() - defined) == []

@@ -19,13 +19,11 @@ from cantorg.special import (
     list_checks,
     minimal_form,
     parity_of,
-    product_is_special,
-    stabilizes_coset,
     to_letters,
     type_of,
-    vertex_in_gamma,
 )
 from cantorg.thompson import IDENTITY, TreePair, compose, x_gen
+from verifiers import product_is_special, stabilizes_coset, vertex_in_gamma
 
 
 def form_of(text):
