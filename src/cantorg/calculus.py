@@ -23,23 +23,12 @@ from .rewrite import FToken, GNormal, Letter
 from .thompson import Y_STEP, consume_digits
 
 
-class PotentialCancellationFlag:
-    """Returned by `exponent` when the substitution process can bring two
-    opposite symbols together."""
+# what `exponent` returns when the substitution process can bring two
+# opposite symbols together
+POTENTIAL_CANCELLATION = "potential cancellation"
 
-    def __repr__(self):
-        return "PotentialCancellationFlag"
-
-    def __eq__(self, other):
-        return isinstance(other, PotentialCancellationFlag)
-
-    def __hash__(self):
-        return hash(PotentialCancellationFlag)
-
-
-POTENTIAL_CANCELLATION = PotentialCancellationFlag()
-
-# bounds of `exponent`: substitution steps, digits queued behind the last symbol
+# bounds of `exponent`: digits read by all symbols together, digits queued
+# behind the last symbol
 MAX_STEPS = 200_000
 MAX_BUFFER = 512
 
@@ -159,15 +148,19 @@ def exponent(c):
     pre_len = len(c.tail.pre)
     per_len = len(c.tail.per)
     seen = set()
+    read = 0  # digits read by every symbol so far
 
     def drain():
         # let each symbol greedily consume the buffer to its right, leftmost
-        # first, flagging any empty buffer between opposite symbols
+        # first, flagging any empty buffer between opposite symbols; stop
+        # once the symbols have read more than MAX_STEPS digits
+        nonlocal read
         moved = True
-        while moved:
+        while moved and read <= MAX_STEPS:
             moved = False
             for j in range(k - 1):
                 o2, emitted, rest = consume_digits(signs[j], buffers[j])
+                read += len(buffers[j]) - len(rest)
                 if emitted:
                     moved = True
                 signs[j] = o2
@@ -183,9 +176,12 @@ def exponent(c):
         if buffers[j] == "" and signs[j] == -signs[j + 1]:
             return POTENTIAL_CANCELLATION
 
-    for _ in range(MAX_STEPS):
+    while True:
         if drain():
             return POTENTIAL_CANCELLATION
+        if read > MAX_STEPS:
+            raise RuntimeError(
+                "calculation did not stabilize within the step bound")
         if pos >= pre_len:
             key = (tuple(signs), tuple(buffers), (pos - pre_len) % per_len)
             if key in seen:
@@ -196,11 +192,11 @@ def exponent(c):
             signs[k - 1], c.tail.digit(pos) + c.tail.digit(pos + 1)
         ]
         pos += n
+        read += n
         if k >= 2:
             buffers[k - 2] += emit
             if len(buffers[k - 2]) > MAX_BUFFER:
                 raise RuntimeError("calculation buffer exceeded bound")
-    raise RuntimeError("calculation did not stabilize within the step bound")
 
 
 def supp_y(n):

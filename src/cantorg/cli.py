@@ -27,8 +27,10 @@ INTERNAL_ERROR = 3
 # little (normalize "x[0]^500" takes about 0.01 s on a 2-core x86-64
 # machine).  It does not bound the rest: `normalize` stops at the
 # rewrite.REWRITE_STEPS budget, and a word of 5 y-letters with
-# exponents of 100 runs for more than a minute; `calc` makes one symbol
-# per unit and is exponential in their number ("y[01]^20" takes seconds).
+# exponents of 100 runs for more than a minute.  `calc` makes one symbol
+# per unit and stops after calculus.MAX_STEPS digits read by all of them:
+# "y[01]^17" at "01(1)" answers, N = 18 to 20 exit 3 (they answered after
+# 1 to 8 s while only tail digits counted), and N = 30 exits 3 in 0.5 s.
 MAX_WORD_EXPONENT = 500
 
 

@@ -120,10 +120,7 @@ def cmd_calc(args):
     c = calc_string(word, xi)
     print(c.render())
     e = exponent(c)
-    if isinstance(e, int):
-        print("exponent: %d" % e)
-    else:
-        print("potential cancellation")
+    print("exponent: %d" % e if isinstance(e, int) else e)
 
 
 def cmd_support(args):
@@ -189,55 +186,33 @@ def cmd_contract_loop(args):
         print("%s: %s" % (kind, " ; ".join(render_vertex(v) for v in path)))
 
 
+# subcommand -> (handler, arguments); an argument "--name" is a flag
+COMMANDS = {
+    "normalize": (cmd_normalize, ("word",)),
+    "equal": (cmd_equal, ("first", "second")),
+    "eval": (cmd_eval, ("word", "point")),
+    "calc": (cmd_calc, ("word", "point")),
+    "support": (cmd_support, ("word",)),
+    "special": (cmd_special, ("word",)),
+    "cluster": (cmd_cluster, ("spec", "--cells")),
+    "intersect": (cmd_intersect, ("first", "second")),
+    "cubulate": (cmd_cubulate, ("file",)),
+    "contract-loop": (cmd_contract_loop, ("file",)),
+}
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="cantorg")
     p.add_argument("--max-dim", type=int, default=None)
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("normalize")
-    s.add_argument("word")
-    s.set_defaults(func=cmd_normalize)
-
-    s = sub.add_parser("equal")
-    s.add_argument("first")
-    s.add_argument("second")
-    s.set_defaults(func=cmd_equal)
-
-    s = sub.add_parser("eval")
-    s.add_argument("word")
-    s.add_argument("point")
-    s.set_defaults(func=cmd_eval)
-
-    s = sub.add_parser("calc")
-    s.add_argument("word")
-    s.add_argument("point")
-    s.set_defaults(func=cmd_calc)
-
-    s = sub.add_parser("support")
-    s.add_argument("word")
-    s.set_defaults(func=cmd_support)
-
-    s = sub.add_parser("special")
-    s.add_argument("word")
-    s.set_defaults(func=cmd_special)
-
-    s = sub.add_parser("cluster")
-    s.add_argument("spec")
-    s.add_argument("--cells", action="store_true")
-    s.set_defaults(func=cmd_cluster)
-
-    s = sub.add_parser("intersect")
-    s.add_argument("first")
-    s.add_argument("second")
-    s.set_defaults(func=cmd_intersect)
-
-    s = sub.add_parser("cubulate")
-    s.add_argument("file")
-    s.set_defaults(func=cmd_cubulate)
-
-    s = sub.add_parser("contract-loop")
-    s.add_argument("file")
-    s.set_defaults(func=cmd_contract_loop)
+    for name, (func, arguments) in COMMANDS.items():
+        s = sub.add_parser(name)
+        for arg in arguments:
+            if arg.startswith("--"):
+                s.add_argument(arg, action="store_true")
+            else:
+                s.add_argument(arg)
+        s.set_defaults(func=func)
     return p
 
 

@@ -163,13 +163,6 @@ class Cluster:
             if other > mask
         )
 
-    def vertex(self, subset):
-        return self.corners[sum(1 << i for i in set(subset))]
-
-    def subset_of(self, vertex):
-        mask = self.mask_of.get(vertex)
-        return None if mask is None else frozenset(_bits(mask))
-
     @property
     def base_vertex(self):
         return self.corners[0]

@@ -32,12 +32,12 @@ from .special import (
     check_sorted_forms,
     check_special,
     descends,
-    expand_letter,
     from_letters,
     independent,
     invert_form,
     is_special,
     minimal_form,
+    split_while,
     to_letters,
 )
 from .thompson import InternalError
@@ -45,8 +45,6 @@ from .thompson import InternalError
 DISPARATE = "Disparate"
 EQUIVALENT_AT = "EquivalentCellAt"
 NEITHER = "Neither"
-
-MAX_ROUNDS = 100_000
 
 # rounds of separation and of decoupling before a NonConvergenceError
 SEPARATION_ROUNDS = 8
@@ -160,9 +158,6 @@ class ParamCell:
 
     def __repr__(self):
         return f"ParamCell({self.form!r} over {self.tau.render()})"
-
-    def incident(self, v):
-        return v in self.vertices
 
     def other(self, v):
         for _, _, near, far in self.sides:
@@ -306,49 +301,39 @@ def op_expand_cell(cell, at, decomposition):
 
 
 def _refine_letters(seqs):
-    """Expand letters across the sequences until every cross pair of
-    distinct letters is free of descendant relations.  Always expanding the
-    globally shallowest coupled letter keeps the round count finite:
-    freeness of a pair is inherited by the children, and the gap along the
-    unique descending branch shrinks each round."""
-    for _ in range(MAX_ROUNDS):
-        best = None
-        for i, a_seq in enumerate(seqs):
-            for j, b_seq in enumerate(seqs):
-                if i == j:
-                    continue
-                for ai, a in enumerate(a_seq):
-                    for b in b_seq:
-                        if a != b and descends(a, b):
-                            key = (len(a[0]), a[0], a[1], i, ai)
-                            if best is None or key < best:
-                                best = key
-        if best is None:
-            return
-        _, sub, sign, i, ai = best
-        seqs[i][ai:ai + 1] = list(expand_letter(sub, sign))
-    raise InternalError("letter refinement did not terminate")
+    """The sequences with letters expanded until none strictly descends to
+    a letter of another sequence as given.  This expands the same letters
+    as expanding across the current letters: an expansion elsewhere only
+    adds descendants of letters as given, so a letter that strictly
+    descends to one keeps doing so until it is expanded, and a letter that
+    descends to none never needs expanding, since the letters of one
+    special form have pairwise disjoint cones."""
+    out = []
+    for i, seq in enumerate(seqs):
+        others = [b for j, bs in enumerate(seqs) if j != i for b in bs]
+        out.append(split_while(
+            seq, lambda a: any(a != b and descends(a, b) for b in others)))
+    return out
 
 
-def _merge_blocks(blocks_by_cell):
-    """Greedily merge adjacent blocks within each sequence while every
-    merged block stays cancellation free from all blocks of the other
-    sequences.  Blocks of a single sequence occupy incompatible cones, so
-    they never constrain each other."""
-    changed = True
-    while changed:
-        changed = False
-        for i, blocks in enumerate(blocks_by_cell):
-            for k in range(len(blocks) - 1):
-                cand = blocks[k] + blocks[k + 1]
-                others = [b for j, bl in enumerate(blocks_by_cell)
-                          if j != i for b in bl]
-                if all(cancellation_free(cand, o) for o in others):
-                    blocks[k:k + 2] = [cand]
-                    changed = True
-                    break
-            if changed:
-                break
+def _merge_blocks(by_cell):
+    """Merge adjacent blocks of each sequence in one left-to-right pass
+    while the merged block stays cancellation free from every block of the
+    other sequences; blocks of one sequence have incompatible cones.  The
+    pass stays at a block after a merge and moves on after a failure, as a
+    failed merge never succeeds later: minimal_form(A + B) contracts
+    minimal_form(A) + B, so each letter of minimal_form(A) descends from
+    one of its letters, and an ancestor of a letter related to another
+    letter is still related to it."""
+    for i, blocks in enumerate(by_cell):
+        others = [b for j, bs in enumerate(by_cell) if j != i for b in bs]
+        k = 0
+        while k < len(blocks) - 1:
+            cand = blocks[k] + blocks[k + 1]
+            if all(cancellation_free(cand, o) for o in others):
+                blocks[k:k + 2] = [cand]
+            else:
+                k += 1
 
 
 def decouple(cells, at):
@@ -356,12 +341,10 @@ def decouple(cells, at):
     vertex: each parameter there is split into blocks that are cancellation
     free from every block of the other parameters."""
     ordered = sorted(set(cells), key=_by_vertices)
-    for e in ordered:
-        if not e.incident(at):
-            raise ValueError("cell is not incident to the vertex")
+    if any(at not in e.vertices for e in ordered):
+        raise ValueError("cell is not incident to the vertex")
     tau = normalize(list(at))
-    seqs = [list(param_form_at(e, at)) for e in ordered]
-    _refine_letters(seqs)
+    seqs = _refine_letters([param_form_at(e, at) for e in ordered])
     blocks_by_cell = [[(lt,) for lt in seq] for seq in seqs]
     _merge_blocks(blocks_by_cell)
     out = list(dict.fromkeys(
@@ -407,7 +390,8 @@ class CellSystem:
         return f"CellSystem({len(self.cells)} cells, {len(self.vertices)} vertices)"
 
     def incident_cells(self, v):
-        return sorted((e for e in self.cells if e.incident(v)), key=_by_vertices)
+        return sorted((e for e in self.cells if v in e.vertices),
+                      key=_by_vertices)
 
     @functools.cached_property
     def undecided(self):
@@ -418,10 +402,8 @@ class CellSystem:
     def coupled(self):
         """The first tracked vertex, in sorted order, whose coupling graph
         has an edge, with a coupled component there; else None."""
-        ordered = sorted(self.cells, key=_by_vertices)
         for v in sorted(self.vertices):
-            comp = _coupled_component(
-                [e for e in ordered if e.incident(v)], v)
+            comp = _coupled_component(self.incident_cells(v), v)
             if comp is not None:
                 return v, comp
         return None
@@ -441,7 +423,7 @@ def _undecided(cells, vertices):
     for e in sorted(cells, key=_by_vertices):
         readings = []
         for v in vertices:
-            if e.incident(v):
+            if v in e.vertices:
                 continue
             if disparate_cell_vertex(e, v)[0] == NEITHER:
                 bad.append(e)
@@ -473,22 +455,9 @@ def _deep_singles(cell, supports):
     """Single-letter decomposition of the parameter, expanded until no
     letter cone strictly contains a cone of any support; every letter is
     then inside or disjoint from each support."""
-    letters = list(cell.form)
-    for _ in range(MAX_ROUNDS):
-        idx = None
-        for i, (s, _) in enumerate(letters):
-            if any(
-                len(u) > len(s) and u.startswith(s)
-                for sup in supports
-                for u in sup.cones
-            ):
-                idx = i
-                break
-        if idx is None:
-            return letters
-        s, t = letters[idx]
-        letters[idx:idx + 1] = list(expand_letter(s, t))
-    raise InternalError("support unwinding did not terminate")
+    cones = [u for sup in supports for u in sup.cones]
+    return split_while(cell.form, lambda lt: any(
+        len(u) > len(lt[0]) and u.startswith(lt[0]) for u in cones))
 
 
 def _two_sided_offsprings(cell, vertices):

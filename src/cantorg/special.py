@@ -11,6 +11,8 @@ from .binseq import incompatible, is_constant
 from .rewrite import GNormal, Letter, normalize
 from .thompson import InternalError, TreePair, consume_digits, expand_letter
 
+MAX_ROUNDS = 100_000  # expansions of one `split_while`
+
 
 def to_letters(form):
     return [Letter("y", s, t) for s, t in form]
@@ -143,6 +145,23 @@ def check_sorted_forms(forms):
     return forms
 
 
+def split_while(letters, split):
+    """The letters, in order, with each one that `split` accepts expanded,
+    and so on down; past MAX_ROUNDS expansions an InternalError."""
+    todo, out = list(reversed(letters)), []
+    rounds = 0
+    while todo:
+        lt = todo.pop()
+        if not split(lt):
+            out.append(lt)
+            continue
+        rounds += 1
+        if rounds > MAX_ROUNDS:
+            raise InternalError("letter expansion did not terminate")
+        todo.extend(reversed(expand_letter(*lt)))
+    return tuple(out)
+
+
 def act_f(form, f):
     """The special form with subscripts carried through a tree pair, after
     expanding letters the pair does not yet act on.  Realizes right
@@ -150,16 +169,8 @@ def act_f(form, f):
     form = check_special(form)
     if not isinstance(f, TreePair):
         raise TypeError("act_f takes a tree pair")
-    todo = list(reversed(form))
-    out = []
-    while todo:
-        s, t = todo.pop()
-        image = f.act_on_word(s)
-        if image is None:
-            todo.extend(reversed(expand_letter(s, t)))
-        else:
-            out.append((image, t))
-    return tuple(out)
+    letters = split_while(form, lambda lt: f.act_on_word(lt[0]) is None)
+    return tuple((f.act_on_word(s), t) for s, t in letters)
 
 
 def coset_vertex(word):

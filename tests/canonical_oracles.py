@@ -9,6 +9,12 @@ cycle search over the strict order they leave).  Each changes one thing and
 rescans from the start until nothing changes, so its answer does not depend
 on the order the single pass relies on.
 
+`_refine_letters`, `_merge_blocks` and `_deep_singles` are the letter
+expansions and the block merge of decoupling and separation as they were
+before `special.split_while`: the first two rescan every cross pair, or
+restart from the first sequence, after each expansion or merge; the third
+rescans from the first letter.
+
 `compose` is the tree-pair composition before it became a merge: it tests
 every pair of leaves for compatibility, and then finds the two leaves above
 each leaf of the common refinement by a linear scan, so it needs no sorted
@@ -17,8 +23,14 @@ order either.
 
 from cantorg.binseq import incompatible, lex_key
 from cantorg.complexes import CellComplexPiece
-from cantorg.special import check_special, contract_at
-from cantorg.thompson import TreePair, expand_letter
+from cantorg.special import (
+    MAX_ROUNDS,
+    cancellation_free,
+    check_special,
+    contract_at,
+    descends,
+)
+from cantorg.thompson import InternalError, TreePair, expand_letter
 
 
 def reduce_pair(domain, rng):
@@ -212,3 +224,71 @@ def compose(f, g):
         doms.append(f.domain[i] + e[len(f.range[i]):])
         rngs.append(g.range[j] + e[len(g.domain[j]):])
     return TreePair(doms, rngs)
+
+
+def _refine_letters(seqs):
+    """Expand letters across the sequences until every cross pair of
+    distinct letters is free of descendant relations.  Always expanding the
+    globally shallowest coupled letter keeps the round count finite:
+    freeness of a pair is inherited by the children, and the gap along the
+    unique descending branch shrinks each round."""
+    for _ in range(MAX_ROUNDS):
+        best = None
+        for i, a_seq in enumerate(seqs):
+            for j, b_seq in enumerate(seqs):
+                if i == j:
+                    continue
+                for ai, a in enumerate(a_seq):
+                    for b in b_seq:
+                        if a != b and descends(a, b):
+                            key = (len(a[0]), a[0], a[1], i, ai)
+                            if best is None or key < best:
+                                best = key
+        if best is None:
+            return
+        _, sub, sign, i, ai = best
+        seqs[i][ai:ai + 1] = list(expand_letter(sub, sign))
+    raise InternalError("letter refinement did not terminate")
+
+
+def _merge_blocks(blocks_by_cell):
+    """Greedily merge adjacent blocks within each sequence while every
+    merged block stays cancellation free from all blocks of the other
+    sequences.  Blocks of a single sequence occupy incompatible cones, so
+    they never constrain each other."""
+    changed = True
+    while changed:
+        changed = False
+        for i, blocks in enumerate(blocks_by_cell):
+            for k in range(len(blocks) - 1):
+                cand = blocks[k] + blocks[k + 1]
+                others = [b for j, bl in enumerate(blocks_by_cell)
+                          if j != i for b in bl]
+                if all(cancellation_free(cand, o) for o in others):
+                    blocks[k:k + 2] = [cand]
+                    changed = True
+                    break
+            if changed:
+                break
+
+
+def _deep_singles(cell, supports):
+    """Single-letter decomposition of the parameter, expanded until no
+    letter cone strictly contains a cone of any support; every letter is
+    then inside or disjoint from each support."""
+    letters = list(cell.form)
+    for _ in range(MAX_ROUNDS):
+        idx = None
+        for i, (s, _) in enumerate(letters):
+            if any(
+                len(u) > len(s) and u.startswith(s)
+                for sup in supports
+                for u in sup.cones
+            ):
+                idx = i
+                break
+        if idx is None:
+            return letters
+        s, t = letters[idx]
+        letters[idx:idx + 1] = list(expand_letter(s, t))
+    raise InternalError("support unwinding did not terminate")

@@ -11,7 +11,8 @@ the cluster must be all of each side or a face of it by `subcluster_type`.
 and keeps the maximal ones with a quadratic scan.  `whole_word_corners` is
 the corner construction of `Cluster` before it built each corner from a
 smaller one: every subset's parameters, in order, then the base, normalized
-as one word.  `skeleton_matches` and `check_incidence` verify a filling of
+as one word.  `corner` and `subset_of` read a corner of a cluster by its
+subset of parameters, and back.  `skeleton_matches` and `check_incidence` verify a filling of
 a cluster: its one-skeleton is the cluster graph, and its face poset is
 graded.
 """
@@ -21,6 +22,7 @@ import itertools
 from cantorg.complexes import (
     FACE,
     Cluster,
+    _bits,
     balanced_parametrizations,
     subcluster_type,
     vertex_of,
@@ -31,6 +33,17 @@ from cantorg.special import (
     independent,
     to_letters,
 )
+
+
+def corner(c, subset):
+    """The corner of a cluster at a subset of its parameter indices."""
+    return c.corners[sum(1 << i for i in set(subset))]
+
+
+def subset_of(c, v):
+    """The subset of parameter indices of a corner, None off the cluster."""
+    mask = c.mask_of.get(v)
+    return None if mask is None else frozenset(_bits(mask))
 
 
 def brute_intersection(c1, c2):
@@ -47,15 +60,15 @@ def reparametrized_intersection(c1, c2):
     if not common:
         return None
     pivot = min(common)
-    r1 = c1.reparametrized(c1.subset_of(pivot))
-    r2 = c2.reparametrized(c2.subset_of(pivot))
+    r1 = c1.reparametrized(subset_of(c1, pivot))
+    r2 = c2.reparametrized(subset_of(c2, pivot))
     shared = [e for e in r1.edges & r2.edges if pivot in e]
     if not shared:
         return Cluster(r1.base, ())
     blocks = []
     for e in shared:
         other = next(v for v in e if v != pivot)
-        blocks.append((r1.subset_of(other), r2.subset_of(other)))
+        blocks.append((subset_of(r1, other), subset_of(r2, other)))
     minimal = [
         (ca, da)
         for ca, da in blocks
@@ -120,7 +133,7 @@ def enumerated_independent_subsets(forms):
 def skeleton_matches(piece, cluster):
     """Whether the 1-skeleton of a filling agrees with the cluster graph."""
     ref = balanced_parametrizations(cluster)[0]
-    verts = {c: ref.vertex(piece.vertex_subset(c))
+    verts = {c: corner(ref, piece.vertex_subset(c))
              for c in piece.cells if piece.dim(c) == 0}
     if set(verts.values()) != cluster.vertices:
         return False

@@ -152,7 +152,7 @@ def _undecided(cells, vertices):
     missing = False
     for e in cells:
         for v in vertices:
-            if e.incident(v):
+            if v in e.vertices:
                 continue
             kind, cand = disparate_cell_vertex(e, v)
             if kind == DISPARATE:

@@ -1,19 +1,32 @@
 """Differential tests of the single-pass canonical forms against the
 rescan-to-fixpoint versions in `canonical_oracles`: tree-pair reduction,
 the canonical antichain of a cone set, the minimal special form, `act_f`,
-the cells of a cube filling with their dimensions and vertex subsets, and
-tree-pair composition by a merge against the all-pairs refinement.
+the cells of a cube filling with their dimensions and vertex subsets,
+tree-pair composition by a merge against the all-pairs refinement, and the
+letter refinement, block merge and support unwinding of the envelope
+pipeline, on random forms and on every call the pool envelopes make.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 import canonical_oracles as oracle
+from cantorg import pipeline
 from cantorg.binseq import ConeSet, _canonical_cones
+from cantorg.commands import parse_cluster_line
 from cantorg.complexes import CellComplexPiece
-from cantorg.special import act_f, expand_at, is_special, minimal_form
+from cantorg.pipeline import _deep_singles, _merge_blocks, _refine_letters
+from cantorg.special import (
+    act_f,
+    expand_at,
+    invert_form,
+    is_special,
+    minimal_form,
+)
 from cantorg.thompson import IDENTITY, TreePair, _reduce, compose, x_gen
+from test_envelope_digest import _pool_draws
 from test_thompson import UNITS
 
 
@@ -168,3 +181,83 @@ def test_compose_matches_oracle_on_unit_composites(units, g):
     for u in units[1:]:
         f = oracle.compose(f, u)
     _assert_compose_matches_oracle(f, g)
+
+
+def related_forms(rng):
+    """2-4 special forms, each a run of one root form grown by random
+    expansions and sometimes inverted, so that letters of one descend to
+    letters of another, and some letters are shared."""
+    root = random_special_form(rng)
+    forms = []
+    for _ in range(rng.randint(2, 4)):
+        form = root
+        for _ in range(rng.randint(0, 5)):
+            form = expand_at(form, rng.randrange(len(form)))
+        i = rng.randrange(len(form))
+        form = form[i:rng.randint(i + 1, len(form))]
+        forms.append(invert_form(form) if rng.random() < 0.2 else form)
+    return forms
+
+
+def _assert_decoupling_matches_oracle(seqs):
+    """The refinement of the sequences, then the merge of the refined
+    single-letter blocks; whether either changed anything."""
+    want = [list(seq) for seq in seqs]
+    oracle._refine_letters(want)
+    refined = [list(seq) for seq in _refine_letters(seqs)]
+    assert refined == want
+    singles = [[(lt,) for lt in seq] for seq in refined]
+    want = [list(blocks) for blocks in singles]
+    got = [list(blocks) for blocks in singles]
+    oracle._merge_blocks(want)
+    _merge_blocks(got)
+    assert got == want
+    return refined != [list(seq) for seq in seqs], got != singles
+
+
+# no deadline: the oracle rescans every cross pair after each expansion
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_decoupling_matches_oracle(rng):
+    _assert_decoupling_matches_oracle(related_forms(rng))
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_deep_singles_match_oracle(rng):
+    cell = SimpleNamespace(form=random_special_form(rng))
+    supports = [
+        ConeSet("".join(rng.choice("01") for _ in range(rng.randint(0, 7)))
+                for _ in range(rng.randint(0, 4)))
+        for _ in range(rng.randint(0, 3))
+    ]
+    want = oracle._deep_singles(cell, supports)
+    assert list(pipeline._deep_singles(cell, supports)) == want
+
+
+def test_pool_envelopes_decouple_as_oracle(monkeypatch):
+    """Every decoupling and support unwinding in the envelopes of the pool
+    draws; the counts pin that the sweep reaches both."""
+    seen = {"decouple": 0, "refined": 0, "merged": 0, "deep": 0,
+            "expanded": 0}
+
+    def checked_refine(seqs):
+        refined, merged = _assert_decoupling_matches_oracle(seqs)
+        seen["decouple"] += 1
+        seen["refined"] += refined
+        seen["merged"] += merged
+        return _refine_letters(seqs)
+
+    def checked_deep(cell, supports):
+        got = _deep_singles(cell, supports)
+        assert list(got) == oracle._deep_singles(cell, supports)
+        seen["deep"] += 1
+        seen["expanded"] += got != cell.form
+        return got
+
+    monkeypatch.setattr(pipeline, "_refine_letters", checked_refine)
+    monkeypatch.setattr(pipeline, "_deep_singles", checked_deep)
+    for text in _pool_draws():
+        pipeline.envelope([parse_cluster_line(p) for p in text.split("||")])
+    assert seen == {"decouple": 59, "refined": 33, "merged": 32, "deep": 216,
+                    "expanded": 41}

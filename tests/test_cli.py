@@ -249,6 +249,30 @@ def test_huge_exponent_exits_2_within_a_second(argv, capsys):
     assert f"bound of {MAX_WORD_EXPONENT:,}" in capsys.readouterr().err
 
 
+def test_calc_work_is_bounded():
+    """`exponent` counts every digit a symbol reads: y[01]^N at 01(1)
+    moves about 2^N digits per digit of the tail."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+    def calc(word):
+        return subprocess.run(
+            [sys.executable, "-m", "cantorg.cli", "calc", word, "01(1)"],
+            env=env, capture_output=True, text=True, timeout=10)
+
+    done = calc("y[01]^30")
+    assert done.returncode == 3
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("internal error: ")
+    done = calc("y[01]^16")
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "exponent: 16"
+
+
 def test_committed_words_stay_under_the_exponent_bound():
     root = pathlib.Path(__file__).resolve().parent.parent
     files = [*root.glob("tests/golden/*.txt"), *root.glob("bench/inputs/*.txt"),

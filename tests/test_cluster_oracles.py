@@ -30,9 +30,11 @@ from cantorg.pipeline import _independent_subsets, envelope
 from cantorg.rewrite import normalize
 from cantorg.special import from_letters, is_constant, pair_consecutive
 from cluster_oracles import (
+    corner,
     enumerated_independent_subsets,
     facial_intersection,
     reparametrized_intersection,
+    subset_of,
     whole_word_corners,
 )
 from test_work_counts import draw_clusters
@@ -78,7 +80,7 @@ def pair_scan_edges(cluster):
         for bits in itertools.product((0, 1), repeat=cluster.n)
     ]
     return frozenset(
-        frozenset((cluster.vertex(a), cluster.vertex(b)))
+        frozenset((corner(cluster, a), corner(cluster, b)))
         for a, b in itertools.combinations(subsets, 2)
         if _corner_edge(cluster.params, a, b)
     )
@@ -87,7 +89,7 @@ def pair_scan_edges(cluster):
 def _corners_at(clusters, vertex):
     return [
         frozenset(
-            frozenset((vertex, c.vertex(c.subset_of(vertex) ^ {i})))
+            frozenset((vertex, corner(c, subset_of(c, vertex) ^ {i})))
             for i in range(c.n))
         for c in clusters
         if vertex in c.vertices

@@ -1,5 +1,6 @@
 """Golden CLI corpus: each call's stdout must stay byte-identical to its
-capture in tests/golden/.  Captures larger than 100 kB are gzipped.
+capture in tests/golden/.  Captures larger than 100 kB are gzipped.  Help
+texts are captured at a fixed terminal width of 80 columns.
 
 To capture the corpus from a reference version of the program, run
 `python tests/test_golden_cli.py` with that version's `src` on PYTHONPATH;
@@ -11,6 +12,7 @@ import gzip
 import io
 import os
 import sys
+from unittest import mock
 
 import pytest
 
@@ -48,12 +50,17 @@ CALLS = {
     "calc_cancellation": ["calc", "y[10]^-1 y[100]", "100(0)"],
     "special": ["special", "y[100] y[1010]^-1 y[1011]"],
     "contract_loop": ["contract-loop", os.path.join(GOLDEN, "loop.txt")],
+    "help": ["--help"],
+    "cluster_help": ["cluster", "--help"],
+    "calc_help": ["calc", "--help"],
 }
 
 
 def _stdout_of(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    # argparse wraps help text to the terminal width it reads from COLUMNS
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out):
         code = commands.run(list(argv))
     assert code == 0
     return out.getvalue().encode()
