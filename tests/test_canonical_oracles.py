@@ -232,7 +232,7 @@ def test_deep_singles_match_oracle(rng):
         for _ in range(rng.randint(0, 3))
     ]
     want = oracle._deep_singles(cell, supports)
-    assert list(pipeline._deep_singles(cell, supports)) == want
+    assert list(_deep_singles(cell, supports)) == want
 
 
 def test_pool_envelopes_decouple_as_oracle(monkeypatch):
