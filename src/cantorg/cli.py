@@ -23,14 +23,13 @@ DOMAIN_ERROR = 2
 INTERNAL_ERROR = 3
 
 # bound on the sum of |exponent| over a parsed word, checked before any
-# work.  `normalize` builds x_s^k by repeated squaring, so an x-power costs
-# little (normalize "x[0]^500" takes about 0.01 s on a 2-core x86-64
-# machine).  It does not bound the rest: `normalize` stops at the
-# rewrite.REWRITE_STEPS budget, and a word of 5 y-letters with
-# exponents of 100 runs for more than a minute.  `calc` makes one symbol
-# per unit and stops after calculus.MAX_STEPS digits read by all of them:
-# "y[01]^17" at "01(1)" answers, N = 18 to 20 exit 3 (they answered after
-# 1 to 8 s while only tail digits counted), and N = 30 exits 3 in 0.5 s.
+# work.  It bounds the input, not the work.  `normalize` builds x_s^k by
+# repeated squaring, so an x-power costs little (normalize "x[0]^500"
+# takes about 0.01 s on a 2-core x86-64 machine), and stops after
+# rewrite.REWRITE_STEPS rule firings or once its word grows past
+# rewrite.MAX_WORD_ITEMS items.  `calc` makes one symbol per unit and
+# stops after calculus.MAX_STEPS digits read by all of them: "y[01]^17"
+# at "01(1)" answers, and N = 18 and above exit 3.
 MAX_WORD_EXPONENT = 500
 
 

@@ -584,38 +584,50 @@ def _independent_subsets(forms):
 
 def cubulate(system, max_dim=None):
     """Span clusters by the parameters of the system at each tracked
-    vertex, keep the maximal ones, and index them by vertex.  Every two
-    clusters that share a vertex must meet in a common face (the face
+    vertex, build only the maximal ones, and index them by vertex.  Every
+    two clusters that share a vertex must meet in a common face (the face
     criterion, see `complexes`), and the link at every vertex, over the
     clusters there, must be a flag complex.  The largest cluster is checked
     against `max_dim` before any is built.  Each cluster holds every ambient
-    edge among its vertices, so maximality, meets and links are read off
-    vertex sets and corner indices: no cluster's `edges` is ever built."""
+    edge among its vertices, so meets and links are read off vertex sets
+    and corner indices: no cluster's `edges` is ever built.
+
+    A span is a tracked vertex v with a maximal independent set of its
+    parameters.  Spans are taken by descending size, with a stable sort, so
+    each vertex keeps its own order.  A span is skipped when a cluster C
+    built before it has v and every f.v (f in the span) as vertices; it is
+    then a subcluster of C.  C holds every ambient edge among its vertices,
+    so each {v, f.v} is an index interval I_f of C at v's corner (the
+    interval lemma), and independent forms give disjoint intervals, so
+    every subset-product of the span at v is a corner of C.  The test is
+    exact, and a larger span comes first, so no kept cluster lies in
+    another.  Spans of one vertex set have one size, and of them the first
+    in scan order is built."""
     if not is_free_system(system):
         raise ValueError("system is not free")
-    spans = [
-        (v, combo)
-        for v in sorted(system.vertices)
-        for combo in _independent_subsets(
-            sorted({param_form_at(e, v) for e in system.incident_cells(v)})
-        )
-    ]
-    dim = max((len(combo) for _, combo in spans), default=0)
+    spans = sorted(
+        ((v, combo)
+         for v in sorted(system.vertices)
+         for combo in _independent_subsets(
+             sorted({param_form_at(e, v) for e in system.incident_cells(v)})
+         )),
+        key=lambda span: -len(span[1]),
+    )
+    dim = len(spans[0][1]) if spans else 0
     if max_dim is not None and dim > max_dim:
-        raise ValueError(
-            f"a cluster of dimension {dim} exceeds the bound of {max_dim}"
-        )
-    clusters = set()
+        raise ValueError(f"a cluster of dimension {dim} exceeds the bound "
+                         f"of {max_dim}")
+    clusters = []
     for v, combo in spans:
-        params = tuple(sorted(combo, key=lambda f: f[0][0]))
+        base = normalize(list(v))
+        ends = [v] + [normalize(to_letters(f) + base.to_items()).ys
+                      for f in combo]
+        if any(all(w in c.mask_of for w in ends) for c in clusters):
+            continue
         try:
-            clusters.add(Cluster(normalize(list(v)), params))
+            clusters.append(Cluster(base, combo))
         except ValueError as exc:
             raise InternalError(f"parameters failed to span: {exc}")
-    clusters = {
-        c for c in clusters
-        if not any(c is not d and c.vertices <= d.vertices for d in clusters)
-    }
     ordered = sorted(clusters, key=_by_vertices)
     at_vertex = {}
     for i, c in enumerate(ordered):

@@ -47,7 +47,8 @@ from .thompson import (
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when the rewriting engine exceeds its step budget."""
+    """Raised when the rewriting engine exceeds its step budget or its
+    bound on the length of a word."""
 
 
 class Letter(NamedTuple):
@@ -132,6 +133,12 @@ def _expand_end(lt, leftmost):
 # over 90% of it
 REWRITE_STEPS = 500_000
 
+# the items a word being normalized may grow to.  A step costs more as the
+# word grows: "y[01]^k y[011]^-k y[01]^-k y[011]^k y[010]^-k" at k = 100
+# reaches 2,000 items after about 2.7 s and spent the step budget after
+# 15 s, while no word the test suite normalizes grows past 880 items
+MAX_WORD_ITEMS = 2_000
+
 
 class _Budget:
     def __init__(self, n=REWRITE_STEPS):
@@ -164,7 +171,8 @@ class _ListWord:
     """A word as a plain list of items, kept merged: no two tree-pair
     factors and no two equal-subscript y-letters stand together.  Each
     rewrite, commute and contraction spends one step of `budget`, and
-    fuses only where it made a fusable pair."""
+    fuses only where it made a fusable pair.  A rewrite that grows the
+    word past `MAX_WORD_ITEMS` raises `BudgetExceeded`."""
 
     def __init__(self, items, budget=None):
         self.items = _merge(items)
@@ -173,6 +181,9 @@ class _ListWord:
     def rewrite(self, lo, hi, new, move=None, window=None):
         self.budget.spend()
         self.items[lo:hi] = new
+        if len(self.items) > MAX_WORD_ITEMS:
+            raise BudgetExceeded(
+                f"rewriting grew a word past {MAX_WORD_ITEMS:,} items")
         return self._fuse(lo, lo + len(new))
 
     def commute(self, src, dst):

@@ -27,6 +27,8 @@ from cantorg.complexes import (
     subcluster_type,
     vertex_of,
 )
+from cantorg.pipeline import _independent_subsets, param_form_at
+from cantorg.rewrite import normalize
 from cantorg.special import (
     check_special,
     from_letters,
@@ -128,6 +130,31 @@ def enumerated_independent_subsets(forms):
         for s in subsets
         if not any(set(s) < set(t) for t in subsets)
     ]
+
+
+def span_clusters(system):
+    """The cluster of every span of a free system, in the order `cubulate`
+    scans them: by vertex, then by the size and indices of the maximal
+    independent set of the vertex's parameters."""
+    return [
+        Cluster(normalize(list(v)),
+                tuple(sorted(combo, key=lambda f: f[0][0])))
+        for v in sorted(system.vertices)
+        for combo in _independent_subsets(
+            sorted({param_form_at(e, v) for e in system.incident_cells(v)})
+        )
+    ]
+
+
+def maximal_span_clusters(spans):
+    """The clusters kept of all the span clusters: a set drops repeated
+    vertex sets, keeping the one inserted first, then every cluster inside
+    another goes."""
+    clusters = set(spans)
+    return {
+        c for c in clusters
+        if not any(c is not d and c.vertices <= d.vertices for d in clusters)
+    }
 
 
 def skeleton_matches(piece, cluster):

@@ -273,6 +273,26 @@ def test_calc_work_is_bounded():
     assert done.stdout.splitlines()[-1] == "exponent: 16"
 
 
+def test_normalize_work_is_bounded():
+    """The normal form grows about 8 times per unit of k; `normalize`
+    stops once its word passes `rewrite.MAX_WORD_ITEMS` items, long before
+    it would spend its step budget."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    k = 100
+    word = f"y[01]^{k} y[011]^-{k} y[01]^-{k} y[011]^{k} y[010]^-{k}"
+    done = subprocess.run(
+        [sys.executable, "-m", "cantorg.cli", "normalize", word],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == 3
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("internal error: ")
+
+
 def test_committed_words_stay_under_the_exponent_bound():
     root = pathlib.Path(__file__).resolve().parent.parent
     files = [*root.glob("tests/golden/*.txt"), *root.glob("bench/inputs/*.txt"),

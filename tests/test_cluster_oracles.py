@@ -1,23 +1,30 @@
 """Differential tests: cluster corners and edges, the flag check, the
-intersection check and the independent subsets at a vertex against the
-constructions they replace.
+intersection check, the independent subsets at a vertex and the clusters
+`cubulate` builds against the constructions they replace.
 
 The oracles are the original definitions: an edge test on every pair of
 cluster corners, a flag check that enumerates every subset of corner edges
 at a vertex, and, from `cluster_oracles`, the intersection check that
-re-parametrizes both clusters, the enumeration of all independent subsets
-and the corners normalized as whole words.  The scans are exponential in
+re-parametrizes both clusters, the enumeration of all independent subsets,
+the corners normalized as whole words and the cubulation that built every
+span's cluster before it kept the maximal ones.  The scans are exponential in
 the number of corners, edges or forms, so they serve as references on small
 inputs only.
 """
 
 import itertools
+import os
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from cantorg import pipeline
 from cantorg.cli import parse_word
-from cantorg.commands import parse_cluster_line
+from cantorg.commands import (
+    parse_cluster_line,
+    read_cluster_file,
+    render_cluster_line,
+)
 from cantorg.complexes import (
     Cluster,
     intersect_clusters,
@@ -33,10 +40,15 @@ from cluster_oracles import (
     corner,
     enumerated_independent_subsets,
     facial_intersection,
+    maximal_span_clusters,
     reparametrized_intersection,
+    span_clusters,
     subset_of,
     whole_word_corners,
 )
+from test_envelope_digest import _pool_draws
+from test_golden_cli import GOLDEN
+from test_hash_seed import DRAWS
 from test_work_counts import draw_clusters
 
 
@@ -409,3 +421,48 @@ def form_lists(draw):
 @given(form_lists())
 def test_independent_subsets_match_enumeration(forms):
     assert _independent_subsets(forms) == enumerated_independent_subsets(forms)
+
+
+# ---------------------------------------------------------------------------
+# cubulation
+
+
+def test_cubulate_builds_the_maximal_span_clusters(monkeypatch):
+    """Each envelope builds exactly the clusters that building every span
+    and filtering kept, with the same parameters, and every span it skips
+    spans a subcluster of the first built cluster holding the span's vertex
+    and its neighbours across the parameters."""
+    inputs = [[parse_cluster_line(p) for p in draw.split("||")]
+              for draw in DRAWS + _pool_draws()[:100]]
+    inputs.append(read_cluster_file(os.path.join(GOLDEN, "squares.txt")))
+    systems, built = [], []
+    cubulate = pipeline.cubulate
+
+    def recording_cubulate(system, max_dim=None):
+        systems.append(system)
+        return cubulate(system, max_dim)
+
+    def recording_cluster(base, params):
+        built.append(Cluster(base, params))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "cubulate", recording_cubulate)
+    monkeypatch.setattr(pipeline, "Cluster", recording_cluster)
+    skipped = 0
+    for clusters in inputs:
+        del built[:]
+        out = envelope(clusters)
+        spans = span_clusters(systems[-1])
+        want = maximal_span_clusters(spans)
+        assert sorted(map(render_cluster_line, built)) == sorted(
+            map(render_cluster_line, want))
+        assert out.clusters == frozenset(built) == want
+        done = {(c.base_vertex, c.params) for c in built}
+        for c in spans:
+            if (c.base_vertex, c.params) in done:
+                continue
+            skipped += 1
+            ends = {c.corners[1 << i] for i in range(c.n)} | {c.base_vertex}
+            cover = next(b for b in built if ends <= b.vertices)
+            assert c.vertices <= cover.vertices
+    assert skipped > 0

@@ -29,6 +29,7 @@ from cantorg.rewrite import (
     normalize,
     normalize_product,
 )
+from cantorg.special import from_letters
 from test_envelope_digest import _pool_draws
 from test_golden_cli import CALLS, GOLDEN
 from test_hash_seed import DRAWS
@@ -306,6 +307,37 @@ def draw_clusters():
     return list(built.values())
 
 
+# the 22 clusters, as (base, parameters), that the envelopes of the three
+# hash-seed draws built, in order, while `cubulate` built one cluster per
+# span and then dropped the repeats and the clusters inside others; it now
+# builds 8 of them, and the corner count is kept on the 22
+CORNER_CLUSTERS = [
+    ("y[10]^2", ("y[01]", "y[100] y[101]^-1")),
+    ("y[10]^2", ("y[100]",)),
+    ("y[01] y[10]^2", ("y[01]^-1", "y[100]", "y[101]^-1")),
+    ("y[01] y[100]^2 y[10100]^-1 y[10101] y[1010]^-1 y[10]",
+     ("y[01]^-1", "y[100]^-1 y[10100] y[10101]^-1", "y[1011]")),
+    ("y[10]^2", ("y[01]", "y[100]", "y[101]^-1")),
+    ("y[100] y[10]^2", ("y[01]", "y[100]^-1", "y[101]^-1")),
+    ("y[100]^2 y[10100]^-1 y[10101] y[1010]^-1 y[10]",
+     ("y[01]", "y[100]^-1 y[10100] y[10101]^-1", "y[1011]")),
+    ("y[10]", ("y[0010]", "y[01]", "y[10]^-1")),
+    ("", ("y[0010]", "y[01]", "y[10]")),
+    ("y[0010]", ("y[0010]^-1", "y[01]", "y[10]")),
+    ("y[0010] y[01]", ("y[0010]^-1", "y[01]^-1", "y[10]")),
+    ("y[0010] y[01] y[10]", ("y[0010]^-1", "y[01]^-1", "y[10]^-1")),
+    ("y[0010] y[10]", ("y[0010]^-1", "y[01]", "y[10]^-1")),
+    ("y[01]", ("y[0010]", "y[01]^-1", "y[10]")),
+    ("y[01] y[10]", ("y[0010]", "y[01]^-1", "y[10]^-1")),
+    ("", ("y[01]", "y[100]")),
+    ("", ("y[100] y[101]^-1",)),
+    ("", ("y[01]", "y[100]", "y[101]^-1")),
+    ("y[01]", ("y[01]^-1", "y[100]", "y[101]^-1")),
+    ("y[01] y[100]", ("y[01]^-1", "y[100]^-1", "y[101]^-1")),
+    ("y[100]", ("y[01]", "y[100]^-1", "y[101]^-1")),
+    ("y[100] y[101]^-1", ("y[01]", "y[100]^-1", "y[101]")),
+]
+
 # measured when each corner became the normal form of its lowest parameter
 # times the corner one parameter smaller; normalizing the whole word of
 # every corner made 156 calls on 140 distinct words
@@ -313,13 +345,40 @@ CORNER_NORMALIZE = {"normalize": 134, "distinct_words": 76}
 
 
 def test_cluster_corner_normalize_count(monkeypatch):
-    clusters = draw_clusters()
+    clusters = [
+        (normalize(parse_word(base)),
+         tuple(from_letters(parse_word(p)) for p in params))
+        for base, params in CORNER_CLUSTERS
+    ]
     monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
     counts = _install_counters(monkeypatch, [("rewrite", "normalize")])
     for base, params in clusters:
         Cluster(base, params)
     counts["distinct_words"] = len(rewrite._NORMALIZE_CACHE)
     assert counts == CORNER_NORMALIZE
+
+
+# the clusters built over the envelopes of the three hash-seed draws and of
+# the golden squares file, which output 14 clusters.  While `cubulate`
+# built a cluster for every span and then dropped the repeats and the
+# clusters inside others, it built 48
+CUBULATE_BUILDS = 14
+
+
+def test_cubulate_builds_only_output_clusters(monkeypatch):
+    inputs = [[parse_cluster_line(p) for p in draw.split("||")]
+              for draw in DRAWS]
+    inputs.append(read_cluster_file(os.path.join(GOLDEN, "squares.txt")))
+    built = []
+    init = Cluster.__init__
+
+    def recording(self, base, params):
+        built.append(params)
+        init(self, base, params)
+
+    monkeypatch.setattr(Cluster, "__init__", recording)
+    kept = sum(len(envelope(clusters).clusters) for clusters in inputs)
+    assert len(built) == kept == CUBULATE_BUILDS
 
 
 # the clusters built by the golden `cluster ... --cells` call.  While the
