@@ -20,14 +20,15 @@ corners:
   fits lexicographically between two consecutive leaves, so A ^ B is
   always an index interval [i..j] whose junctions are all consecutive with
   alternating signs.  So a corner's edges take O(n^2) steps, not 2^n tests.
-* Clique criterion.  At a vertex with bitmask A, a cluster's facial edges
+* Conformality.  At a vertex with bitmask A, a cluster's facial edges
   lead to the corners A ^ 2^i; naming edges by their far ends, it
   contributes a corner of the link, a bitmask over the edges there.
   Filled sets of edges are exactly the subsets of corners, so the link is
-  flag iff every maximal clique C of the graph "two edges share a corner"
-  has C & ~M == 0 for some corner M.  Maximal cliques come from
-  Bron-Kerbosch with pivoting (CACM Algorithm 457, 1973): at most 3^(m/3)
-  of them for m edges at the vertex, instead of the 2^m subsets of a scan.
+  flag iff the corners form a conformal hypergraph: every clique of the
+  graph "two edges share a corner" lies in one corner.  By Gilmore's
+  criterion (Gilmore 1962; Berge, Hypergraphs, 1989) that holds iff for
+  every three corners A, B and C the clique A & B | B & C | C & A lies in
+  some corner, so no clique is ever listed.
 * Face criterion.  The face spanned at a corner A by a mask F has the
   corners A ^ B over B & ~F == 0.  So corners V, v0 among them, form a face
   exactly when the OR of A_v ^ A_v0 over V is an F with |V| = 2^popcount(F);
@@ -396,8 +397,10 @@ def cluster_orbit_invariant(cluster):
 
 def maximal_cliques(adj):
     """Maximal cliques, as bitmasks, of the graph whose node u has the
-    neighbour bitmask adj[u]: Bron-Kerbosch with pivoting, branching only on
-    candidates outside the neighbourhood of the candidate-richest pivot."""
+    neighbour bitmask adj[u]: Bron-Kerbosch with pivoting (CACM Algorithm
+    457, 1973), branching only on candidates outside the neighbourhood of
+    the candidate-richest pivot.  The graph with no nodes has one maximal
+    clique, the empty one."""
 
     def expand(clique, cand, done):
         if not cand:
@@ -421,37 +424,36 @@ def link_flag_check(clusters, vertex):
     every pairwise-filled set of corner edges must itself span a cluster
     corner in the piece.  Returns (True, None) or (False, witness edges).
 
-    Filled sets are the subsets of corners, so by the clique criterion (see
-    the module docstring) it suffices that every maximal clique of size at
-    least two of the graph "two edges share a corner" lies in one corner.
-    The witness is a minimal unfilled subset of the first bad clique: each
-    of its proper subsets is filled."""
+    Filled sets are the subsets of corners, so by Gilmore's criterion (see
+    the module docstring) it suffices that for every three corners the
+    clique of edges that two of them share lies in one corner.  The
+    witness is a minimal unfilled subset of the first such clique that does
+    not: each of its proper subsets is filled, so it has at least three
+    edges."""
     clusters = [c for c in clusters if vertex in c.vertices]
     if len(clusters) < 3:
-        # an unfilled clique holds an edge outside each corner, but with
-        # corners A and B only, an edge of A - B and one of B - A share none
+        # the criterion's degenerate case: there are no three corners
         return True, None
-    # each facial edge {vertex, w} is named by its far end w; sorting the far
-    # ends orders the edges as sorting them by their sorted ends would
-    corners = [[c.corners[c.mask_of[vertex] ^ 1 << i] for i in range(c.n)]
-               for c in clusters]
-    nodes = sorted(set().union(*corners))
-    index = {w: u for u, w in enumerate(nodes)}
-    masks = [sum(1 << index[w] for w in corner) for corner in corners]
-    adj = [0] * len(nodes)
-    for m in masks:
-        for u in _bits(m):
-            adj[u] |= m & ~(1 << u)
+    # each facial edge {vertex, w} is named by its far end w, indexed in
+    # the order first seen
+    index, masks = {}, []
+    for cluster in clusters:
+        at = cluster.mask_of[vertex]
+        masks.append(sum(
+            1 << index.setdefault(cluster.corners[at ^ 1 << i], len(index))
+            for i in range(cluster.n)))
 
     def filled(subset):
         return any(subset & ~m == 0 for m in masks)
 
-    for clique in maximal_cliques(adj):
+    for a, b, c in itertools.combinations(masks, 3):
+        clique = a & b | b & c | c & a
         if filled(clique):
             continue
         for u in _bits(clique):
             if not filled(clique & ~(1 << u)):
                 clique &= ~(1 << u)
+        nodes = list(index)
         return False, frozenset(
             frozenset((vertex, nodes[u])) for u in _bits(clique))
     return True, None

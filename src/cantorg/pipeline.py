@@ -566,9 +566,9 @@ class ClusterCubeComplex:
 
 
 def _independent_subsets(forms):
-    """The maximal pairwise independent subsets of the forms, none when
-    there are none: the maximal cliques of the graph "two forms are
-    independent", by size and then by index."""
+    """The maximal pairwise independent subsets of the forms, the empty
+    subset when there are no forms: the maximal cliques of the graph "two
+    forms are independent", by size and then by index."""
     adj = [0] * len(forms)
     for i, j in itertools.combinations(range(len(forms)), 2):
         if independent(forms[i], forms[j]):
@@ -576,7 +576,7 @@ def _independent_subsets(forms):
             adj[j] |= 1 << i
     cliques = sorted(
         ([i for i in range(len(forms)) if mask >> i & 1]
-         for mask in maximal_cliques(adj) if mask),
+         for mask in maximal_cliques(adj)),
         key=lambda ids: (len(ids), ids),
     )
     return [tuple(forms[i] for i in ids) for ids in cliques]

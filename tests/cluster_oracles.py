@@ -8,7 +8,10 @@ shared edges.  `facial_intersection` is the old `cubulate` verdict on a
 pair of clusters: the plain graph intersection must be that cluster, and
 the cluster must be all of each side or a face of it by `subcluster_type`.
 `enumerated_independent_subsets` lists every pairwise independent subset
-and keeps the maximal ones with a quadratic scan.  `whole_word_corners` is
+and keeps the maximal ones with a quadratic scan.  `clique_flag_check` is
+the flag check of a vertex link before it used Gilmore's criterion: it
+lists the maximal cliques of the graph "two edges share a corner" by
+Bron-Kerbosch and asks that each lies in one corner.  `whole_word_corners` is
 the corner construction of `Cluster` before it built each corner from a
 smaller one: every subset's parameters, in order, then the base, normalized
 as one word.  `corner` and `subset_of` read a corner of a cluster by its
@@ -24,6 +27,7 @@ from cantorg.complexes import (
     Cluster,
     _bits,
     balanced_parametrizations,
+    maximal_cliques,
     subcluster_type,
     vertex_of,
 )
@@ -116,10 +120,11 @@ def whole_word_corners(base, params):
 
 
 def enumerated_independent_subsets(forms):
-    """All nonempty pairwise independent subsets, maximal ones only, in the
-    order of enumeration: by size, then lexicographically by index."""
+    """All pairwise independent subsets, maximal ones only, in the order of
+    enumeration: by size, then lexicographically by index.  The empty
+    subset is maximal only when there are no forms."""
     subsets = []
-    for r in range(1, len(forms) + 1):
+    for r in range(len(forms) + 1):
         for combo in itertools.combinations(forms, r):
             if all(
                 independent(a, b) for a, b in itertools.combinations(combo, 2)
@@ -130,6 +135,47 @@ def enumerated_independent_subsets(forms):
         for s in subsets
         if not any(set(s) < set(t) for t in subsets)
     ]
+
+
+def clique_flag_check(clusters, vertex):
+    """Gromov flag condition at a vertex of a union of filled clusters:
+    every pairwise-filled set of corner edges must itself span a cluster
+    corner in the piece.  Returns (True, None) or (False, witness edges).
+
+    Filled sets are the subsets of corners, so by the clique criterion it
+    suffices that every maximal clique of size at least two of the graph
+    "two edges share a corner" lies in one corner.
+    The witness is a minimal unfilled subset of the first bad clique: each
+    of its proper subsets is filled."""
+    clusters = [c for c in clusters if vertex in c.vertices]
+    if len(clusters) < 3:
+        # an unfilled clique holds an edge outside each corner, but with
+        # corners A and B only, an edge of A - B and one of B - A share none
+        return True, None
+    # each facial edge {vertex, w} is named by its far end w; sorting the far
+    # ends orders the edges as sorting them by their sorted ends would
+    corners = [[c.corners[c.mask_of[vertex] ^ 1 << i] for i in range(c.n)]
+               for c in clusters]
+    nodes = sorted(set().union(*corners))
+    index = {w: u for u, w in enumerate(nodes)}
+    masks = [sum(1 << index[w] for w in corner) for corner in corners]
+    adj = [0] * len(nodes)
+    for m in masks:
+        for u in _bits(m):
+            adj[u] |= m & ~(1 << u)
+
+    def filled(subset):
+        return any(subset & ~m == 0 for m in masks)
+
+    for clique in maximal_cliques(adj):
+        if filled(clique):
+            continue
+        for u in _bits(clique):
+            if not filled(clique & ~(1 << u)):
+                clique &= ~(1 << u)
+        return False, frozenset(
+            frozenset((vertex, nodes[u])) for u in _bits(clique))
+    return True, None
 
 
 def span_clusters(system):

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import os
 import pathlib
 import re
 import signal
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorg import commands
 from cantorg.cli import (
@@ -121,6 +126,23 @@ def test_cubulate_command(tmp_path, capsys):
     assert lines[0] == "clusters: 1"
     assert lines[1] == "  1 ; y[01] ; y[10]^-1"
     assert lines[-1] == "flag links: 4 of 4 ok"
+
+
+@pytest.mark.parametrize("text, clusters", [
+    ("y[0011]\n", ["y[0011]"]),
+    ("1\n", ["1"]),
+    ("y[01]\ny[10]\n", ["y[01]", "y[10]"]),
+], ids=["y[0011]", "1", "two vertices"])
+def test_cubulate_isolated_vertices(tmp_path, capsys, text, clusters):
+    # a vertex with no parameters spans the 0-dimensional cluster on it
+    f = tmp_path / "complex.txt"
+    f.write_text(text)
+    code, out = run(capsys, "cubulate", str(f))
+    assert code == 0
+    n = len(clusters)
+    assert out.splitlines() == [
+        f"clusters: {n}", *("  " + c for c in clusters), f"vertices: {n}",
+        f"flag links: {n} of {n} ok"]
 
 
 def test_cubulate_max_dim_bounds_before_building(tmp_path, capsys):
@@ -425,3 +447,87 @@ def test_word_commands_skip_cluster_modules():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@st.composite
+def rarely(draw, junk, strategy):
+    """Draws from `strategy`, and one time in ten from `junk`."""
+    return draw(junk if draw(st.integers(0, 9)) == 0 else strategy)
+
+
+# words of the command-line grammar, mostly well formed: a subscript ends
+# in 01 or 10, as a y-letter needs, and a junk token or point is rare
+SUBSCRIPTS = rarely(
+    st.text("01", max_size=4),
+    st.tuples(st.text("01", max_size=2), st.sampled_from(["01", "10"]))
+    .map("".join))
+LETTERS = st.builds("{}[{}]{}".format, st.sampled_from("xy"), SUBSCRIPTS,
+                    st.sampled_from(["", "", "^-1", "^2", "^-2"]))
+JUNK = st.sampled_from(["z[1]", "y[", "]", "^", "y[2]", "x[01]^", "x[0]^0",
+                        "(", "oops", "y[]", ";", "1"])
+POINTS = rarely(
+    st.sampled_from(["(", "01", "0(", "()", "2(1)", ""]),
+    st.builds("{}({})".format, st.text("01", max_size=4),
+              st.text("01", min_size=1, max_size=3)))
+
+
+@st.composite
+def words(draw, max_size=4):
+    tokens = draw(st.lists(rarely(JUNK, LETTERS), max_size=max_size))
+    return " ".join(tokens)
+
+
+def specs(max_params=3, max_size=4):
+    return st.lists(words(max_size), min_size=1, max_size=max_params + 1
+                    ).map(" ; ".join)
+
+
+ARGUMENTS = {
+    "normalize": [words()],
+    "equal": [words(), words()],
+    "eval": [words(), POINTS],
+    "calc": [words(), POINTS],
+    "support": [words()],
+    "special": [words()],
+    "cluster": [specs()],
+    "intersect": [specs(), specs()],
+}
+# tiny files: larger cubulate inputs can take seconds
+FILE_LINES = {
+    "cubulate": st.lists(specs(2, 2), min_size=1, max_size=2),
+    "contract-loop": st.lists(words(2), min_size=1, max_size=4),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """An argument list, the command and the text of the file it names."""
+    command = draw(st.sampled_from(sorted(commands.COMMANDS)))
+    if command in FILE_LINES:
+        args, text = [], "\n".join(draw(FILE_LINES[command])) + "\n"
+    else:
+        args, text = [draw(arg) for arg in ARGUMENTS[command]], None
+    if command == "cluster" and draw(st.booleans()):
+        args.append("--cells")
+    max_dim = draw(st.sampled_from([None, -1, 0, 1, 2, 4, 8]))
+    front = [] if max_dim is None else ["--max-dim", str(max_dim)]
+    return front + [command] + args, command, text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cli_calls())
+def test_cli_is_total(call):
+    """Every call exits 0, 1, 2 or 3 without raising, and `cubulate` on
+    these inputs never reports an internal error."""
+    argv, command, text = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            argv.append(os.path.join(tmp, "input.txt"))
+            with open(argv[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = commands.run(argv)
+    assert code in (0, 1, 2, 3)
+    if command == "cubulate":
+        assert code != 3

@@ -4,8 +4,8 @@ intersection check, the independent subsets at a vertex and the clusters
 
 The oracles are the original definitions: an edge test on every pair of
 cluster corners, a flag check that enumerates every subset of corner edges
-at a vertex, and, from `cluster_oracles`, the intersection check that
-re-parametrizes both clusters, the enumeration of all independent subsets,
+at a vertex, and, from `cluster_oracles`, the flag check that lists
+maximal cliques, the intersection check that re-parametrizes both clusters, the enumeration of all independent subsets,
 the corners normalized as whole words and the cubulation that built every
 span's cluster before it kept the maximal ones.  The scans are exponential in
 the number of corners, edges or forms, so they serve as references on small
@@ -37,6 +37,7 @@ from cantorg.pipeline import _independent_subsets, envelope
 from cantorg.rewrite import normalize
 from cantorg.special import from_letters, is_constant, pair_consecutive
 from cluster_oracles import (
+    clique_flag_check,
     corner,
     enumerated_independent_subsets,
     facial_intersection,
@@ -49,7 +50,7 @@ from cluster_oracles import (
 from test_envelope_digest import _pool_draws
 from test_golden_cli import GOLDEN
 from test_hash_seed import DRAWS
-from test_work_counts import draw_clusters
+from test_work_counts import CORNER_CLUSTERS
 
 
 def cl(base_text, *param_texts):
@@ -129,23 +130,32 @@ def subset_flag_check(clusters, vertex):
     return True, None
 
 
-def assert_same_flag_verdict(clusters, vertex):
+def assert_same_as_clique_check(clusters, vertex):
+    """`link_flag_check` gives the verdict of `clique_flag_check`, and each
+    witness is unfilled, pairwise filled, and filled without any one of its
+    edges.  Returns the verdict."""
     got = link_flag_check(clusters, vertex)
-    ok, witness = subset_flag_check(clusters, vertex)
-    assert got[0] == ok
-    if ok:
-        assert got == (True, None)
-        return
+    want = clique_flag_check(clusters, vertex)
+    assert got[0] == want[0]
+    if got[0]:
+        assert got == want == (True, None)
+        return True
     corners = _corners_at(clusters, vertex)
 
     def filled(subset):
         return any(subset <= corner for corner in corners)
 
-    witness = got[1]
-    assert len(witness) >= 3 and not filled(witness)
-    pairs = itertools.combinations(witness, 2)
-    assert all(filled(frozenset(p)) for p in pairs)
-    assert all(filled(witness - {e}) for e in witness)
+    for _, witness in (got, want):
+        assert len(witness) >= 3 and not filled(witness)
+        pairs = itertools.combinations(witness, 2)
+        assert all(filled(frozenset(p)) for p in pairs)
+        assert all(filled(witness - {e}) for e in witness)
+    return False
+
+
+def assert_same_flag_verdict(clusters, vertex):
+    ok = assert_same_as_clique_check(clusters, vertex)
+    assert subset_flag_check(clusters, vertex)[0] == ok
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +241,10 @@ def test_corners_match_whole_words(params, base):
 
 
 def test_corners_match_whole_words_on_envelopes():
-    clusters = draw_clusters()
-    assert max(len(params) for _, params in clusters) == 3
-    for base, params in clusters:
-        assert_corners_match_whole_words(Cluster(base, params))
+    assert len(CORNER_CLUSTERS) == 22
+    assert max(len(params) for _, params in CORNER_CLUSTERS) == 3
+    for base, params in CORNER_CLUSTERS:
+        assert_corners_match_whole_words(cl(base, *params))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +287,23 @@ def test_flag_check_matches_subset_scan_on_envelopes():
                 assert_same_flag_verdict(rest, v)
                 bad += not link_flag_check(rest, v)[0]
     assert bad > 0
+
+
+def test_flag_check_matches_clique_check_on_twelve():
+    """The envelope of the 12-dimensional golden draw, at every vertex and
+    with each cluster dropped in turn at its vertices; the subset scan
+    would take 2^12 steps and more per vertex, so it is left out."""
+    out = envelope(read_cluster_file(os.path.join(GOLDEN, "twelve.txt")))
+    clusters = sorted(out.clusters, key=lambda c: sorted(c.vertices))
+    for v in out.vertices:
+        assert assert_same_as_clique_check(clusters, v)
+    calls = bad = 0
+    for drop in clusters:
+        rest = [c for c in clusters if c is not drop]
+        for v in drop.vertices:
+            calls += 1
+            bad += not assert_same_as_clique_check(rest, v)
+    assert (calls, bad) == (14720, 128)
 
 
 # ---------------------------------------------------------------------------

@@ -289,24 +289,6 @@ def test_envelope_builds_no_output_edge_set():
     assert built == EDGE_SETS_BUILT
 
 
-def draw_clusters():
-    """The distinct clusters, as (base, parameters) in the order first
-    built, that the envelopes of the three hash-seed draws construct."""
-    built = {}
-    init = Cluster.__init__
-
-    def recording(self, base, params):
-        init(self, base, params)
-        built.setdefault((tuple(self.base.to_items()), self.params),
-                         (self.base, self.params))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Cluster, "__init__", recording)
-        for draw in DRAWS:
-            envelope([parse_cluster_line(p) for p in draw.split("||")])
-    return list(built.values())
-
-
 # the 22 clusters, as (base, parameters), that the envelopes of the three
 # hash-seed draws built, in order, while `cubulate` built one cluster per
 # span and then dropped the repeats and the clusters inside others; it now
