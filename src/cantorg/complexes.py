@@ -26,9 +26,8 @@ corners:
   Filled sets of edges are exactly the subsets of corners, so the link is
   flag iff the corners form a conformal hypergraph: every clique of the
   graph "two edges share a corner" lies in one corner.  By Gilmore's
-  criterion (Gilmore 1962; Berge, Hypergraphs, 1989) that holds iff for
-  every three corners A, B and C the clique A & B | B & C | C & A lies in
-  some corner, so no clique is ever listed.
+  criterion (1962; Berge, Hypergraphs, 1989) that holds iff, for every
+  three corners P, Q and R, the clique P & Q | Q & R | R & P does.
 * Face criterion.  The face spanned at a corner A by a mask F has the
   corners A ^ B over B & ~F == 0.  So corners V, v0 among them, form a face
   exactly when the OR of A_v ^ A_v0 over V is an F with |V| = 2^popcount(F);
@@ -397,10 +396,9 @@ def cluster_orbit_invariant(cluster):
 
 def maximal_cliques(adj):
     """Maximal cliques, as bitmasks, of the graph whose node u has the
-    neighbour bitmask adj[u]: Bron-Kerbosch with pivoting (CACM Algorithm
-    457, 1973), branching only on candidates outside the neighbourhood of
-    the candidate-richest pivot.  The graph with no nodes has one maximal
-    clique, the empty one."""
+    neighbour bitmask adj[u] (the empty clique when there are no nodes):
+    Bron-Kerbosch with pivoting (CACM Algorithm 457, 1973), branching only
+    on candidates outside the neighbourhood of the candidate-richest pivot."""
 
     def expand(clique, cand, done):
         if not cand:
@@ -425,11 +423,10 @@ def link_flag_check(clusters, vertex):
     corner in the piece.  Returns (True, None) or (False, witness edges).
 
     Filled sets are the subsets of corners, so by Gilmore's criterion (see
-    the module docstring) it suffices that for every three corners the
-    clique of edges that two of them share lies in one corner.  The
-    witness is a minimal unfilled subset of the first such clique that does
-    not: each of its proper subsets is filled, so it has at least three
-    edges."""
+    the module docstring) the clique of edges that two of three corners
+    share must lie in one corner.  The witness is a minimal unfilled subset
+    of the first clique that does not: each of its proper subsets is
+    filled, so it has at least three edges."""
     clusters = [c for c in clusters if vertex in c.vertices]
     if len(clusters) < 3:
         # the criterion's degenerate case: there are no three corners

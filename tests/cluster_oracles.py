@@ -11,13 +11,13 @@ the cluster must be all of each side or a face of it by `subcluster_type`.
 and keeps the maximal ones with a quadratic scan.  `clique_flag_check` is
 the flag check of a vertex link before it used Gilmore's criterion: it
 lists the maximal cliques of the graph "two edges share a corner" by
-Bron-Kerbosch and asks that each lies in one corner.  `whole_word_corners` is
-the corner construction of `Cluster` before it built each corner from a
-smaller one: every subset's parameters, in order, then the base, normalized
-as one word.  `corner` and `subset_of` read a corner of a cluster by its
-subset of parameters, and back.  `skeleton_matches` and `check_incidence` verify a filling of
-a cluster: its one-skeleton is the cluster graph, and its face poset is
-graded.
+Bron-Kerbosch and asks that each lies in one corner.
+`whole_word_corners` is the corner construction of `Cluster` before it
+built each corner from a smaller one: every subset's parameters, in order,
+then the base, normalized as one word.  `corner` and `subset_of` read a
+corner of a cluster by its subset of parameters, and back.
+`skeleton_matches` and `check_incidence` verify a filling of a cluster: its
+one-skeleton is the cluster graph, and its face poset is graded.
 """
 
 import itertools
@@ -144,9 +144,9 @@ def clique_flag_check(clusters, vertex):
 
     Filled sets are the subsets of corners, so by the clique criterion it
     suffices that every maximal clique of size at least two of the graph
-    "two edges share a corner" lies in one corner.
-    The witness is a minimal unfilled subset of the first bad clique: each
-    of its proper subsets is filled."""
+    "two edges share a corner" lies in one corner.  The witness is a
+    minimal unfilled subset of the first bad clique: each of its proper
+    subsets is filled."""
     clusters = [c for c in clusters if vertex in c.vertices]
     if len(clusters) < 3:
         # an unfilled clique holds an edge outside each corner, but with

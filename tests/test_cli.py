@@ -471,10 +471,8 @@ POINTS = rarely(
               st.text("01", min_size=1, max_size=3)))
 
 
-@st.composite
-def words(draw, max_size=4):
-    tokens = draw(st.lists(rarely(JUNK, LETTERS), max_size=max_size))
-    return " ".join(tokens)
+def words(max_size=4):
+    return st.lists(rarely(JUNK, LETTERS), max_size=max_size).map(" ".join)
 
 
 def specs(max_params=3, max_size=4):

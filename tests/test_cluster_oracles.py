@@ -5,10 +5,11 @@ intersection check, the independent subsets at a vertex and the clusters
 The oracles are the original definitions: an edge test on every pair of
 cluster corners, a flag check that enumerates every subset of corner edges
 at a vertex, and, from `cluster_oracles`, the flag check that lists
-maximal cliques, the intersection check that re-parametrizes both clusters, the enumeration of all independent subsets,
-the corners normalized as whole words and the cubulation that built every
-span's cluster before it kept the maximal ones.  The scans are exponential in
-the number of corners, edges or forms, so they serve as references on small
+maximal cliques, the intersection check that re-parametrizes both
+clusters, the enumeration of all independent subsets, the corners
+normalized as whole words and the cubulation that built every span's
+cluster before it kept the maximal ones.  The scans are exponential in the
+number of corners, edges or forms, so they serve as references on small
 inputs only.
 """
 
@@ -291,8 +292,8 @@ def test_flag_check_matches_subset_scan_on_envelopes():
 
 def test_flag_check_matches_clique_check_on_twelve():
     """The envelope of the 12-dimensional golden draw, at every vertex and
-    with each cluster dropped in turn at its vertices; the subset scan
-    would take 2^12 steps and more per vertex, so it is left out."""
+    with each cluster dropped in turn at its vertices.  The subset scan is
+    exponential in the edges at a vertex, so it is left out."""
     out = envelope(read_cluster_file(os.path.join(GOLDEN, "twelve.txt")))
     clusters = sorted(out.clusters, key=lambda c: sorted(c.vertices))
     for v in out.vertices:

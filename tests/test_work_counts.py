@@ -292,7 +292,8 @@ def test_envelope_builds_no_output_edge_set():
 # the 22 clusters, as (base, parameters), that the envelopes of the three
 # hash-seed draws built, in order, while `cubulate` built one cluster per
 # span and then dropped the repeats and the clusters inside others; it now
-# builds 8 of them, and the corner count is kept on the 22
+# builds 8 of them, and the corner count and the whole-word corner check
+# of `test_cluster_oracles` are kept on the 22
 CORNER_CLUSTERS = [
     ("y[10]^2", ("y[01]", "y[100] y[101]^-1")),
     ("y[10]^2", ("y[100]",)),
