@@ -643,7 +643,10 @@ def cubulate(system, max_dim=None):
         ok, witness = link_flag_check([ordered[i] for i in at_vertex[v]], v)
         flag_report[v] = (ok, witness)
         if not ok:
-            raise InternalError("vertex link is not a flag complex")
+            at = " ".join(lt.render() for lt in v) or "1"
+            raise InternalError(
+                f"vertex link is not a flag complex at {at}: a witness of "
+                f"{len(witness)} edges spans no corner")
     return ClusterCubeComplex(clusters, flag_report)
 
 

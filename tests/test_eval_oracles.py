@@ -1,15 +1,18 @@
 """Differential test of `calculus.evaluate` against the evaluation in
 `eval_oracles`, which applies every x-letter as a tree pair at every point
 and builds each sequence digit by digit.  Results are compared field by
-field on the canonical (pre, per)."""
+field on the canonical (pre, per), from a cleared letter-application memo
+and from a warm one."""
 
 from hypothesis import given, settings, strategies as st
 
 import eval_oracles as oracle
+from cantorg import calculus
 from cantorg.binseq import RationalSeq, is_constant
 from cantorg.calculus import evaluate
 from cantorg.rewrite import FToken, GNormal, Letter
 from cantorg.thompson import IDENTITY, compose, x_unit
+from test_eval_work_counts import POINTS, relation_slice
 
 # periods that are often powers of a shorter word, so the point is not
 # primitive as written
@@ -71,3 +74,38 @@ def test_evaluate_matches_oracle(data):
     xi = data.draw(points)
     word = data.draw(words(xi))
     assert fields(evaluate(word, xi)) == fields(oracle.evaluate(word, xi))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_evaluate_matches_oracle_cold_and_warm_memo(data):
+    xi = data.draw(points)
+    word = data.draw(words(xi))
+    want = fields(oracle.evaluate(word, xi))
+    calculus._apply_in_cone.cache_clear()
+    assert fields(evaluate(word, xi)) == want
+    assert fields(evaluate(word, xi)) == want
+
+
+def test_second_pass_is_served_by_the_memo(monkeypatch):
+    """A second pass over the 20-instance relation slice finds every
+    letter application in the memo, which stays within its bound."""
+    calculus._apply_in_cone.cache_clear()
+    instances = relation_slice()
+    first = [[evaluate(side, xi) for xi in POINTS]
+             for inst in instances for side in inst]
+    calls = []
+    real = calculus.eval_letter
+
+    def counted(sign, tail):
+        calls.append(sign)
+        return real(sign, tail)
+
+    monkeypatch.setattr(calculus, "eval_letter", counted)
+    second = [[evaluate(side, xi) for xi in POINTS]
+              for inst in instances for side in inst]
+    assert second == first
+    assert calls == []
+    info = calculus._apply_in_cone.cache_info()
+    assert info.maxsize == calculus.APPLY_CACHE_SIZE
+    assert 0 < info.currsize <= info.maxsize

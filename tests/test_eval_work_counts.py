@@ -6,6 +6,8 @@ points with preperiod at most 6 and period at most 3.  The number of tree
 pair actions and of y-letter evaluations is fixed by the words and the
 points; the number of validated `RationalSeq` constructions shows whether
 prefix replacement still builds its results without re-validating them.
+Both are counted from a cleared letter-application memo, whose misses and
+hits are pinned too.
 """
 
 import itertools
@@ -66,14 +68,22 @@ POINTS = sorted(
 # pairs: a point outside cone(s) is left as it is, and inside it x_s^±1 is
 # one step of the Y_STEP rows.  So "act_on_seq" fell from 30720 (one call
 # per unit of every x-letter at every point) to 0.
+# The image of a point under a letter is now memoized.  From a cleared
+# memo, the slice's 17660 in-cone letter applications cover 5840 distinct
+# (letter, point) pairs, so "eval_letter" and the validated constructions
+# fell from 4320 each (one per y-letter unit per application) to 1200 each
+# (one per unit per distinct pair).
 EXPECTED = {
     "act_on_seq": 0,
-    "eval_letter": 4320,
-    "RationalSeq.__init__": 4320,
+    "eval_letter": 1200,
+    "RationalSeq.__init__": 1200,
 }
+EXPECTED_MEMO = {"misses": 5840, "hits": 11820}
 
 
 def test_evaluation_work_counts(monkeypatch):
+    # counts from a cold memo, whichever tests ran before in this process
+    calculus._apply_in_cone.cache_clear()
     instances = relation_slice()
     assert len(instances) == 20 and len(POINTS) == 640
     counts = dict.fromkeys(EXPECTED, 0)
@@ -94,3 +104,5 @@ def test_evaluation_work_counts(monkeypatch):
         for xi in POINTS:
             assert evaluate(lhs, xi) == evaluate(rhs, xi)
     assert counts == EXPECTED
+    info = calculus._apply_in_cone.cache_info()
+    assert {"misses": info.misses, "hits": info.hits} == EXPECTED_MEMO

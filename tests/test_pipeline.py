@@ -1,9 +1,12 @@
 import itertools
+import os
 
 import pytest
 
+from cantorg import pipeline
 from cantorg.binseq import ConeSet
 from cantorg.cli import parse_word
+from cantorg.commands import read_cluster_file, render_vertex
 from cantorg.complexes import Cluster, vertex_of
 from cantorg.pipeline import (
     DISPARATE,
@@ -29,6 +32,7 @@ from cantorg.pipeline import (
 )
 from cantorg.rewrite import normalize
 from cantorg.special import from_letters
+from cantorg.thompson import InternalError
 from verifiers import orthogonal_pair
 
 
@@ -270,6 +274,30 @@ def test_cubulate_free_system():
     assert all(ok for ok, _ in out.flag_report.values())
     with pytest.raises(ValueError):
         cubulate(CellSystem({pc("y[10]"), pc("y[100]")}, {TRIV}))
+
+
+def test_failed_flag_check_names_its_vertex(monkeypatch):
+    """A link that fails the flag check stops `cubulate` with an error
+    naming the vertex, rendered as the CLI renders it, and the size of the
+    witness."""
+    real = pipeline.link_flag_check
+    failed = []
+
+    def fail_at_first_nontrivial(clusters, vertex):
+        if failed or not vertex:
+            return real(clusters, vertex)
+        failed.append(vertex)
+        return False, frozenset(frozenset((vertex, (i,))) for i in range(3))
+
+    monkeypatch.setattr(pipeline, "link_flag_check", fail_at_first_nontrivial)
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "golden", "squares.txt")
+    with pytest.raises(InternalError) as info:
+        envelope(read_cluster_file(path))
+    assert len(failed) == 1
+    assert str(info.value) == (
+        f"vertex link is not a flag complex at {render_vertex(failed[0])}: "
+        "a witness of 3 edges spans no corner")
 
 
 def test_envelope_of_a_cluster():
