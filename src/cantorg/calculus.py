@@ -103,6 +103,8 @@ def evaluate(word, xi):
             xi = item.pair.act_on_seq(xi)
             continue
         sub = item.sub
+        # `starts_with` inline for the common case of a subscript no
+        # longer than the preperiod
         if (xi.pre.startswith(sub) if len(sub) <= len(xi.pre)
                 else xi.starts_with(sub)):
             xi = _apply_in_cone(item, xi)

@@ -40,7 +40,7 @@ from .special import (
     split_while,
     to_letters,
 )
-from .thompson import InternalError
+from .thompson import IDENTITY, InternalError
 
 DISPARATE = "Disparate"
 EQUIVALENT_AT = "EquivalentCellAt"
@@ -643,9 +643,9 @@ def cubulate(system, max_dim=None):
         ok, witness = link_flag_check([ordered[i] for i in at_vertex[v]], v)
         flag_report[v] = (ok, witness)
         if not ok:
-            at = " ".join(lt.render() for lt in v) or "1"
             raise InternalError(
-                f"vertex link is not a flag complex at {at}: a witness of "
+                "vertex link is not a flag complex at "
+                f"{GNormal(IDENTITY, v).render()}: a witness of "
                 f"{len(witness)} edges spans no corner")
     return ClusterCubeComplex(clusters, flag_report)
 
