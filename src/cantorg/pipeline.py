@@ -9,7 +9,9 @@ driven through separation (making it balanced) and equivariant decoupling
 clusters that assemble into a nonpositively curved cube complex.  Each phase
 reads the balance and coupled-vertex verdicts of the system it is handed.
 A parametrization is built into a cell once per process, so what a cell
-reads at a vertex is derived once for every envelope that meets it.
+reads at a vertex, and its parameter at each end, is derived once for every
+envelope that meets it; the quotient of a vertex over a base, which cells
+with one base share, is kept in a bounded table of its own.
 """
 
 import functools
@@ -116,7 +118,9 @@ class ParamCell:
 
     `readings` maps a vertex to what `at` read there.  The reading depends
     only on the parametrization, so every holder of the object shares it:
-    an equal cell with another parametrization keeps its own table."""
+    an equal cell with another parametrization keeps its own table.
+    `params` maps an end to the canonical parameter there, which
+    `param_form_at` computes once per end."""
 
     def __new__(cls, form, tau):
         if not isinstance(tau, GNormal):
@@ -140,6 +144,7 @@ class ParamCell:
             (invert_form(self.form), top, self.top, self.bottom),
         )
         self.readings = {}
+        self.params = {}
         if len(_CELLS) >= CELL_CACHE_SIZE:
             del _CELLS[next(iter(_CELLS))]
         _CELLS[key] = self
@@ -180,17 +185,37 @@ class ParamCell:
 
 def param_form_at(cell, v):
     """Canonical parameter of a cell at one of its endpoints: the quotient
-    of the opposite endpoint over it."""
-    return from_letters(quotient_form(cell.other(v), v))
+    of the opposite endpoint over it, kept in the cell's `params`."""
+    form = cell.params.get(v)
+    if form is None:
+        form = cell.params[v] = from_letters(quotient_form(cell.other(v), v))
+    return form
+
+
+# the quotients of a vertex over a base that `_criterion_cell` keeps, with
+# their percolating supports, keyed by (base normal form, vertex); an
+# insert past this many drops the oldest, as `rewrite.normalize` does.  The
+# envelope of the 14-dimensional draw `y[01] ; y[01100] ; y[10] || y[01] ;
+# y[011]` keeps 1,714
+QUOTIENT_CACHE_SIZE = 16_384
+_QUOTIENTS = OrderedDict()
 
 
 def _criterion_cell(support, form, base, v):
     """The cones of the percolating support of the quotient g of vertex v
     over a parameter's base, and the unique candidate cell at v sharing
     the parameter, built whenever the parameter's support misses those
-    cones; else None in its place."""
-    g = quotient(v, base.to_items())
-    cones = supp_y(g)
+    cones; else None in its place.  The cells of an envelope share bases,
+    so g and its cones are computed once per (base, v)."""
+    key = (base, v)
+    found = _QUOTIENTS.get(key)
+    if found is None:
+        g = quotient(v, base.to_items())
+        found = g, supp_y(g)
+        if len(_QUOTIENTS) >= QUOTIENT_CACHE_SIZE:
+            del _QUOTIENTS[next(iter(_QUOTIENTS))]
+        _QUOTIENTS[key] = found
+    g, cones = found
     if not support.intersect(cones).is_null():
         return cones, None
     return cones, ParamCell(form, normalize([FToken(g.f.invert())] + list(v)))

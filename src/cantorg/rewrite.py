@@ -24,7 +24,9 @@ index they changed, where `standardize` resumes its scans, `sort()` and
 merged exponents that spends a step budget, commutes in one jump and sorts
 with `sorted`.  A `loops._Word` holds unit letters and records each
 rewrite as a move of a loop-contraction certificate.  The cancellation
-automaton keeps its answers in a bounded table.
+automaton keeps its answers in a bounded table, and `normalize` keeps
+normal forms in another, under the word as given and, for a word it
+reduced, under the merged word too.
 """
 
 from bisect import bisect_right
@@ -539,24 +541,41 @@ class GNormal(NamedTuple):
 IDENTITY_NORMAL = GNormal(IDENTITY, ())
 
 
-# the normal forms `normalize` keeps; an insert past this many drops the
-# oldest.  An OrderedDict finds its oldest key at once, where a plain dict
-# looks for it past the slots of all the keys deleted before it.
+# the normal forms `normalize` keeps, by word as given and by merged word;
+# an insert past this many entries drops the oldest.  An OrderedDict finds
+# its oldest key at once, where a plain dict looks for it past the slots of
+# all the keys deleted before it.
 NORMALIZE_CACHE_SIZE = 1_000_000
 _NORMALIZE_CACHE = OrderedDict()
 
 
+def _remember(key, out):
+    if len(_NORMALIZE_CACHE) >= NORMALIZE_CACHE_SIZE:
+        del _NORMALIZE_CACHE[next(iter(_NORMALIZE_CACHE))]
+    _NORMALIZE_CACHE[key] = out
+
+
 def normalize(word):
-    """The unique normal form of a word (letters and/or tree-pair tokens)."""
+    """The unique normal form of a word (letters and/or tree-pair tokens).
+
+    A word missing from the cache is merged first (see `_ListWord`), and
+    its merged word looked up in turn: words that differ only in what the
+    merge fuses or cancels, such as `y[10] y[10]^-1` inside a quotient,
+    share one reduction.  A computed normal form is kept under both keys,
+    and its word is reduced from the merged items as before."""
     key = tuple(word)
     cached = _NORMALIZE_CACHE.get(key)
     if cached is not None:
         return cached
-    f, ys = split_standard(reduce_word(_ListWord(key)).items)
-    out = GNormal(f, tuple(ys))
-    if len(_NORMALIZE_CACHE) >= NORMALIZE_CACHE_SIZE:
-        del _NORMALIZE_CACHE[next(iter(_NORMALIZE_CACHE))]
-    _NORMALIZE_CACHE[key] = out
+    merged_word = _ListWord(key)
+    merged = tuple(merged_word.items)
+    out = _NORMALIZE_CACHE.get(merged)
+    if out is None:
+        f, ys = split_standard(reduce_word(merged_word).items)
+        out = GNormal(f, tuple(ys))
+        if merged != key:
+            _remember(merged, out)
+    _remember(key, out)
     return out
 
 

@@ -13,6 +13,7 @@ from cantorg.rewrite import (
     IDENTITY_NORMAL,
     FToken,
     Letter,
+    _ListWord,
     _is_y,
     equal_words,
     find_potential_contraction,
@@ -260,16 +261,31 @@ def test_normalize_separates_oracle(seed):
 def test_normalize_cache_drops_only_its_oldest_entry(monkeypatch):
     monkeypatch.setattr(rewrite, "NORMALIZE_CACHE_SIZE", 3)
     monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
-    words = [tuple(parse_word(t))
-             for t in ("y[10]", "y[01]", "x[1] y[100]", "y[10]^-1")]
-    for w in words[:3]:
+    words = [tuple(parse_word(t)) for t in (
+        "y[10]", "x[1] y[100]", "y[01]", "y[10]^-1 y[0110] y[0110]^-1",
+        "y[01] y[100] y[100]^-1")]
+    # a word that the merge changes is kept under its merged word, then
+    # under itself
+    merged = tuple(_ListWord(words[1]).items)
+    assert merged != words[1]
+    for w in words[:2]:
         normalize(w)
-    assert list(rewrite._NORMALIZE_CACHE) == words[:3]
-    normalize(words[3])
-    assert list(rewrite._NORMALIZE_CACHE) == words[1:]
+    assert list(rewrite._NORMALIZE_CACHE) == [words[0], merged, words[1]]
+    normalize(words[2])
+    assert list(rewrite._NORMALIZE_CACHE) == [merged, words[1], words[2]]
     # a hit changes nothing
     normalize(words[1])
-    assert list(rewrite._NORMALIZE_CACHE) == words[1:]
+    assert list(rewrite._NORMALIZE_CACHE) == [merged, words[1], words[2]]
+    # each of the two keys of a reduced word drops the oldest entry
+    normalize(words[3])
+    assert list(rewrite._NORMALIZE_CACHE) == [
+        words[2], (Letter("y", "10", -1),), words[3]]
+    # a word found by its merged word, here words[2], is kept under itself
+    # alone
+    found = rewrite._NORMALIZE_CACHE[words[2]]
+    assert normalize(words[4]) is found
+    assert list(rewrite._NORMALIZE_CACHE) == [
+        (Letter("y", "10", -1),), words[3], words[4]]
 
 
 def test_cell_table_drops_only_its_oldest_entry(monkeypatch):

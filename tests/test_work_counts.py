@@ -15,7 +15,7 @@ from collections import OrderedDict
 
 import pytest
 
-from cantorg import pipeline, rewrite
+from cantorg import pipeline, rewrite, thompson
 from cantorg.cli import parse_word
 from cantorg import commands
 from cantorg.commands import parse_cluster_line, read_cluster_file
@@ -98,14 +98,17 @@ LOOP_WORDS = [
 # spans three y-letters and must end at or after the least index rewritten
 # since `find_merge` last ran, and a misordered pair spans two y-letters.
 # While every completed first scan called them, they made 665 and 456
-# calls; the rewrites did not change
+# calls; the rewrites did not change.
+# When `normalize` began to look a missed word up again by its merged word,
+# the words whose merged word it had already reduced stopped being reduced
+# again: the counts were 427, 389, 190, 167, 382 and 258 before
 EXPECTED = {
-    "standardize": 427,
-    "remove_potential_cancellations": 389,
-    "pair_potential_cancellation": 190,
-    "compose": 167,
-    "find_merge": 382,
-    "find_misordered": 258,
+    "standardize": 347,
+    "remove_potential_cancellations": 314,
+    "pair_potential_cancellation": 171,
+    "compose": 159,
+    "find_merge": 357,
+    "find_misordered": 229,
 }
 
 
@@ -271,6 +274,42 @@ def test_envelope_balance_scan_count(monkeypatch):
     assert counts == BALANCE_SCANS
 
 
+# the misses and hits of the memos under the envelope pipeline over the
+# envelopes of the three hash-seed draws, from cold tables: the products of
+# `thompson.compose`; the words `normalize` missed and then found by their
+# merged word, where a miss is a reduction; the quotients of a vertex over
+# a base that `_criterion_cell` reads; and the canonical parameters that
+# `param_form_at` reads at the ends of cells
+MEMO_WORK = {
+    "compose": {"misses": 16, "hits": 114},
+    "merged_word": {"misses": 171, "hits": 107},
+    "quotient": {"misses": 140, "hits": 236},
+    "param_form": {"misses": 52, "hits": 110},
+}
+
+
+def test_envelope_memo_work(monkeypatch):
+    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", OrderedDict())
+    thompson.compose.cache_clear()
+    counts = _install_counters(monkeypatch, [
+        ("rewrite", "_ListWord"), ("rewrite", "reduce_word"),
+        ("pipeline", "_criterion_cell"), ("pipeline", "param_form_at")])
+    for draw in DRAWS:
+        envelope([parse_cluster_line(part) for part in draw.split("||")])
+    info = thompson.compose.cache_info()
+    quotients = len(pipeline._QUOTIENTS)
+    params = sum(len(cell.params) for cell in pipeline._CELLS.values())
+    assert {
+        "compose": {"misses": info.misses, "hits": info.hits},
+        "merged_word": {"misses": counts["reduce_word"],
+                        "hits": counts["_ListWord"] - counts["reduce_word"]},
+        "quotient": {"misses": quotients,
+                     "hits": counts["_criterion_cell"] - quotients},
+        "param_form": {"misses": params,
+                       "hits": counts["param_form_at"] - params},
+    } == MEMO_WORK
+
+
 # the output clusters whose edge sets were built, over the envelopes of the
 # three hash-seed draws and of the golden squares file, whose 11 clusters
 # meet pairwise and share 52 vertices three or more at a time, so that
@@ -334,10 +373,22 @@ def test_cluster_corner_normalize_count(monkeypatch):
         for base, params in CORNER_CLUSTERS
     ]
     monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
+    words = set()
+    real = rewrite.normalize
+
+    def recording(word):
+        word = tuple(word)
+        words.add(word)
+        return real(word)
+
+    for mod in MODULES:
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, recording)
     counts = _install_counters(monkeypatch, [("rewrite", "normalize")])
     for base, params in clusters:
         Cluster(base, params)
-    counts["distinct_words"] = len(rewrite._NORMALIZE_CACHE)
+    counts["distinct_words"] = len(words)
     assert counts == CORNER_NORMALIZE
 
 
