@@ -206,7 +206,7 @@ def _criterion_cell(support, form, base, v):
     over a parameter's base, and the unique candidate cell at v sharing
     the parameter, built whenever the parameter's support misses those
     cones; else None in its place.  The cells of an envelope share bases,
-    so g and its cones are computed once per (base, v)."""
+    so g and its cones are kept in `_QUOTIENTS` by (base, v)."""
     key = (base, v)
     found = _QUOTIENTS.get(key)
     if found is None:

@@ -225,7 +225,7 @@ def compose(f, g):
     f's range with g's domain, both in leaf order, where of two compatible
     current leaves the longer is a leaf of the common refinement (Cannon,
     Floyd and Parry, "Introductory notes on Richard Thompson's groups").
-    Equal arguments return the very pair computed first."""
+    A product still in the memo is handed out as the same object."""
     if f.is_identity() or g.is_identity():
         return g if f.is_identity() else f
     doms, rngs = [], []

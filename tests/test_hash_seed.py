@@ -7,7 +7,7 @@ two equal cells (equal by their ends) with different parametrizations,
 whichever a set yields first.  Each run here happens in a child process
 with its own hash seed and reports how often `disparate_cell_vertex` and
 `normalize` were called per subcomplex, and how often `standardize` was,
-which counts the distinct words normalized.
+which measures the rewriting done.
 """
 
 import json
