@@ -30,7 +30,7 @@ from cantorg.rewrite import (
 from cantorg.special import from_letters
 from test_hash_seed import DRAWS
 from test_rewrite import random_word
-from test_work_counts import MODULES
+from test_work_counts import rebind
 
 
 def _hash_seed_envelopes(monkeypatch):
@@ -53,10 +53,7 @@ def test_compose_memo_matches_merge_on_envelope_products(monkeypatch):
         pairs.append((f, g))
         return real(f, g)
 
-    for mod in MODULES:
-        for attr, value in list(vars(mod).items()):
-            if value is real:
-                monkeypatch.setattr(mod, attr, recording)
+    rebind(monkeypatch, real, recording)
     _hash_seed_envelopes(monkeypatch)
     assert len(pairs) > 100
     real.cache_clear()

@@ -118,6 +118,14 @@ def _loop_of(word):
     return [trivial] + path if path[0] != trivial else path
 
 
+def rebind(monkeypatch, original, wrapper):
+    """Put wrapper in place of original in every module that binds it."""
+    for mod in MODULES:
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+
+
 def _install_counters(monkeypatch, counted=COUNTED):
     counts = dict.fromkeys([name for _, name in counted], 0)
     for mod_name, name in counted:
@@ -128,10 +136,7 @@ def _install_counters(monkeypatch, counted=COUNTED):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for mod in MODULES:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, wrapper)
+        rebind(monkeypatch, original, wrapper)
     return counts
 
 
@@ -373,22 +378,17 @@ def test_cluster_corner_normalize_count(monkeypatch):
         for base, params in CORNER_CLUSTERS
     ]
     monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
-    words = set()
+    words = []
     real = rewrite.normalize
 
     def recording(word):
-        word = tuple(word)
-        words.add(word)
+        words.append(tuple(word))
         return real(word)
 
-    for mod in MODULES:
-        for attr, value in list(vars(mod).items()):
-            if value is real:
-                monkeypatch.setattr(mod, attr, recording)
-    counts = _install_counters(monkeypatch, [("rewrite", "normalize")])
+    rebind(monkeypatch, real, recording)
     for base, params in clusters:
         Cluster(base, params)
-    counts["distinct_words"] = len(words)
+    counts = {"normalize": len(words), "distinct_words": len(set(words))}
     assert counts == CORNER_NORMALIZE
 
 
