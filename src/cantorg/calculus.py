@@ -16,8 +16,8 @@ tree-pair factor (`FToken`, or the x-part of a normal form) acts by
 `TreePair.act_on_seq`.
 
 The image of a point under a letter is memoized, keyed on the (letter,
-point) pair, both immutable, in a table of at most `APPLY_CACHE_SIZE`
-entries that evicts the least recently used.  A relation sweep evaluates
+point) pair, both immutable, in a bounded least-recently-used memo of
+`APPLY_CACHE_SIZE` entries.  A relation sweep evaluates
 many words over one fixed set of points, and its words share their
 letters and, letter by letter, the points they pass through, so most
 applications repeat: the 1702 criterion-1 instances at 640 points make

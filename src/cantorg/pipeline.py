@@ -11,12 +11,13 @@ reads the balance and coupled-vertex verdicts of the system it is handed.
 A parametrization is built into a cell once per process, so what a cell
 reads at a vertex, and its parameter at each end, is derived once for every
 envelope that meets it; the quotient of a vertex over a base, which cells
-with one base share, is kept in a bounded table of its own.
+with one base share, is kept too.  Both are bounded least-recently-used
+memos (`functools.lru_cache`), as every process-global memo of the package
+is.
 """
 
 import functools
 import itertools
-from collections import OrderedDict
 
 from .binseq import ConeSet, incompatible
 from .calculus import supp_y
@@ -94,10 +95,8 @@ def null_intersect(cones, g):
 # parametrized one-cells
 
 
-# the cells built so far, keyed by parametrization (form, normalized base);
-# an insert past this many drops the oldest, as `rewrite.normalize` does
+# the cells that `_cell` keeps, by parametrization (form, normalized base)
 CELL_CACHE_SIZE = 4096
-_CELLS = OrderedDict()
 
 
 class ParamCell:
@@ -106,8 +105,9 @@ class ParamCell:
     agree, whichever parametrization either carries.
 
     A process holds one object per parametrization: the constructor hands
-    out the cell already built for the same form and base, from a table of
-    at most `CELL_CACHE_SIZE` cells, and builds and checks only a new one.
+    out the cell already built for the same form and base, from the memo
+    `_cell` of the `CELL_CACHE_SIZE` most recently used, and builds and
+    checks only a new one.
 
     `sides` holds both exact parametrizations as (form, base normal form,
     near end, far end): the form over `tau` from `bottom` to `top`, then
@@ -125,30 +125,7 @@ class ParamCell:
     def __new__(cls, form, tau):
         if not isinstance(tau, GNormal):
             tau = normalize(list(tau))
-        key = (tuple(form), tau)
-        self = _CELLS.get(key)
-        if self is not None:
-            return self
-        self = super().__new__(cls)
-        self.form = check_special(key[0])
-        self.support = supp(self.form)
-        self.tau = tau
-        self.bottom = tau.ys
-        top = normalize(to_letters(self.form) + tau.to_items())
-        self.top = top.ys
-        if self.top == self.bottom:
-            raise ValueError("parameter does not move the base coset")
-        self.vertices = frozenset((self.bottom, self.top))
-        self.sides = (
-            (self.form, tau, self.bottom, self.top),
-            (invert_form(self.form), top, self.top, self.bottom),
-        )
-        self.readings = {}
-        self.params = {}
-        if len(_CELLS) >= CELL_CACHE_SIZE:
-            del _CELLS[next(iter(_CELLS))]
-        _CELLS[key] = self
-        return self
+        return _cell(tuple(form), tau)
 
     @classmethod
     def from_edge(cls, u, v):
@@ -183,6 +160,28 @@ class ParamCell:
         return reading
 
 
+@functools.lru_cache(maxsize=CELL_CACHE_SIZE)
+def _cell(form, tau):
+    """Build and check the cell of one parametrization (see `ParamCell`)."""
+    cell = object.__new__(ParamCell)
+    cell.form = check_special(form)
+    cell.support = supp(cell.form)
+    cell.tau = tau
+    cell.bottom = tau.ys
+    top = normalize(to_letters(cell.form) + tau.to_items())
+    cell.top = top.ys
+    if cell.top == cell.bottom:
+        raise ValueError("parameter does not move the base coset")
+    cell.vertices = frozenset((cell.bottom, cell.top))
+    cell.sides = (
+        (cell.form, tau, cell.bottom, cell.top),
+        (invert_form(cell.form), top, cell.top, cell.bottom),
+    )
+    cell.readings = {}
+    cell.params = {}
+    return cell
+
+
 def param_form_at(cell, v):
     """Canonical parameter of a cell at one of its endpoints: the quotient
     of the opposite endpoint over it, kept in the cell's `params`."""
@@ -192,13 +191,18 @@ def param_form_at(cell, v):
     return form
 
 
-# the quotients of a vertex over a base that `_criterion_cell` keeps, with
-# their percolating supports, keyed by (base normal form, vertex); an
-# insert past this many drops the oldest, as `rewrite.normalize` does.  The
+# the quotients of a vertex over a base that `_quotient_cones` keeps.  The
 # envelope of the 14-dimensional draw `y[01] ; y[01100] ; y[10] || y[01] ;
 # y[011]` keeps 1,714
 QUOTIENT_CACHE_SIZE = 16_384
-_QUOTIENTS = OrderedDict()
+
+
+@functools.lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
+def _quotient_cones(base, v):
+    """The quotient g of vertex v over a base normal form, with the cones
+    of its percolating support."""
+    g = quotient(v, base.to_items())
+    return g, supp_y(g)
 
 
 def _criterion_cell(support, form, base, v):
@@ -206,16 +210,8 @@ def _criterion_cell(support, form, base, v):
     over a parameter's base, and the unique candidate cell at v sharing
     the parameter, built whenever the parameter's support misses those
     cones; else None in its place.  The cells of an envelope share bases,
-    so g and its cones are kept in `_QUOTIENTS` by (base, v)."""
-    key = (base, v)
-    found = _QUOTIENTS.get(key)
-    if found is None:
-        g = quotient(v, base.to_items())
-        found = g, supp_y(g)
-        if len(_QUOTIENTS) >= QUOTIENT_CACHE_SIZE:
-            del _QUOTIENTS[next(iter(_QUOTIENTS))]
-        _QUOTIENTS[key] = found
-    g, cones = found
+    so g and its cones come from `_quotient_cones`."""
+    g, cones = _quotient_cones(base, v)
     if not support.intersect(cones).is_null():
         return cones, None
     return cones, ParamCell(form, normalize([FToken(g.f.invert())] + list(v)))

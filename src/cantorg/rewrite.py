@@ -23,14 +23,15 @@ index they changed, where `standardize` resumes its scans, `sort()` and
 `contract(case, s)`.  `normalize` passes a `_ListWord`: a plain list with
 merged exponents that spends a step budget, commutes in one jump and sorts
 with `sorted`.  A `loops._Word` holds unit letters and records each
-rewrite as a move of a loop-contraction certificate.  The cancellation
-automaton keeps its answers in a bounded table, and `normalize` keeps
-normal forms in another, under the word as given and, for a word it
-reduced, under the merged word too.
+rewrite as a move of a loop-contraction certificate.  The answers of the
+cancellation automaton and the normal forms, under the word as given and,
+for a word it reduced, under the merged word too, are kept in bounded
+least-recently-used memos (`functools.lru_cache`), as every process-global
+memo of the package is.
 """
 
+import functools
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import NamedTuple
 
 from .binseq import lex_key
@@ -327,10 +328,8 @@ def split_standard(items):
 # potential cancellations
 
 
-# the answers of `pair_potential_cancellation`; an insert past this many
-# drops the oldest
+# the answers of the cancellation automaton that `_cancels` keeps
 CANCELLATION_CACHE_SIZE = 65_536
-_CANCELLATION_CACHE = OrderedDict()
 
 
 def pair_potential_cancellation(outer, inner):
@@ -339,36 +338,36 @@ def pair_potential_cancellation(outer, inner):
     opposite signs.
 
     `outer` and `inner` are (subscript, sign) with the outer subscript a
-    proper prefix of the inner one.  Decided by finite-state reachability:
-    a state is (left sign, leftover digit buffer, right sign) and accepting
-    states have an empty buffer and opposite signs.  The answer is kept by
-    the signs and the inner digits past the outer subscript, all it reads.
+    proper prefix of the inner one.  Decided by `_cancels` on the signs and
+    the inner digits past the outer subscript, all it reads.
     """
     (s, t), (u, v) = outer, inner
     if not (u.startswith(s) and u != s):
         raise ValueError("outer subscript must properly prefix the inner one")
     if t not in (1, -1) or v not in (1, -1):
         raise ValueError("signs must be +1 or -1")
-    key = (t, u[len(s):], v)
-    found = _CANCELLATION_CACHE.get(key)
-    if found is None:
-        o0, _, buf0 = consume_digits(t, key[1])
-        frontier = [(o0, buf0, v)]
-        seen = set(frontier)
-        found = False
-        while frontier and not found:
-            o, buf, i = frontier.pop()
-            found = buf == "" and o == -i
-            # the right symbol writes a row's digits for the left to consume
-            for _, digits, i2 in Y_RULES[i]:
-                o2, _, buf2 = consume_digits(o, buf + digits)
-                if (o2, buf2, i2) not in seen:
-                    seen.add((o2, buf2, i2))
-                    frontier.append((o2, buf2, i2))
-        if len(_CANCELLATION_CACHE) >= CANCELLATION_CACHE_SIZE:
-            del _CANCELLATION_CACHE[next(iter(_CANCELLATION_CACHE))]
-        _CANCELLATION_CACHE[key] = found
-    return found
+    return _cancels(t, u[len(s):], v)
+
+
+@functools.lru_cache(maxsize=CANCELLATION_CACHE_SIZE)
+def _cancels(t, digits, v):
+    """Finite-state reachability: a state is (left sign, leftover digit
+    buffer, right sign) and accepting states have an empty buffer and
+    opposite signs."""
+    o0, _, buf0 = consume_digits(t, digits)
+    frontier = [(o0, buf0, v)]
+    seen = set(frontier)
+    while frontier:
+        o, buf, i = frontier.pop()
+        if buf == "" and o == -i:
+            return True
+        # the right symbol writes a row's digits for the left to consume
+        for _, written, i2 in Y_RULES[i]:
+            o2, _, buf2 = consume_digits(o, buf + written)
+            if (o2, buf2, i2) not in seen:
+                seen.add((o2, buf2, i2))
+                frontier.append((o2, buf2, i2))
+    return False
 
 
 def neighboring_pairs(ys):
@@ -541,42 +540,30 @@ class GNormal(NamedTuple):
 IDENTITY_NORMAL = GNormal(IDENTITY, ())
 
 
-# the normal forms `normalize` keeps, by word as given and by merged word;
-# an insert past this many entries drops the oldest.  An OrderedDict finds
-# its oldest key at once, where a plain dict looks for it past the slots of
-# all the keys deleted before it.
+# the normal forms that `_normal_form` keeps, by word as given and by
+# merged word
 NORMALIZE_CACHE_SIZE = 1_000_000
-_NORMALIZE_CACHE = OrderedDict()
-
-
-def _remember(key, out):
-    if len(_NORMALIZE_CACHE) >= NORMALIZE_CACHE_SIZE:
-        del _NORMALIZE_CACHE[next(iter(_NORMALIZE_CACHE))]
-    _NORMALIZE_CACHE[key] = out
 
 
 def normalize(word):
     """The unique normal form of a word (letters and/or tree-pair tokens).
 
-    A word missing from the cache is merged first (see `_ListWord`), and
+    A word missing from the memo is merged first (see `_ListWord`), and
     its merged word looked up in turn: words that differ only in what the
     merge fuses or cancels, such as `y[10] y[10]^-1` inside a quotient,
     share one reduction.  A computed normal form is kept under both keys,
-    and its word is reduced from the merged items as before."""
-    key = tuple(word)
-    cached = _NORMALIZE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    merged_word = _ListWord(key)
+    and its word is reduced from the merged items."""
+    return _normal_form(tuple(word))
+
+
+@functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
+def _normal_form(word):
+    merged_word = _ListWord(word)
     merged = tuple(merged_word.items)
-    out = _NORMALIZE_CACHE.get(merged)
-    if out is None:
-        f, ys = split_standard(reduce_word(merged_word).items)
-        out = GNormal(f, tuple(ys))
-        if merged != key:
-            _remember(merged, out)
-    _remember(key, out)
-    return out
+    if merged != word:
+        return _normal_form(merged)
+    f, ys = split_standard(reduce_word(merged_word).items)
+    return GNormal(f, tuple(ys))
 
 
 def normalize_product(*factors):

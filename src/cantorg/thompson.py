@@ -27,7 +27,7 @@ mirror.  Everything else derives from this one table:
     exponent calculation and the descendant test of `special` share.
 
 Pairs are immutable, so `x_gen` and `compose` keep their recent results in
-bounded memos (`X_GEN_CACHE`, `COMPOSE_CACHE_SIZE`): a product asked for
+bounded memos (`X_GEN_CACHE_SIZE`, `COMPOSE_CACHE_SIZE`): a product asked for
 again is looked up, not merged again, and equal products are one object.
 """
 
@@ -191,10 +191,10 @@ IDENTITY = TreePair(("",), ("",))
 
 # x_gen keeps this many of its most recent pairs; a pass of any workload
 # in bench/ asks for at most 31 subscripts
-X_GEN_CACHE = 1024
+X_GEN_CACHE_SIZE = 1024
 
 
-@functools.lru_cache(maxsize=X_GEN_CACHE)
+@functools.lru_cache(maxsize=X_GEN_CACHE_SIZE)
 def x_gen(s):
     """The basic generator localized at s: inside cone(s) it maps s+read
     to s+written over the sign-1 rows of Y_RULES and is the identity

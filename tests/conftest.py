@@ -1,13 +1,12 @@
-"""Each test starts from an empty table of parametrized cells and an
-empty table of quotients.
+"""Each test starts from empty memos of parametrized cells and of
+quotients.
 
 `ParamCell` hands out one object per parametrization for the life of the
-process, with the readings it has derived, and `_criterion_cell` keeps the
-quotients it computed.  A test that counts derived readings, or that reads
-either table, would otherwise see what earlier tests left behind.
+process, with the readings it has derived, and `_criterion_cell` reads the
+quotients that `_quotient_cones` keeps.  A test that counts derived
+readings, or that reads either memo, would otherwise see what earlier tests
+left behind.
 """
-
-from collections import OrderedDict
 
 import pytest
 
@@ -15,6 +14,6 @@ from cantorg import pipeline
 
 
 @pytest.fixture(autouse=True)
-def fresh_cell_table(monkeypatch):
-    monkeypatch.setattr(pipeline, "_CELLS", OrderedDict())
-    monkeypatch.setattr(pipeline, "_QUOTIENTS", OrderedDict())
+def fresh_cell_memos():
+    pipeline._cell.cache_clear()
+    pipeline._quotient_cones.cache_clear()

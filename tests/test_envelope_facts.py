@@ -12,12 +12,11 @@ vertices, which carries no verdict.
 A process also builds each parametrization into a cell once, and hands
 out that cell, with the readings it has derived, to every later
 construction of the same form and base.  `test_shared_cells_match_fresh`
-compares envelopes and cells built through one shared table with those
+compares envelopes and cells built through one shared memo with those
 built from an empty one.
 """
 
 import random
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,32 +125,33 @@ def _outline(out):
 
 def test_shared_cells_match_fresh(monkeypatch):
     """The envelopes of the first pool draws are the same whether their
-    cells come from one table or from an empty table per draw, and every
+    cells come from one memo or from an empty memo per draw, and every
     cell handed out again equals one built anew from its arguments."""
     draws = _pool_draws()[:2 * POOL_DRAWS]
     fresh = []
     for draw in draws:
-        monkeypatch.setattr(pipeline, "_CELLS", OrderedDict())
+        pipeline._cell.cache_clear()
         fresh.append(_outline(envelope(_clusters(draw))))
 
-    monkeypatch.setattr(pipeline, "_CELLS", OrderedDict())
+    pipeline._cell.cache_clear()
     handed = []
     new = ParamCell.__new__
 
     def recording(cls, form, tau):
-        size = len(pipeline._CELLS)
+        hits = pipeline._cell.cache_info().hits
         cell = new(cls, form, tau)
-        if len(pipeline._CELLS) == size:
+        if pipeline._cell.cache_info().hits > hits:
             handed.append((form, tau, cell))
         return cell
 
     monkeypatch.setattr(ParamCell, "__new__", staticmethod(recording))
     shared = [_outline(envelope(_clusters(draw))) for draw in draws]
-    assert len(pipeline._CELLS) < pipeline.CELL_CACHE_SIZE
+    info = pipeline._cell.cache_info()
+    assert info.currsize < info.maxsize
     assert shared == fresh
     assert handed
     for form, tau, cell in handed:
-        monkeypatch.setattr(pipeline, "_CELLS", OrderedDict())
+        pipeline._cell.cache_clear()
         built = new(ParamCell, form, tau)
         assert built is not cell
         assert (built.form, built.tau, built.sides, built.vertices) == (

@@ -3,17 +3,17 @@ computations they keep: `thompson.compose` against its unmemoized merge,
 `normalize` against the reduction of the merged word, the criterion
 readings against `quotient` and `supp_y`, and the canonical parameters of
 a cell against `quotient_form`.  Each is compared from a cold memo and
-then from a warm one, and each table drops only its oldest entry at its
-bound."""
+then from a warm one.  Every process-global memo is a `functools.lru_cache`
+bounded by its named size."""
 
 import random
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorg import pipeline, rewrite, thompson
-from cantorg.calculus import supp_y
+from cantorg import calculus, pipeline, rewrite, thompson
+from cantorg.binseq import RationalSeq
+from cantorg.calculus import evaluate, supp_y
 from cantorg.cli import parse_word
 from cantorg.commands import parse_cluster_line
 from cantorg.complexes import quotient, quotient_form
@@ -30,13 +30,13 @@ from cantorg.rewrite import (
 from cantorg.special import from_letters
 from test_hash_seed import DRAWS
 from test_rewrite import random_word
-from test_work_counts import rebind
+from test_work_counts import rebind, record_cells
 
 
-def _hash_seed_envelopes(monkeypatch):
+def _hash_seed_envelopes():
     """Run the envelopes of the hash-seed draws from a cold normalize
-    table, so every product and reading is computed."""
-    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", OrderedDict())
+    memo, so every product and reading is computed."""
+    rewrite._normal_form.cache_clear()
     for draw in DRAWS:
         envelope([parse_cluster_line(part) for part in draw.split("||")])
 
@@ -54,7 +54,7 @@ def test_compose_memo_matches_merge_on_envelope_products(monkeypatch):
         return real(f, g)
 
     rebind(monkeypatch, real, recording)
-    _hash_seed_envelopes(monkeypatch)
+    _hash_seed_envelopes()
     assert len(pairs) > 100
     real.cache_clear()
     cold = [real(f, g) for f, g in pairs]
@@ -64,9 +64,6 @@ def test_compose_memo_matches_merge_on_envelope_products(monkeypatch):
         assert a == want and b == want
         # equal products are one object
         assert b is a
-    info = real.cache_info()
-    assert info.maxsize == thompson.COMPOSE_CACHE_SIZE
-    assert 0 < info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +99,23 @@ def test_normalize_matches_merged_word_and_reduction(seed):
     merged = tuple(_ListWord(word).items)
     want = _reduced(word)
     assert want == _reduced(merged)
-    with pytest.MonkeyPatch.context() as mp:
-        # cold: the word first, then its merged word, a hit by that key
-        mp.setattr(rewrite, "_NORMALIZE_CACHE", OrderedDict())
-        assert normalize(word) == want
-        assert normalize(merged) == want
-        # cold: the merged word first, then the word, whose merged word
-        # is found
-        mp.setattr(rewrite, "_NORMALIZE_CACHE", OrderedDict())
-        assert normalize(merged) == want
-        assert normalize(word) == want
-        # warm
-        assert normalize(word) == want and normalize(merged) == want
-        assert set(rewrite._NORMALIZE_CACHE) == {word, merged}
+    # cold: the word first, then its merged word, a hit by that key
+    rewrite._normal_form.cache_clear()
+    assert normalize(word) == want
+    assert normalize(merged) == want
+    # cold: the merged word first, then the word, whose merged word is
+    # found
+    rewrite._normal_form.cache_clear()
+    assert normalize(merged) == want
+    assert normalize(word) == want
+    # one reduction leaves both keys, and both are hits
+    rewrite._normal_form.cache_clear()
+    normalize(word)
+    before = rewrite._normal_form.cache_info()
+    assert before.currsize == len({word, merged})
+    assert normalize(word) == want and normalize(merged) == want
+    after = rewrite._normal_form.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +131,15 @@ def _criterion_oracle(support, form, base, v):
 
 
 def test_readings_and_parameters_match_quotients(monkeypatch):
-    _hash_seed_envelopes(monkeypatch)
-    cells = list(pipeline._CELLS.values())
+    cells = record_cells(monkeypatch)
+    _hash_seed_envelopes()
+    cells = list(cells.values())
     read = [(cell, v) for cell in cells for v in cell.readings]
     ends = [(cell, v) for cell in cells for v in cell.params]
     assert len(read) > 100 and len(ends) > 10
     for warm in (False, True):
         if not warm:
-            monkeypatch.setattr(pipeline, "_QUOTIENTS", OrderedDict())
+            pipeline._quotient_cones.cache_clear()
             for cell in cells:
                 cell.params.clear()
         for cell, v in read:
@@ -162,18 +164,40 @@ def test_parameter_of_a_non_end_is_refused():
 # bounds
 
 
-def test_quotient_table_drops_only_its_oldest_entry(monkeypatch):
-    monkeypatch.setattr(pipeline, "QUOTIENT_CACHE_SIZE", 3)
-    monkeypatch.setattr(pipeline, "_QUOTIENTS", OrderedDict())
+MEMOS = [
+    (thompson, "x_gen", "X_GEN_CACHE_SIZE"),
+    (thompson, "compose", "COMPOSE_CACHE_SIZE"),
+    (calculus, "_apply_in_cone", "APPLY_CACHE_SIZE"),
+    (rewrite, "_cancels", "CANCELLATION_CACHE_SIZE"),
+    (rewrite, "_normal_form", "NORMALIZE_CACHE_SIZE"),
+    (pipeline, "_cell", "CELL_CACHE_SIZE"),
+    (pipeline, "_quotient_cones", "QUOTIENT_CACHE_SIZE"),
+]
+
+
+@pytest.mark.parametrize("module, memo, size", MEMOS,
+                         ids=[memo for _, memo, _ in MEMOS])
+def test_memo_is_a_bounded_lru_cache(module, memo, size):
+    """Each memo is bounded by its named size and holds entries after the
+    hash-seed envelopes and one evaluation, which no envelope makes."""
+    _hash_seed_envelopes()
+    evaluate(parse_word("y[10] x[1]"), RationalSeq("1", "0"))
+    info = getattr(module, memo).cache_info()
+    assert info.maxsize == getattr(module, size)
+    assert 0 < info.currsize <= info.maxsize
+
+
+def test_cell_memo_keeps_built_cells_only():
     base = normalize([])
-    cell = ParamCell(from_letters(parse_word("y[10]")), base)
-    vertices = [normalize(parse_word(t)).ys
-                for t in ("y[01]", "y[100]", "y[0110]", "y[01]^-1")]
-    for v in vertices[:3]:
-        pipeline._criterion_cell(cell.support, cell.form, base, v)
-    assert list(pipeline._QUOTIENTS) == [(base, v) for v in vertices[:3]]
-    pipeline._criterion_cell(cell.support, cell.form, base, vertices[3])
-    assert list(pipeline._QUOTIENTS) == [(base, v) for v in vertices[1:]]
-    # a hit changes nothing
-    pipeline._criterion_cell(cell.support, cell.form, base, vertices[1])
-    assert list(pipeline._QUOTIENTS) == [(base, v) for v in vertices[1:]]
+    form = from_letters(parse_word("y[10]"))
+    cell = ParamCell(form, base)
+    assert ParamCell(list(form), []) is cell
+    # a construction that raises stores nothing
+    size = pipeline._cell.cache_info().currsize
+    with pytest.raises(ValueError):
+        ParamCell((("10", 2),), base)
+    assert pipeline._cell.cache_info().currsize == size
+    # a cleared parametrization is built again
+    pipeline._cell.cache_clear()
+    again = ParamCell(form, base)
+    assert again is not cell and again.sides == cell.sides

@@ -7,13 +7,10 @@ from hypothesis import given, settings, strategies as st
 from cantorg.binseq import RationalSeq, is_constant
 from cantorg.calculus import evaluate
 from cantorg.cli import parse_word
-from cantorg import pipeline, rewrite
-from cantorg.pipeline import ParamCell
 from cantorg.rewrite import (
     IDENTITY_NORMAL,
     FToken,
     Letter,
-    _ListWord,
     _is_y,
     equal_words,
     find_potential_contraction,
@@ -26,7 +23,6 @@ from cantorg.rewrite import (
     split_standard,
     standardize,
 )
-from cantorg.special import from_letters
 from cantorg.thompson import IDENTITY, compose, x_gen
 from substitution_oracles import pair_cancellation_bruteforce
 
@@ -256,56 +252,3 @@ def test_normalize_separates_oracle(seed):
                 evaluate(w1, xi) != evaluate(w2, xi)
                 for xi in rational_samples(random.Random(seed + 1), count=200)
             )
-
-
-def test_normalize_cache_drops_only_its_oldest_entry(monkeypatch):
-    monkeypatch.setattr(rewrite, "NORMALIZE_CACHE_SIZE", 3)
-    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
-    words = [tuple(parse_word(t)) for t in (
-        "y[10]", "x[1] y[100]", "y[01]", "y[10]^-1 y[0110] y[0110]^-1",
-        "y[01] y[100] y[100]^-1")]
-    # a word that the merge changes is kept under its merged word, then
-    # under itself
-    merged = tuple(_ListWord(words[1]).items)
-    assert merged != words[1]
-    for w in words[:2]:
-        normalize(w)
-    assert list(rewrite._NORMALIZE_CACHE) == [words[0], merged, words[1]]
-    normalize(words[2])
-    assert list(rewrite._NORMALIZE_CACHE) == [merged, words[1], words[2]]
-    # a hit changes nothing
-    normalize(words[1])
-    assert list(rewrite._NORMALIZE_CACHE) == [merged, words[1], words[2]]
-    # each of the two keys of a reduced word drops the oldest entry
-    normalize(words[3])
-    assert list(rewrite._NORMALIZE_CACHE) == [
-        words[2], (Letter("y", "10", -1),), words[3]]
-    # a word found by its merged word, here words[2], is kept under itself
-    # alone
-    found = rewrite._NORMALIZE_CACHE[words[2]]
-    assert normalize(words[4]) is found
-    assert list(rewrite._NORMALIZE_CACHE) == [
-        (Letter("y", "10", -1),), words[3], words[4]]
-
-
-def test_cell_table_drops_only_its_oldest_entry(monkeypatch):
-    monkeypatch.setattr(pipeline, "CELL_CACHE_SIZE", 3)
-    base = normalize([])
-    forms = [from_letters(parse_word(t))
-             for t in ("y[10]", "y[01]", "y[100] y[101]^-1", "y[10]^-1")]
-    cells = [ParamCell(form, base) for form in forms[:3]]
-    assert list(pipeline._CELLS) == [(form, base) for form in forms[:3]]
-    ParamCell(forms[3], base)
-    assert list(pipeline._CELLS) == [(form, base) for form in forms[1:]]
-    # a hit hands out the same cell and changes nothing
-    assert ParamCell(list(forms[1]), []) is cells[1]
-    assert list(pipeline._CELLS) == [(form, base) for form in forms[1:]]
-    # a construction that raises stores nothing
-    with pytest.raises(ValueError):
-        ParamCell((("10", 2),), base)
-    assert list(pipeline._CELLS) == [(form, base) for form in forms[1:]]
-    # a dropped parametrization is built again
-    again = ParamCell(forms[0], base)
-    assert again is not cells[0] and again.sides == cells[0].sides
-    assert list(pipeline._CELLS) == [
-        (form, base) for form in forms[2:] + forms[:1]]

@@ -1,12 +1,11 @@
 """Differential tests of the one rewriting engine against the two rewriters
 it replaced (`rewrite_oracles`): the list rewriter of `normalize` and the
 move-emitting rewriters of `contract_loop`; and of the engine's passes
-that resume at the rewritten window and its table of cancellation answers
+that resume at the rewritten window and its memo of cancellation answers
 against the full scans and the automaton they replaced."""
 
 import itertools
 import random
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,7 +59,7 @@ def _run(fn, word):
 @given(st.integers(min_value=0, max_value=10**6))
 def test_normalize_matches_oracle(seed):
     word = random_word(random.Random(seed), max_len=6, max_sub=3)
-    rewrite._NORMALIZE_CACHE.pop(tuple(word), None)
+    rewrite._normal_form.cache_clear()
     assert rewrite.normalize(word) == oracle.normalize(word)
 
 
@@ -176,12 +175,12 @@ def test_scans_match_full_scan(seed):
 OUTER = ["1", "01", "110"]
 
 
-def test_cancellation_table_matches_automaton(monkeypatch):
+def test_cancellation_table_matches_automaton():
     """Every inner suffix of up to 8 digits and every sign pair, under
-    several outer subscripts: the answer the table keeps for the first
+    several outer subscripts: the answer the memo keeps for the first
     outer serves the others, and equals the automaton's under each and the
     simulation over all 8-digit tails."""
-    monkeypatch.setattr(rewrite, "_CANCELLATION_CACHE", OrderedDict())
+    rewrite._cancels.cache_clear()
     for n in range(1, 9):
         for digits in map("".join, itertools.product("01", repeat=n)):
             for t, v in itertools.product((1, -1), repeat=2):
@@ -192,7 +191,7 @@ def test_cancellation_table_matches_automaton(monkeypatch):
                     assert oracle.pair_potential_cancellation(
                         outer, inner) == want
                     assert pair_potential_cancellation(outer, inner) == want
-    assert len(rewrite._CANCELLATION_CACHE) == 4 * (2 ** 9 - 2)
+    assert rewrite._cancels.cache_info().currsize == 4 * (2 ** 9 - 2)
 
 
 @pytest.mark.parametrize("outer, inner", [
@@ -201,25 +200,16 @@ def test_cancellation_table_matches_automaton(monkeypatch):
     (("10", 2), ("100", 1)),
     (("10", 1), ("100", 0)),
 ])
-def test_cancellation_table_keeps_the_checks(monkeypatch, outer, inner):
-    """Bad subscripts and signs raise before the table is read, also when
-    the table holds the key they would make."""
-    monkeypatch.setattr(rewrite, "_CANCELLATION_CACHE", OrderedDict())
+def test_cancellation_table_keeps_the_checks(outer, inner):
+    """Bad subscripts and signs raise before the memo is read, also when
+    the memo holds the key they would make.  The automaton answers only
+    signs ±1: under another sign its digit buffer grows without end, so
+    only the keys of the bad subscripts are put in the memo first."""
     (s, t), (u, v) = outer, inner
-    rewrite._CANCELLATION_CACHE[(t, u[len(s):], v)] = True
+    if {t, v} <= {1, -1}:
+        rewrite._cancels(t, u[len(s):], v)
+    before = rewrite._cancels.cache_info()
     with pytest.raises(ValueError):
         pair_potential_cancellation(outer, inner)
+    assert rewrite._cancels.cache_info() == before
 
-
-def test_cancellation_table_drops_its_oldest_entry(monkeypatch):
-    monkeypatch.setattr(rewrite, "CANCELLATION_CACHE_SIZE", 5)
-    monkeypatch.setattr(rewrite, "_CANCELLATION_CACHE", OrderedDict())
-    pairs = [(("1", t), ("1" + digits, v))
-             for digits in ("0", "1", "00", "01", "10", "11", "101")
-             for t, v in ((1, -1), (-1, 1))]
-    for outer, inner in pairs + pairs:
-        assert pair_potential_cancellation(outer, inner) == (
-            oracle.pair_potential_cancellation(outer, inner))
-        assert len(rewrite._CANCELLATION_CACHE) <= 5
-    assert list(rewrite._CANCELLATION_CACHE) == [
-        (t, u[1:], v) for (_, t), (u, v) in pairs[-5:]]

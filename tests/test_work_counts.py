@@ -11,7 +11,6 @@ import importlib
 import io
 import os
 import random
-from collections import OrderedDict
 
 import pytest
 
@@ -126,6 +125,20 @@ def rebind(monkeypatch, original, wrapper):
                 monkeypatch.setattr(mod, attr, wrapper)
 
 
+def record_cells(monkeypatch):
+    """The cells that `ParamCell` hands out from now on, by
+    parametrization, as `pipeline._cell` keeps them."""
+    cells = {}
+    real = pipeline._cell
+
+    def recording(form, tau):
+        cell = cells[form, tau] = real(form, tau)
+        return cell
+
+    rebind(monkeypatch, real, recording)
+    return cells
+
+
 def _install_counters(monkeypatch, counted=COUNTED):
     counts = dict.fromkeys([name for _, name in counted], 0)
     for mod_name, name in counted:
@@ -142,7 +155,7 @@ def _install_counters(monkeypatch, counted=COUNTED):
 
 def test_exact_work_counts(monkeypatch):
     loops = [_loop_of(parse_word(w)) for w in LOOP_WORDS]
-    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
+    rewrite._normal_form.cache_clear()
     counts = _install_counters(monkeypatch)
     for text in WORDS:
         normalize(parse_word(text))
@@ -171,7 +184,7 @@ TAIL_STEPS = {
 def test_normalize_tail_budget_steps(monkeypatch, case):
     word = (parse_word(case) if isinstance(case, str)
             else random_word(random.Random(case), max_len=5, max_sub=3))
-    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", OrderedDict())
+    rewrite._normal_form.cache_clear()
     steps = []
     spend = rewrite._Budget.spend
 
@@ -199,7 +212,7 @@ BLOWUP_WORD = "y[10] y[10] y[1010] y[011]^-1 y[10]"
 
 def test_contract_loop_blowup_normalize_count(monkeypatch):
     loop = _loop_of(parse_word(BLOWUP_WORD))
-    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
+    rewrite._normal_form.cache_clear()
     counts = _install_counters(monkeypatch, [("rewrite", "normalize")])
     cert = contract_loop(loop)
     assert len(cert) - 1 == 901
@@ -231,7 +244,7 @@ def test_envelope_verdict_count(monkeypatch):
     assert got == READINGS_DERIVED
 
 
-# the cells built (the size of the table of cells, which drops none here)
+# the cells built (the entries of the cell memo, which drops none here)
 # and the readings derived (`_criterion_cell` calls) over the envelopes of
 # the first pool draws, in one process.  While every construction built a
 # new cell, with a table of readings of its own, the draws made 2,420 cells
@@ -244,8 +257,9 @@ def test_shared_cell_work_count(monkeypatch):
     counts = _install_counters(monkeypatch, [("pipeline", "_criterion_cell")])
     for draw in _pool_draws()[:SHARED_CELL_DRAWS]:
         envelope([parse_cluster_line(part) for part in draw.split("||")])
-    counts["cells"] = len(pipeline._CELLS)
-    assert len(pipeline._CELLS) < pipeline.CELL_CACHE_SIZE
+    info = pipeline._cell.cache_info()
+    counts["cells"] = info.currsize
+    assert info.currsize < info.maxsize
     assert counts == SHARED_CELL_WORK
 
 
@@ -280,36 +294,41 @@ def test_envelope_balance_scan_count(monkeypatch):
 
 
 # the misses and hits of the memos under the envelope pipeline over the
-# envelopes of the three hash-seed draws, from cold tables: the products of
-# `thompson.compose`; the words `normalize` missed and then found by their
-# merged word, where a miss is a reduction; the quotients of a vertex over
-# a base that `_criterion_cell` reads; and the canonical parameters that
-# `param_form_at` reads at the ends of cells
+# envelopes of the three hash-seed draws, from cold memos, as `cache_info()`
+# reads them: the products of `thompson.compose`; the normal forms of
+# `rewrite._normal_form`, whose misses are the words first seen as given or
+# as merged words, and the reductions among those misses; the quotients of
+# a vertex over a base that `_quotient_cones` keeps; and the canonical
+# parameters that `param_form_at` reads at the ends of cells.  While
+# `normalize` kept a table of its own, its 278 misses merged their words
+# once each, and 171 of them reduced the merged word and 107 found it; a
+# merged word stored with a reduction is now a miss of its own, which
+# merges it again, so 141 misses more
 MEMO_WORK = {
     "compose": {"misses": 16, "hits": 114},
-    "merged_word": {"misses": 171, "hits": 107},
+    "normal_form": {"misses": 419, "hits": 429, "reductions": 171},
     "quotient": {"misses": 140, "hits": 236},
     "param_form": {"misses": 52, "hits": 110},
 }
 
 
 def test_envelope_memo_work(monkeypatch):
-    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", OrderedDict())
+    rewrite._normal_form.cache_clear()
     thompson.compose.cache_clear()
+    cells = record_cells(monkeypatch)
     counts = _install_counters(monkeypatch, [
-        ("rewrite", "_ListWord"), ("rewrite", "reduce_word"),
-        ("pipeline", "_criterion_cell"), ("pipeline", "param_form_at")])
+        ("rewrite", "reduce_word"), ("pipeline", "param_form_at")])
     for draw in DRAWS:
         envelope([parse_cluster_line(part) for part in draw.split("||")])
-    info = thompson.compose.cache_info()
-    quotients = len(pipeline._QUOTIENTS)
-    params = sum(len(cell.params) for cell in pipeline._CELLS.values())
+    compose = thompson.compose.cache_info()
+    normal = rewrite._normal_form.cache_info()
+    quotient = pipeline._quotient_cones.cache_info()
+    params = sum(len(cell.params) for cell in cells.values())
     assert {
-        "compose": {"misses": info.misses, "hits": info.hits},
-        "merged_word": {"misses": counts["reduce_word"],
-                        "hits": counts["_ListWord"] - counts["reduce_word"]},
-        "quotient": {"misses": quotients,
-                     "hits": counts["_criterion_cell"] - quotients},
+        "compose": {"misses": compose.misses, "hits": compose.hits},
+        "normal_form": {"misses": normal.misses, "hits": normal.hits,
+                        "reductions": counts["reduce_word"]},
+        "quotient": {"misses": quotient.misses, "hits": quotient.hits},
         "param_form": {"misses": params,
                        "hits": counts["param_form_at"] - params},
     } == MEMO_WORK
@@ -377,7 +396,7 @@ def test_cluster_corner_normalize_count(monkeypatch):
          tuple(from_letters(parse_word(p)) for p in params))
         for base, params in CORNER_CLUSTERS
     ]
-    monkeypatch.setattr(rewrite, "_NORMALIZE_CACHE", {})
+    rewrite._normal_form.cache_clear()
     words = []
     real = rewrite.normalize
 
