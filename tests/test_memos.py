@@ -99,23 +99,20 @@ def test_normalize_matches_merged_word_and_reduction(seed):
     merged = tuple(_ListWord(word).items)
     want = _reduced(word)
     assert want == _reduced(merged)
-    # cold: the word first, then its merged word, a hit by that key
+    # cold: the word first, whose one reduction keeps both keys, so that
+    # the merged word and the word are then hits
     rewrite._normal_form.cache_clear()
     assert normalize(word) == want
-    assert normalize(merged) == want
+    before = rewrite._normal_form.cache_info()
+    assert before.currsize == len({word, merged})
+    assert normalize(merged) == want and normalize(word) == want
+    after = rewrite._normal_form.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
     # cold: the merged word first, then the word, whose merged word is
     # found
     rewrite._normal_form.cache_clear()
     assert normalize(merged) == want
     assert normalize(word) == want
-    # one reduction leaves both keys, and both are hits
-    rewrite._normal_form.cache_clear()
-    normalize(word)
-    before = rewrite._normal_form.cache_info()
-    assert before.currsize == len({word, merged})
-    assert normalize(word) == want and normalize(merged) == want
-    after = rewrite._normal_form.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 # ---------------------------------------------------------------------------
