@@ -3,15 +3,16 @@
 Complex files are line oriented: one cluster per line, fields separated by
 ";" — first the base word, then one parameter word per field.  Blank lines
 and lines starting with "#" are skipped.  Loop files hold one vertex word
-per line.  All outputs are deterministic byte-for-byte.  Only the commands
-that use clusters, the pipeline or loops import those modules.
+per line.  All outputs are deterministic byte-for-byte.  A subcommand
+imports only the modules it uses beyond words and normal forms: the
+special-form calculus, the evaluation calculus, clusters, the pipeline or
+loops.
 """
 
 import argparse
 import os
 import sys
 
-from .calculus import calc_string, evaluate, exponent, supp_y
 from .cli import (
     DOMAIN_ERROR,
     INTERNAL_ERROR,
@@ -23,15 +24,6 @@ from .cli import (
     render_word,
 )
 from .rewrite import equal_words, normalize
-from .special import (
-    coset_vertex,
-    from_letters,
-    is_special,
-    minimal_form,
-    parity_of,
-    to_letters,
-    type_of,
-)
 
 
 def render_vertex(v):
@@ -39,6 +31,7 @@ def render_vertex(v):
 
 
 def _y_form(text):
+    from .special import from_letters
     word = parse_word(text)
     if any(lt.kind != "y" for lt in word):
         raise DomainError("expected a word in y-letters only")
@@ -66,6 +59,7 @@ def parse_cluster_line(line):
 
 
 def render_cluster_line(cluster):
+    from .special import minimal_form, to_letters
     parts = [render_vertex(cluster.base_vertex)]
     parts.extend(
         render_word(to_letters(minimal_form(f))) for f in cluster.params
@@ -108,11 +102,13 @@ def cmd_equal(args):
 
 
 def cmd_eval(args):
+    from .calculus import evaluate
     xi = parse_rational(args.point)
     print(evaluate(parse_word(args.word), xi).render())
 
 
 def cmd_calc(args):
+    from .calculus import calc_string, exponent
     word = parse_word(args.word)
     if any(lt.kind != "y" for lt in word):
         raise DomainError("calc takes a word in y-letters only")
@@ -124,11 +120,14 @@ def cmd_calc(args):
 
 
 def cmd_support(args):
+    from .calculus import supp_y
     cones = supp_y(normalize(parse_word(args.word)))
     print(repr(cones) if not cones.is_null() else "empty")
 
 
 def cmd_special(args):
+    from .special import (
+        is_special, minimal_form, parity_of, to_letters, type_of)
     form = _y_form(args.word)
     if not is_special(form):
         print("special: no")
@@ -176,6 +175,7 @@ def cmd_cubulate(args):
 
 def cmd_contract_loop(args):
     from .loops import check_certificate, contract_loop
+    from .special import coset_vertex
     loop = [coset_vertex(parse_word("" if line == "1" else line))
             for line in _lines(args.file)]
     cert = contract_loop(loop)

@@ -41,7 +41,7 @@ import functools
 import itertools
 import operator
 
-from .rewrite import GNormal, normalize, inverse_word
+from .rewrite import GNormal, inverse_word, normalize, normalize_onto
 from .special import (
     check_sorted_forms,
     coset_vertex,
@@ -122,7 +122,7 @@ class Cluster:
         for mask in range(1, 1 << n):
             low = mask & -mask
             word = to_letters(self.params[low.bit_length() - 1])
-            forms.append(normalize(word + forms[mask ^ low].to_items()))
+            forms.append(normalize_onto(word, forms[mask ^ low]))
         self.corners = [g.ys for g in forms]
         self.mask_of = {v: mask for mask, v in enumerate(self.corners)}
         if len(self.mask_of) != 1 << n:

@@ -21,7 +21,7 @@ normalized.
 """
 
 from .binseq import incompatible, lex_key
-from .complexes import is_one_cell, quotient, vertex_of
+from .complexes import is_one_cell, quotient
 from .rewrite import (
     CANCELLATION,
     COMMUTING,
@@ -29,11 +29,13 @@ from .rewrite import (
     IDENTITY_NORMAL,
     REARRANGEMENT,
     FToken,
+    GNormal,
     Letter,
     _is_y,
     _merge,
     contraction,
     normalize,
+    normalize_onto,
     reduce_word,
 )
 from .special import from_letters, independent, is_special
@@ -74,7 +76,7 @@ class _Word:
         start inside the new window from right to left."""
         forms = [self.sfx[hi]]
         for item in reversed(new):
-            forms.append(normalize([item] + forms[-1].to_items()))
+            forms.append(normalize_onto((item,), forms[-1]))
         self.items[lo:hi] = new
         self.sfx[lo:hi] = forms[:0:-1]
 
@@ -152,9 +154,8 @@ class _Word:
         """The canonical special forms of the letters `items[lo:hi]`, each
         conjugated into the coordinates of the representative of the suffix
         at `hi` by that suffix's tree-pair factor."""
-        psi = self.sfx[hi].f
-        tail = [] if psi.is_identity() else [FToken(psi)]
-        return tuple(from_letters(normalize([lt] + tail).ys)
+        psi = GNormal(self.sfx[hi].f, ())
+        return tuple(from_letters(normalize_onto((lt,), psi).ys)
                      for lt in self.items[lo:hi])
 
 
@@ -255,8 +256,11 @@ def _good_params(params):
 
 
 def _corner(params, v):
+    """The corner of the parameters over the coset of a word v.  The
+    letters of v go through `normalize_onto` too, so v need not be a coset
+    vertex; when it is one, each of its letters merges on the fast path."""
     word = [Letter("y", s, t) for f in params for s, t in f]
-    return vertex_of(word + list(v))
+    return normalize_onto(word + list(v), IDENTITY_NORMAL).ys
 
 
 def _facial_ok(params, long_path):

@@ -29,7 +29,7 @@ from .complexes import (
     quotient,
     quotient_form,
 )
-from .rewrite import FToken, GNormal, normalize
+from .rewrite import FToken, GNormal, normalize, normalize_onto
 from .special import (
     cancellation_free,
     check_sorted_forms,
@@ -168,7 +168,7 @@ def _cell(form, tau):
     cell.support = supp(cell.form)
     cell.tau = tau
     cell.bottom = tau.ys
-    top = normalize(to_letters(cell.form) + tau.to_items())
+    top = normalize_onto(to_letters(cell.form), tau)
     cell.top = top.ys
     if cell.top == cell.bottom:
         raise ValueError("parameter does not move the base coset")
@@ -313,7 +313,7 @@ def op_expand_cell(cell, at, decomposition):
             if j != i
             for lt in to_letters(g)
         ]
-        out.append(ParamCell(f, normalize(rest + tau.to_items())))
+        out.append(ParamCell(f, normalize_onto(rest, tau)))
     return out
 
 
@@ -641,8 +641,7 @@ def cubulate(system, max_dim=None):
     clusters = []
     for v, combo in spans:
         base = normalize(list(v))
-        ends = [v] + [normalize(to_letters(f) + base.to_items()).ys
-                      for f in combo]
+        ends = [v] + [normalize_onto(to_letters(f), base).ys for f in combo]
         if any(all(w in c.mask_of for w in ends) for c in clusters):
             continue
         try:

@@ -34,9 +34,10 @@ from test_work_counts import rebind, record_cells
 
 
 def _hash_seed_envelopes():
-    """Run the envelopes of the hash-seed draws from a cold normalize
-    memo, so every product and reading is computed."""
+    """Run the envelopes of the hash-seed draws from cold normalize
+    memos, so every product and reading is computed."""
     rewrite._normal_form.cache_clear()
+    rewrite._onto.cache_clear()
     for draw in DRAWS:
         envelope([parse_cluster_line(part) for part in draw.split("||")])
 
@@ -167,6 +168,7 @@ MEMOS = [
     (calculus, "_apply_in_cone", "APPLY_CACHE_SIZE"),
     (rewrite, "_cancels", "CANCELLATION_CACHE_SIZE"),
     (rewrite, "_normal_form", "NORMALIZE_CACHE_SIZE"),
+    (rewrite, "_onto", "ONTO_CACHE_SIZE"),
     (pipeline, "_cell", "CELL_CACHE_SIZE"),
     (pipeline, "_quotient_cones", "QUOTIENT_CACHE_SIZE"),
 ]

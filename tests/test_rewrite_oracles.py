@@ -203,8 +203,8 @@ def test_cancellation_table_matches_automaton():
 def test_cancellation_table_keeps_the_checks(outer, inner):
     """Bad subscripts and signs raise before the memo is read, also when
     the memo holds the key they would make.  The automaton answers only
-    signs ±1: under another sign its digit buffer grows without end, so
-    only the keys of the bad subscripts are put in the memo first."""
+    signs ±1 and raises under another sign, storing nothing, so only the
+    keys of the bad subscripts are put in the memo first."""
     (s, t), (u, v) = outer, inner
     if {t, v} <= {1, -1}:
         rewrite._cancels(t, u[len(s):], v)
@@ -212,4 +212,13 @@ def test_cancellation_table_keeps_the_checks(outer, inner):
     with pytest.raises(ValueError):
         pair_potential_cancellation(outer, inner)
     assert rewrite._cancels.cache_info() == before
+
+
+def test_automaton_refuses_bad_signs():
+    """Under a sign outside ±1 a symbol reads no digit, so the automaton's
+    digit buffer would grow until memory ran out: it raises at once."""
+    with pytest.raises(ValueError):
+        rewrite._cancels(2, "0", 1)
+    with pytest.raises(ValueError):
+        rewrite._cancels(1, "0", 0)
 

@@ -100,14 +100,21 @@ LOOP_WORDS = [
 # calls; the rewrites did not change.
 # When `normalize` began to look a missed word up again by its merged word,
 # the words whose merged word it had already reduced stopped being reduced
-# again: the counts were 427, 389, 190, 167, 382 and 258 before
+# again: the counts were 427, 389, 190, 167, 382 and 258 before.
+# When the suffixes of a loop word, its window parameters and the corners
+# of certificate checks began to take their letters onto a known normal
+# form (`normalize_onto`), most of those steps stopped calling the engine:
+# the counts were 347, 314, 171, 159, 357 and 229 before.  `onto_misses`
+# counts the steps that `normalize_onto` computed, with the engine or
+# without it
 EXPECTED = {
-    "standardize": 347,
-    "remove_potential_cancellations": 314,
-    "pair_potential_cancellation": 171,
-    "compose": 159,
-    "find_merge": 357,
-    "find_misordered": 229,
+    "standardize": 160,
+    "remove_potential_cancellations": 135,
+    "pair_potential_cancellation": 113,
+    "compose": 160,
+    "find_merge": 217,
+    "find_misordered": 106,
+    "onto_misses": 231,
 }
 
 
@@ -153,14 +160,20 @@ def _install_counters(monkeypatch, counted=COUNTED):
     return counts
 
 
+def _clear_normalize_memos():
+    rewrite._normal_form.cache_clear()
+    rewrite._onto.cache_clear()
+
+
 def test_exact_work_counts(monkeypatch):
     loops = [_loop_of(parse_word(w)) for w in LOOP_WORDS]
-    rewrite._normal_form.cache_clear()
+    _clear_normalize_memos()
     counts = _install_counters(monkeypatch)
     for text in WORDS:
         normalize(parse_word(text))
     for loop in loops:
         assert check_certificate(loop, contract_loop(loop))
+    counts["onto_misses"] = rewrite._onto.cache_info().misses
     assert counts == EXPECTED
 
 
@@ -205,18 +218,24 @@ def test_normalize_tail_budget_steps(monkeypatch, case):
 
 
 # a loop of 901 moves whose contraction made 30,710 `normalize` calls while
-# every move normalized every suffix of the word again, and 2,674 while the
-# split phase checked its path against a rebuilt copy of its 26-letter word
+# every move normalized every suffix of the word again, 2,674 while the
+# split phase checked its path against a rebuilt copy of its 26-letter
+# word, and 2,648 while each new suffix was normalized from the letter and
+# the next suffix's items.  Each new suffix is now one step of
+# `normalize_onto`; the steps it computed are `onto_misses`, and the
+# `normalize` calls include those of the steps that needed the engine
 BLOWUP_WORD = "y[10] y[10] y[1010] y[011]^-1 y[10]"
+BLOWUP_WORK = {"normalize": 337, "onto_misses": 2063}
 
 
 def test_contract_loop_blowup_normalize_count(monkeypatch):
     loop = _loop_of(parse_word(BLOWUP_WORD))
-    rewrite._normal_form.cache_clear()
+    _clear_normalize_memos()
     counts = _install_counters(monkeypatch, [("rewrite", "normalize")])
     cert = contract_loop(loop)
     assert len(cert) - 1 == 901
-    assert counts == {"normalize": 2648}
+    counts["onto_misses"] = rewrite._onto.cache_info().misses
+    assert counts == BLOWUP_WORK
     assert check_certificate(loop, cert)
 
 
@@ -297,41 +316,51 @@ def test_envelope_balance_scan_count(monkeypatch):
 # envelopes of the three hash-seed draws, from cold memos, as `cache_info()`
 # reads them: the products of `thompson.compose`; the normal forms of
 # `rewrite._normal_form`, whose misses are the words first seen as given or
-# as merged words, and the reductions among those misses; the quotients of
-# a vertex over a base that `_quotient_cones` keeps; and the canonical
-# parameters that `param_form_at` reads at the ends of cells.  While
-# `normalize` kept a table of its own, its 278 misses merged their words
-# once each, and 171 of them reduced the merged word and 107 found it; a
-# merged word stored with a reduction is now a miss of its own, which
-# merges it again, so 141 misses more
+# as merged words, with the `_ListWord` merges and the reductions among
+# those misses; the steps of `normalize_onto` that `rewrite._onto` keeps;
+# the quotients of a vertex over a base that `_quotient_cones` keeps; and
+# the canonical parameters that `param_form_at` reads at the ends of cells.
+# A miss on a word merges it, and a miss on its merged word then reduces
+# the word merged there, so a word missed under both keys is merged once.
+# While each miss merged its own word, and before corners, cell tops and
+# `cubulate`'s ends took their letters onto a known normal form, the counts
+# were 16 and 114 products, 419 misses, 429 hits, 419 merges and 171
+# reductions of normal forms
 MEMO_WORK = {
-    "compose": {"misses": 16, "hits": 114},
-    "normal_form": {"misses": 419, "hits": 429, "reductions": 171},
+    "compose": {"misses": 16, "hits": 98},
+    "normal_form": {"misses": 322, "hits": 317, "merges": 222,
+                    "reductions": 132},
+    "onto": {"misses": 73, "hits": 113},
     "quotient": {"misses": 140, "hits": 236},
     "param_form": {"misses": 52, "hits": 110},
 }
 
 
 def test_envelope_memo_work(monkeypatch):
-    rewrite._normal_form.cache_clear()
+    _clear_normalize_memos()
     thompson.compose.cache_clear()
     cells = record_cells(monkeypatch)
     counts = _install_counters(monkeypatch, [
-        ("rewrite", "reduce_word"), ("pipeline", "param_form_at")])
+        ("rewrite", "reduce_word"), ("rewrite", "_ListWord"),
+        ("pipeline", "param_form_at")])
     for draw in DRAWS:
         envelope([parse_cluster_line(part) for part in draw.split("||")])
     compose = thompson.compose.cache_info()
     normal = rewrite._normal_form.cache_info()
+    onto = rewrite._onto.cache_info()
     quotient = pipeline._quotient_cones.cache_info()
     params = sum(len(cell.params) for cell in cells.values())
-    assert {
+    got = {
         "compose": {"misses": compose.misses, "hits": compose.hits},
         "normal_form": {"misses": normal.misses, "hits": normal.hits,
+                        "merges": counts["_ListWord"],
                         "reductions": counts["reduce_word"]},
+        "onto": {"misses": onto.misses, "hits": onto.hits},
         "quotient": {"misses": quotient.misses, "hits": quotient.hits},
         "param_form": {"misses": params,
                        "hits": counts["param_form_at"] - params},
-    } == MEMO_WORK
+    }
+    assert got == MEMO_WORK
 
 
 # the output clusters whose edge sets were built, over the envelopes of the
@@ -386,8 +415,13 @@ CORNER_CLUSTERS = [
 
 # measured when each corner became the normal form of its lowest parameter
 # times the corner one parameter smaller; normalizing the whole word of
-# every corner made 156 calls on 140 distinct words
-CORNER_NORMALIZE = {"normalize": 134, "distinct_words": 76}
+# every corner made 156 calls on 140 distinct words, and normalizing the
+# parameter's letters followed by the smaller corner's items made 134 on
+# 76.  Each corner is now `normalize_onto` of the parameter's letters onto
+# the smaller corner: `onto_misses` counts its steps, and the `normalize`
+# calls are those of the steps that needed the engine
+CORNER_NORMALIZE = {"normalize": 10, "distinct_words": 10,
+                    "onto_misses": 82}
 
 
 def test_cluster_corner_normalize_count(monkeypatch):
@@ -396,7 +430,7 @@ def test_cluster_corner_normalize_count(monkeypatch):
          tuple(from_letters(parse_word(p)) for p in params))
         for base, params in CORNER_CLUSTERS
     ]
-    rewrite._normal_form.cache_clear()
+    _clear_normalize_memos()
     words = []
     real = rewrite.normalize
 
@@ -407,7 +441,8 @@ def test_cluster_corner_normalize_count(monkeypatch):
     rebind(monkeypatch, real, recording)
     for base, params in clusters:
         Cluster(base, params)
-    counts = {"normalize": len(words), "distinct_words": len(set(words))}
+    counts = {"normalize": len(words), "distinct_words": len(set(words)),
+              "onto_misses": rewrite._onto.cache_info().misses}
     assert counts == CORNER_NORMALIZE
 
 
