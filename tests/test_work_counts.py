@@ -350,7 +350,7 @@ def test_envelope_memo_work(monkeypatch):
     onto = rewrite._onto.cache_info()
     quotient = pipeline._quotient_cones.cache_info()
     params = sum(len(cell.params) for cell in cells.values())
-    got = {
+    assert {
         "compose": {"misses": compose.misses, "hits": compose.hits},
         "normal_form": {"misses": normal.misses, "hits": normal.hits,
                         "merges": counts["_ListWord"],
@@ -359,8 +359,7 @@ def test_envelope_memo_work(monkeypatch):
         "quotient": {"misses": quotient.misses, "hits": quotient.hits},
         "param_form": {"misses": params,
                        "hits": counts["param_form_at"] - params},
-    }
-    assert got == MEMO_WORK
+    } == MEMO_WORK
 
 
 # the output clusters whose edge sets were built, over the envelopes of the
