@@ -160,8 +160,16 @@ class _Word:
 
 
 def path_of(items):
-    """The closed path a word spells from the base vertex."""
-    return _Word(items).path()
+    """The closed path a word spells from the base vertex, one edge per
+    unit letter: a y-letter power is read as that many units."""
+    units = []
+    for it in items:
+        if _is_y(it) and abs(it.exp) > 1:
+            sign = 1 if it.exp > 0 else -1
+            units.extend([Letter("y", it.sub, sign)] * abs(it.exp))
+        else:
+            units.append(it)
+    return _Word(units).path()
 
 
 class _Contraction(list):

@@ -59,8 +59,9 @@ class NonConvergenceError(RuntimeError):
 
 
 def _by_vertices(item):
-    """The order in which cells (and clusters) are scanned: by their sorted
-    vertices, so that no scan depends on the hash seed."""
+    """The order in which cells are scanned: by their sorted vertices, so
+    that no scan depends on the hash seed.  Clusters are taken in the order
+    `cubulate` builds them."""
     return sorted(item.vertices)
 
 
@@ -495,10 +496,11 @@ def _two_sided_offsprings(cell, vertices):
     ]
 
 
-def _make_balanced(system):
-    """Expand two-sidedly the cells undecided against some tracked vertex
-    and add the criterion cells the others give there, one scan a round,
-    until the system is balanced; balanced input is returned as it is."""
+def separation_procedure(system):
+    """Split every undecided cell two-sidedly along the support boundaries
+    of the tracked vertices and add the criterion cells the others give
+    there, one scan a round, until the system is balanced; balanced input
+    is returned as it is."""
     for _ in range(SEPARATION_ROUNDS):
         if is_balanced_system(system):
             return system
@@ -510,13 +512,6 @@ def _make_balanced(system):
         cells.update(found)
         system = CellSystem(cells, system.vertices)
     raise NonConvergenceError("separation rounds exceeded without balance")
-
-
-def separation_procedure(system):
-    """Split every undecided cell two-sidedly along the support boundaries
-    of the tracked vertices and close under equivalence at those vertices,
-    repeating until the system is balanced."""
-    return _make_balanced(system)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +556,7 @@ def equivariant_decoupling(system):
             and any(equivalent_cells(p, e) is not None for e in comp)
         }
         cells = (system.cells - set(comp) - stale) | set(offsprings)
-        system = _make_balanced(CellSystem(cells, system.vertices))
+        system = separation_procedure(CellSystem(cells, system.vertices))
     raise NonConvergenceError("decoupling rounds exceeded")
 
 
@@ -573,13 +568,21 @@ class ClusterCubeComplex:
     """A union of clusters with pairwise facial intersections and flag
     links: the data of a nonpositively curved cube complex."""
 
-    def __init__(self, clusters, flag_report):
+    def __init__(self, clusters):
         self.clusters = frozenset(clusters)
-        self.flag_report = dict(flag_report)
 
-    @property
+    @functools.cached_property
     def vertices(self):
         return frozenset().union(*(c.vertices for c in self.clusters))
+
+    @property
+    def flag_report(self):
+        """The flag verdict at every vertex, always (True, None): `cubulate`
+        raises at the first link that is not flag, so a complex it returns
+        has flag links only.  The table stays because the benchmark
+        workloads, the envelope digest test and `cantorg cubulate` read
+        it."""
+        return dict.fromkeys(self.vertices, (True, None))
 
     def __repr__(self):
         return (f"ClusterCubeComplex({len(self.clusters)} clusters, "
@@ -605,13 +608,15 @@ def _independent_subsets(forms):
 
 def cubulate(system, max_dim=None):
     """Span clusters by the parameters of the system at each tracked
-    vertex, build only the maximal ones, and index them by vertex.  Every
-    two clusters that share a vertex must meet in a common face (the face
-    criterion, see `complexes`), and the link at every vertex, over the
-    clusters there, must be a flag complex.  The largest cluster is checked
-    against `max_dim` before any is built.  Each cluster holds every ambient
-    edge among its vertices, so meets and links are read off vertex sets
-    and corner indices: no cluster's `edges` is ever built.
+    vertex, build only the maximal ones, and index them by vertex, in the
+    order of the sorted spans and of each one's corners, which no hash seed
+    changes.  Every two clusters that share a vertex must meet in a common
+    face (the face criterion, see `complexes`), and the link at every
+    vertex, over the clusters there, must be a flag complex.  The largest
+    cluster is checked against `max_dim` before any is built.  Each cluster
+    holds every ambient edge among its vertices, so meets and links are
+    read off vertex sets and corner indices: no cluster's `edges` is ever
+    built.
 
     A span is a tracked vertex v with a maximal independent set of its
     parameters.  Spans are taken by descending size, with a stable sort, so
@@ -648,26 +653,23 @@ def cubulate(system, max_dim=None):
             clusters.append(Cluster(base, combo))
         except ValueError as exc:
             raise InternalError(f"parameters failed to span: {exc}")
-    ordered = sorted(clusters, key=_by_vertices)
     at_vertex = {}
-    for i, c in enumerate(ordered):
-        for v in c.vertices:
+    for i, c in enumerate(clusters):
+        for v in c.corners:
             at_vertex.setdefault(v, []).append(i)
     pairs = {pair for ids in at_vertex.values()
              for pair in itertools.combinations(ids, 2)}
     for i, j in sorted(pairs):
-        if not meet_in_face(ordered[i], ordered[j]):
+        if not meet_in_face(clusters[i], clusters[j]):
             raise InternalError("cluster intersection is not a common face")
-    flag_report = {}
-    for v in sorted(at_vertex):
-        ok, witness = link_flag_check([ordered[i] for i in at_vertex[v]], v)
-        flag_report[v] = (ok, witness)
+    for v, ids in at_vertex.items():
+        ok, witness = link_flag_check([clusters[i] for i in ids], v)
         if not ok:
             raise InternalError(
                 "vertex link is not a flag complex at "
                 f"{GNormal(IDENTITY, v).render()}: a witness of "
                 f"{len(witness)} edges spans no corner")
-    return ClusterCubeComplex(clusters, flag_report)
+    return ClusterCubeComplex(clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +681,7 @@ def envelope(clusters, max_dim=None):
     finite union of clusters, and verify the union embeds in the output."""
     clusters = list(clusters)
     if not clusters:
-        return ClusterCubeComplex((), {})
+        return ClusterCubeComplex(())
     cells = set()
     vertices = set()
     for c in clusters:

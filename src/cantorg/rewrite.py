@@ -34,8 +34,8 @@ when three checks show that the result is normal (see `_onto`); any other
 letter goes to the engine with g's items.
 
 The answers of the cancellation automaton, the normal forms, under the
-word as given and, for a word it reduced, under the merged word too, and
-the steps of `normalize_onto` (`_onto`) are kept in bounded
+merged word alone, and the steps of `normalize_onto` (`_onto`) are kept
+in bounded
 least-recently-used memos (`functools.lru_cache`), as every process-global
 memo of the package is.
 """
@@ -88,14 +88,20 @@ def inverse_word(letters):
             else it.inverse() for it in reversed(list(letters))]
 
 
+def _as_factor(item):
+    """An x-letter as its tree-pair factor; any other item as it is."""
+    if isinstance(item, Letter) and item.kind == "x":
+        return FToken(power(x_gen(item.sub), item.exp))
+    return item
+
+
 def _merge(items):
     """Fuse adjacent equal-subscript y-letters and adjacent tree-pair
     factors, reading each x-letter as its tree-pair factor and dropping the
     identity."""
     out = []
     for item in items:
-        if isinstance(item, Letter) and item.kind == "x":
-            item = FToken(power(x_gen(item.sub), item.exp))
+        item = _as_factor(item)
         if isinstance(item, FToken):
             if item.pair.is_identity():
                 continue
@@ -556,39 +562,22 @@ class GNormal(NamedTuple):
 IDENTITY_NORMAL = GNormal(IDENTITY, ())
 
 
-# the normal forms that `_normal_form` keeps, by word as given and by
-# merged word
+# the normal forms that `_normal_form` keeps, one per merged word
 NORMALIZE_CACHE_SIZE = 1_000_000
 
 
 def normalize(word):
     """The unique normal form of a word (letters and/or tree-pair tokens).
 
-    A word missing from the memo is merged first (see `_ListWord`), and
-    its merged word looked up in turn: words that differ only in what the
-    merge fuses or cancels, such as `y[10] y[10]^-1` inside a quotient,
-    share one reduction.  A computed normal form is kept under both keys,
-    and its word is reduced from the merged items, merged once."""
-    return _normal_form(tuple(word))
-
-
-# a missed word's merged word, with the `_ListWord` that holds it, while
-# `_normal_form` looks the merged word up: a miss on it reduces that word
-# instead of merging it again.  Empty between calls
-_MERGED = {}
+    The memo is keyed by the merged word (see `_merge`), so words that
+    differ only in what the merge fuses or cancels, such as `y[10]
+    y[10]^-1` inside a quotient, share one entry and one reduction."""
+    return _normal_form(tuple(_merge(word)))
 
 
 @functools.lru_cache(maxsize=NORMALIZE_CACHE_SIZE)
-def _normal_form(word):
-    merged_word = _MERGED.pop(word, None) or _ListWord(word)
-    merged = tuple(merged_word.items)
-    if merged != word:
-        _MERGED[merged] = merged_word
-        try:
-            return _normal_form(merged)
-        finally:
-            _MERGED.pop(merged, None)
-    f, ys = split_standard(reduce_word(merged_word).items)
+def _normal_form(merged):
+    f, ys = split_standard(reduce_word(_ListWord(merged)).items)
     return GNormal(f, tuple(ys))
 
 
@@ -618,8 +607,7 @@ def _onto(item, g):
     neighbouring pair it can enter), and no triple becomes contractible:
     what is left is then a normal form.  Any other item is normalized with
     g's items by the engine."""
-    if isinstance(item, Letter) and item.kind == "x":
-        item = FToken(power(x_gen(item.sub), item.exp))
+    item = _as_factor(item)
     if isinstance(item, FToken):
         return GNormal(compose(item.pair, g.f), g.ys)
     t = g.f.act_on_word(item.sub)

@@ -97,23 +97,34 @@ def test_decoupled_systems_are_free(monkeypatch):
         assert is_free_system(CellSystem(free.cells, free.vertices))
 
 
+# the decoupling rounds over the envelopes of the hash-seed draws and the
+# first `POOL_DRAWS` pool draws, each of which ends with a separation of
+# its own
+DECOUPLING_SEPARATIONS = 4
+
+
 def test_handed_balance_verdicts_hold(monkeypatch):
-    """The balance verdict that the systems out of separation and out of
-    decoupling carry equals a fresh scan of their cells."""
+    """The balance verdict that the systems out of separation, inside
+    decoupling too, and out of decoupling carry equals a fresh scan of
+    their cells."""
     handed = []
 
-    def recording(phase):
+    def recording(name, phase):
         def run(system):
-            handed.append(phase(system))
-            return handed[-1]
+            handed.append((name, phase(system)))
+            return handed[-1][1]
         return run
 
     for name in ("separation_procedure", "equivariant_decoupling"):
-        monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+        monkeypatch.setattr(pipeline, name,
+                            recording(name, getattr(pipeline, name)))
     draws = DRAWS + _pool_draws()[:POOL_DRAWS]
     decoupled_systems(monkeypatch, draws)
-    assert len(handed) == 2 * len(draws)
-    for out in handed:
+    names = [name for name, _ in handed]
+    assert names.count("equivariant_decoupling") == len(draws)
+    assert (names.count("separation_procedure")
+            == len(draws) + DECOUPLING_SEPARATIONS)
+    for _, out in handed:
         assert "undecided" in vars(out)
         fresh = CellSystem(out.cells, out.vertices)
         assert is_balanced_system(out) == is_balanced_system(fresh)

@@ -7,7 +7,9 @@ two equal cells (equal by their ends) with different parametrizations,
 whichever a set yields first.  Each run here happens in a child process
 with its own hash seed and reports how often `disparate_cell_vertex` and
 `normalize` were called per subcomplex, and how often `standardize` was,
-which measures the rewriting done.
+which measures the rewriting done.  Cubulation checks the meets of its
+clusters and the link at each vertex in an order of its own; a child
+process records that order, which must not depend on the hash seed either.
 """
 
 import json
@@ -18,6 +20,8 @@ import sys
 import cantorg
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cantorg.__file__)))
+SQUARES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "golden", "squares.txt")
 
 # subcomplexes, one cluster per line part, whose envelopes track enough
 # vertices for the scan order to matter
@@ -61,19 +65,57 @@ print(json.dumps(out))
 """
 
 
-def work_counts(hash_seed):
+RECORD_CHECKS = """
+import json, sys
+from cantorg import pipeline
+from cantorg.commands import parse_cluster_line, read_cluster_file
+
+record = {"link_flag_check": [], "meet_in_face": []}
+link_flag_check, meet_in_face = pipeline.link_flag_check, pipeline.meet_in_face
+
+
+def flag(clusters, vertex):
+    record["link_flag_check"].append(vertex)
+    return link_flag_check(clusters, vertex)
+
+
+def meet(c1, c2):
+    record["meet_in_face"].append([(c.base_vertex, c.params) for c in (c1, c2)])
+    return meet_in_face(c1, c2)
+
+
+pipeline.link_flag_check, pipeline.meet_in_face = flag, meet
+pipeline.envelope(read_cluster_file(sys.argv[1]))
+for line in sys.argv[2:]:
+    pipeline.envelope([parse_cluster_line(p) for p in line.split("||")])
+print(json.dumps(record))
+"""
+
+
+def run_child(script, hash_seed, *args):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, "-c", COUNT_CALLS, *DRAWS],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
     return json.loads(done.stdout)
+
+
+def work_counts(hash_seed):
+    return run_child(COUNT_CALLS, hash_seed, *DRAWS)
 
 
 def test_envelope_work_is_independent_of_hash_seed():
     first = work_counts(0)
     assert all(c["disparate_cell_vertex"] > 0 for c in first)
     assert work_counts(1) == first
+
+
+def test_cubulate_check_order_is_independent_of_hash_seed():
+    first = run_child(RECORD_CHECKS, 0, SQUARES, *DRAWS)
+    assert first["meet_in_face"] and first["link_flag_check"]
+    for seed in (1, 7):
+        assert run_child(RECORD_CHECKS, seed, SQUARES, *DRAWS) == first

@@ -13,6 +13,7 @@ from cantorg.loops import (
     path_of,
 )
 from cantorg.rewrite import inverse_word
+from test_work_counts import _loop_of
 
 
 def v(text):
@@ -109,3 +110,15 @@ def test_random_identity_loops():
         cert = contract_loop(loop)
         assert check_certificate(loop, cert)
         assert all(x == TRIV for x in cert[-1][1])
+
+
+def test_path_of_reads_powers_as_units():
+    assert path_of(parse_word("y[01]^2")) == path_of(parse_word("y[01] y[01]"))
+    assert path_of(parse_word("y[01]^-2")) == path_of(
+        parse_word("y[01]^-1 y[01]^-1"))
+
+
+def test_contract_loop_through_a_power():
+    loop = _loop_of(parse_word("y[01]^2 y[010]^-1 y[0110]"))
+    cert = contract_loop(loop)
+    assert check_certificate(loop, cert)

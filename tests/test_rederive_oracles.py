@@ -124,7 +124,7 @@ def test_equivalence_pairs_match_oracle():
 
 def _scan_matches_oracle(scan, cells, vertices):
     """One separation scan against the oracle's two: the same undecided
-    cells, and, added to the other cells as a round of `_make_balanced`
+    cells, and, added to the other cells as a round of `separation_procedure`
     adds them, criterion cells that keep, of equal cells, the same
     parametrization as the oracle's closure of the other cells.  When no
     cell is undecided, the oracle finds a missing criterion cell exactly

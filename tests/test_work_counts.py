@@ -315,20 +315,20 @@ def test_envelope_balance_scan_count(monkeypatch):
 # the misses and hits of the memos under the envelope pipeline over the
 # envelopes of the three hash-seed draws, from cold memos, as `cache_info()`
 # reads them: the products of `thompson.compose`; the normal forms of
-# `rewrite._normal_form`, whose misses are the words first seen as given or
-# as merged words, with the `_ListWord` merges and the reductions among
-# those misses; the steps of `normalize_onto` that `rewrite._onto` keeps;
-# the quotients of a vertex over a base that `_quotient_cones` keeps; and
-# the canonical parameters that `param_form_at` reads at the ends of cells.
-# A miss on a word merges it, and a miss on its merged word then reduces
-# the word merged there, so a word missed under both keys is merged once.
-# While each miss merged its own word, and before corners, cell tops and
-# `cubulate`'s ends took their letters onto a known normal form, the counts
-# were 16 and 114 products, 419 misses, 429 hits, 419 merges and 171
-# reductions of normal forms
+# `rewrite._normal_form`, keyed by merged word alone, so that each miss
+# makes one `_ListWord` merge and one reduction; the steps of
+# `normalize_onto` that `rewrite._onto` keeps; the quotients of a vertex
+# over a base that `_quotient_cones` keeps; and the canonical parameters
+# that `param_form_at` reads at the ends of cells.  While each miss merged
+# its own word, and before corners, cell tops and `cubulate`'s ends took
+# their letters onto a known normal form, the counts were 16 and 114
+# products, 419 misses, 429 hits, 419 merges and 171 reductions of normal
+# forms; while the memo kept a reduced word under the word as given too,
+# they were 322 misses and 222 merges for the same 317 hits and 132
+# reductions
 MEMO_WORK = {
     "compose": {"misses": 16, "hits": 98},
-    "normal_form": {"misses": 322, "hits": 317, "merges": 222,
+    "normal_form": {"misses": 132, "hits": 317, "merges": 132,
                     "reductions": 132},
     "onto": {"misses": 73, "hits": 113},
     "quotient": {"misses": 140, "hits": 236},
