@@ -35,9 +35,8 @@ letter goes to the engine with g's items.
 
 The answers of the cancellation automaton, the normal forms, under the
 merged word alone, and the steps of `normalize_onto` (`_onto`) are kept
-in bounded
-least-recently-used memos (`functools.lru_cache`), as every process-global
-memo of the package is.
+in bounded least-recently-used memos (`functools.lru_cache`), as every
+process-global memo of the package is.
 """
 
 import functools

@@ -71,7 +71,8 @@ from cantorg import pipeline
 from cantorg.commands import parse_cluster_line, read_cluster_file
 
 record = {"link_flag_check": [], "meet_in_face": []}
-link_flag_check, meet_in_face = pipeline.link_flag_check, pipeline.meet_in_face
+link_flag_check = pipeline.link_flag_check
+meet_in_face = pipeline.meet_in_face
 
 
 def flag(clusters, vertex):
@@ -80,7 +81,8 @@ def flag(clusters, vertex):
 
 
 def meet(c1, c2):
-    record["meet_in_face"].append([(c.base_vertex, c.params) for c in (c1, c2)])
+    record["meet_in_face"].append(
+        [(c.base_vertex, c.params) for c in (c1, c2)])
     return meet_in_face(c1, c2)
 
 
