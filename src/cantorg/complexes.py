@@ -41,7 +41,15 @@ import functools
 import itertools
 import operator
 
-from .rewrite import GNormal, inverse_word, normalize, normalize_onto
+from .binseq import incompatible
+from .rewrite import (
+    FToken,
+    GNormal,
+    Letter,
+    inverse_word,
+    normalize,
+    normalize_onto,
+)
 from .special import (
     check_sorted_forms,
     coset_vertex,
@@ -68,10 +76,66 @@ def vertex_of(word):
     return coset_vertex(word)
 
 
+# the quotients that `quotient` keeps and the verdicts that `is_one_cell`
+# keeps, one per pair of words.  A `loops` pass of seed 3001 asks 7,751
+# quotients of 1,835 distinct pairs
+PAIR_QUOTIENT_CACHE_SIZE = 16_384
+ONE_CELL_CACHE_SIZE = 16_384
+
+
 def quotient(u, v):
     """The normal form of u * v^-1 for two words, such as coset
-    representatives or the items of a base element."""
-    return normalize(list(u) + inverse_word(list(v)))
+    representatives or the items of a base element, kept per pair."""
+    return _quotient(tuple(u), tuple(v))
+
+
+@functools.lru_cache(maxsize=PAIR_QUOTIENT_CACHE_SIZE)
+def _quotient(u, v):
+    return normalize(quotient_word(u, v))
+
+
+def quotient_word(u, v):
+    """A word equal to u * v^-1 in the group: the letters of u, then those
+    of v inverted, less the letters the two share that commute out.
+
+    A tree-pair factor f that v starts with goes to the end inverted, as
+    u (f w)^-1 = u w^-1 f^-1.  Of two y-words, every letter where they
+    differ is kept, then every shared letter whose subscript is a prefix
+    or an extension of a kept one, until no more is kept.  Each letter of
+    the set D of shared letters left is then disjoint from every kept
+    letter, and y_a y_b = y_b y_a for disjoint cones a and b.  When D's
+    letters stand in the same order in both words, as in two sorted
+    normal-form y-parts, moving them to the front gives u = D B and
+    v = D C, with B and C the kept letters of each word in order.  So
+    u v^-1 = D (B C^-1) D^-1 = B C^-1, because B C^-1 commutes with every
+    letter of D.  Words with another item, a repeated letter or D in two
+    orders are returned whole."""
+    tail = []
+    if v and isinstance(v[0], FToken):
+        tail = [FToken(v[0].pair.invert())]
+        v = v[1:]
+    drop = _commuting_shared(u, v)
+    return ([lt for lt in u if lt not in drop]
+            + inverse_word([lt for lt in v if lt not in drop]) + tail)
+
+
+def _commuting_shared(u, v):
+    """The letters D that `quotient_word` drops from the y-words u and v,
+    or the empty set when it drops none."""
+    su, sv = set(u), set(v)
+    if (len(su) < len(u) or len(sv) < len(v)
+            or not all(isinstance(lt, Letter) and lt.kind == "y"
+                       for lt in su | sv)):
+        return frozenset()
+    shared = su & sv
+    kept = [lt.sub for lt in su ^ sv]
+    while near := {lt for lt in shared
+                   if not all(incompatible(lt.sub, s) for s in kept)}:
+        shared -= near
+        kept += [lt.sub for lt in near]
+    if [lt for lt in u if lt in shared] != [lt for lt in v if lt in shared]:
+        return frozenset()
+    return shared
 
 
 def quotient_form(u, v):
@@ -79,12 +143,11 @@ def quotient_form(u, v):
     return quotient(u, v).ys
 
 
+@functools.lru_cache(maxsize=ONE_CELL_CACHE_SIZE)
 def is_one_cell(u, v):
-    """Whether two cosets are joined by an edge: their quotient must be a
-    special form."""
-    if u == v:
-        return False
-    return is_special(from_letters(quotient_form(u, v)))
+    """Whether two cosets, as vertex tuples, are joined by an edge: their
+    quotient must be a special form.  Kept per pair."""
+    return u != v and is_special(from_letters(quotient_form(u, v)))
 
 
 def _concat_forms(forms):

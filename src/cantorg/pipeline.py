@@ -26,8 +26,8 @@ from .complexes import (
     link_flag_check,
     maximal_cliques,
     meet_in_face,
-    quotient,
     quotient_form,
+    quotient_word,
 )
 from .rewrite import FToken, GNormal, normalize, normalize_onto
 from .special import (
@@ -201,8 +201,9 @@ QUOTIENT_CACHE_SIZE = 16_384
 @functools.lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
 def _quotient_cones(base, v):
     """The quotient g of vertex v over a base normal form, with the cones
-    of its percolating support."""
-    g = quotient(v, base.to_items())
+    of its percolating support.  It is the only reader of each pair, so
+    the quotient is computed here and not kept under the pair as well."""
+    g = normalize(quotient_word(v, base.to_items()))
     return g, supp_y(g)
 
 

@@ -187,13 +187,14 @@ def _fusable(a, b):
 
 class _ListWord:
     """A word as a plain list of items, kept merged: no two tree-pair
-    factors and no two equal-subscript y-letters stand together.  Each
+    factors and no two equal-subscript y-letters stand together.  It is
+    built from items that are merged already (see `_merge`).  Each
     rewrite, commute and contraction spends one step of `budget`, and
     fuses only where it made a fusable pair.  A rewrite that grows the
     word past `MAX_WORD_ITEMS` raises `BudgetExceeded`."""
 
     def __init__(self, items, budget=None):
-        self.items = _merge(items)
+        self.items = list(items)
         self.budget = _Budget() if budget is None else budget
 
     def rewrite(self, lo, hi, new, move=None, window=None):
@@ -237,7 +238,9 @@ class _ListWord:
 
 
 def _as_word(items, budget):
-    return items if hasattr(items, "rewrite") else _ListWord(items, budget)
+    if hasattr(items, "rewrite"):
+        return items
+    return _ListWord(_merge(items), budget)
 
 
 def _expand(word, i, leftmost):

@@ -1,8 +1,8 @@
 """Differential tests of the memos under the envelope pipeline against the
 computations they keep: `thompson.compose` against its unmemoized merge,
 `normalize` against the reduction of the merged word, the criterion
-readings against `quotient` and `supp_y`, and the canonical parameters of
-a cell against `quotient_form`.  Each is compared from a cold memo and
+readings against the whole quotient word normalized and `supp_y`, and the
+canonical parameters of a cell against `quotient_form`.  Each is compared from a cold memo and
 then from a warm one.  Every process-global memo is a `functools.lru_cache`
 bounded by its named size."""
 
@@ -11,18 +11,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorg import calculus, pipeline, rewrite, thompson
+from cantorg import calculus, complexes, pipeline, rewrite, thompson
 from cantorg.binseq import RationalSeq
 from cantorg.calculus import evaluate, supp_y
 from cantorg.cli import parse_word
 from cantorg.commands import parse_cluster_line
-from cantorg.complexes import quotient, quotient_form
+from cantorg.complexes import quotient_form
+from cantorg.loops import check_certificate, contract_loop
 from cantorg.pipeline import ParamCell, envelope, param_form_at
 from cantorg.rewrite import (
     FToken,
     GNormal,
     Letter,
     _ListWord,
+    _merge,
+    inverse_word,
     normalize,
     reduce_word,
     split_standard,
@@ -30,7 +33,7 @@ from cantorg.rewrite import (
 from cantorg.special import from_letters
 from test_hash_seed import DRAWS
 from test_rewrite import random_word
-from test_work_counts import rebind, record_cells
+from test_work_counts import LOOP_WORDS, _loop_of, rebind, record_cells
 
 
 def _hash_seed_envelopes():
@@ -40,6 +43,14 @@ def _hash_seed_envelopes():
     rewrite._onto.cache_clear()
     for draw in DRAWS:
         envelope([parse_cluster_line(part) for part in draw.split("||")])
+
+
+def _loop_certificates():
+    """Contract and check the loops of `LOOP_WORDS`, which test edges
+    with `is_one_cell`, as no envelope does."""
+    for word in LOOP_WORDS:
+        loop = _loop_of(parse_word(word))
+        assert check_certificate(loop, contract_loop(loop))
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +67,7 @@ def test_compose_memo_matches_merge_on_envelope_products(monkeypatch):
 
     rebind(monkeypatch, real, recording)
     _hash_seed_envelopes()
+    _loop_certificates()
     assert len(pairs) > 100
     real.cache_clear()
     cold = [real(f, g) for f, g in pairs]
@@ -72,7 +84,7 @@ def test_compose_memo_matches_merge_on_envelope_products(monkeypatch):
 
 
 def _reduced(word):
-    f, ys = split_standard(reduce_word(_ListWord(word)).items)
+    f, ys = split_standard(reduce_word(_ListWord(_merge(word))).items)
     return GNormal(f, tuple(ys))
 
 
@@ -97,7 +109,7 @@ def _with_merges(rng, word):
 def test_normalize_matches_merged_word_and_reduction(seed):
     rng = random.Random(seed)
     word = tuple(_with_merges(rng, random_word(rng, max_len=5, max_sub=3)))
-    merged = tuple(_ListWord(word).items)
+    merged = tuple(_merge(word))
     want = _reduced(word)
     assert want == _reduced(merged)
     # cold: the word first, whose one reduction is kept under its merged
@@ -116,12 +128,30 @@ def test_normalize_matches_merged_word_and_reduction(seed):
     assert normalize(word) == want
 
 
+def test_a_miss_merges_its_word_once(monkeypatch):
+    """`normalize` merges the word to make the memo key, and a miss reduces
+    that key as it is.  A normal word takes no rewrite that would merge."""
+    merges = []
+    real = rewrite._merge
+
+    def counting(items):
+        merges.append(items)
+        return real(items)
+
+    monkeypatch.setattr(rewrite, "_merge", counting)
+    rewrite._normal_form.cache_clear()
+    word = parse_word("y[01] y[10]")
+    assert normalize(word).ys == tuple(word)
+    assert rewrite._normal_form.cache_info().misses == 1
+    assert len(merges) == 1
+
+
 # ---------------------------------------------------------------------------
 # criterion readings and canonical parameters
 
 
 def _criterion_oracle(support, form, base, v):
-    g = quotient(v, base.to_items())
+    g = normalize(list(v) + inverse_word(base.to_items()))
     cones = supp_y(g)
     if not support.intersect(cones).is_null():
         return cones, None
@@ -171,6 +201,8 @@ MEMOS = [
     (rewrite, "_onto", "ONTO_CACHE_SIZE"),
     (pipeline, "_cell", "CELL_CACHE_SIZE"),
     (pipeline, "_quotient_cones", "QUOTIENT_CACHE_SIZE"),
+    (complexes, "_quotient", "PAIR_QUOTIENT_CACHE_SIZE"),
+    (complexes, "is_one_cell", "ONE_CELL_CACHE_SIZE"),
 ]
 
 
@@ -178,8 +210,10 @@ MEMOS = [
                          ids=[memo for _, memo, _ in MEMOS])
 def test_memo_is_a_bounded_lru_cache(module, memo, size):
     """Each memo is bounded by its named size and holds entries after the
-    hash-seed envelopes and one evaluation, which no envelope makes."""
+    hash-seed envelopes, the loop certificates and one evaluation, which
+    no envelope makes."""
     _hash_seed_envelopes()
+    _loop_certificates()
     evaluate(parse_word("y[10] x[1]"), RationalSeq("1", "0"))
     info = getattr(module, memo).cache_info()
     assert info.maxsize == getattr(module, size)

@@ -25,6 +25,7 @@ from cantorg.rewrite import (
     GNormal,
     Letter,
     _ListWord,
+    _merge,
     normalize_onto,
     reduce_word,
     split_standard,
@@ -40,7 +41,7 @@ from test_work_counts import CORNER_CLUSTERS, LOOP_WORDS, _loop_of
 def _engine(letters, g):
     """The normal form of the letters times g, reduced from scratch."""
     f, ys = split_standard(
-        reduce_word(_ListWord(list(letters) + g.to_items())).items)
+        reduce_word(_ListWord(_merge(list(letters) + g.to_items()))).items)
     return GNormal(f, tuple(ys))
 
 

@@ -21,6 +21,7 @@ from cantorg.rewrite import (
     _Budget,
     _is_y,
     _ListWord,
+    _merge,
     find_merge,
     find_misordered,
     neighboring_pairs,
@@ -36,7 +37,7 @@ from test_work_counts import _loop_of
 
 
 def _library_normalize(word, budget):
-    items = _ListWord(word, budget)
+    items = _ListWord(_merge(word), budget)
     reduce_word(items)
     f, ys = split_standard(items.items)
     return GNormal(f, tuple(ys))
