@@ -2,9 +2,9 @@
 computations they keep: `thompson.compose` against its unmemoized merge,
 `normalize` against the reduction of the merged word, the criterion
 readings against the whole quotient word normalized and `supp_y`, and the
-canonical parameters of a cell against `quotient_form`.  Each is compared from a cold memo and
-then from a warm one.  Every process-global memo is a `functools.lru_cache`
-bounded by its named size."""
+canonical parameters of a cell against `quotient_form`.  Each is compared
+from a cold memo and then from a warm one.  Every process-global memo is a
+`functools.lru_cache` bounded by its named size."""
 
 import random
 
