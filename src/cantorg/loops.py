@@ -38,7 +38,7 @@ from .rewrite import (
     normalize_onto,
     reduce_word,
 )
-from .special import from_letters, independent, is_special
+from .special import from_letters, independent, is_special, to_letters
 from .thompson import InternalError
 
 TRIVIAL = ()
@@ -51,10 +51,9 @@ MAX_MOVES = 20_000
 def _edge_normal(u, v):
     """The normal form of u * v^-1; its letter part labels the edge from u
     to v and its tree-pair factor realigns the suffix representatives."""
-    nf = quotient(u, v)
-    if not is_special(from_letters(nf.ys)):
+    if not is_one_cell(u, v):
         raise ValueError("consecutive loop vertices are not joined by an edge")
-    return nf
+    return quotient(u, v)
 
 
 class _Word:
@@ -257,29 +256,41 @@ def _good_params(params):
     return True
 
 
-def _corner(params, v):
-    """The corner of the parameters over the coset of a word v.  The
-    letters of v go through `normalize_onto` too, so v need not be a coset
-    vertex; when it is one, each of its letters merges on the fast path."""
-    word = [Letter("y", s, t) for f in params for s, t in f]
-    return normalize_onto(word + list(v), IDENTITY_NORMAL).ys
+def _over(form, g):
+    """The normal form of the letters of a form times the normal form g."""
+    return normalize_onto(to_letters(form), g)
+
+
+def _vertex_normal(v):
+    """The normal form of the word v, letter by letter onto the identity,
+    so v need not be a coset vertex; when it is one, each of its letters
+    merges on the fast path."""
+    return normalize_onto(list(v), IDENTITY_NORMAL)
 
 
 def _facial_ok(params, long_path):
     """Whether the path is the descending facial walk of the cluster over
-    its last vertex with the given parameters, one parameter per step."""
+    its last vertex with the given parameters, one parameter per step:
+    the corner of `params[j:]` is the j-th vertex."""
     if len(long_path) != len(params) + 1:
         return False
-    v = long_path[-1]
-    return all(
-        _corner(params[j:], v) == long_path[j] for j in range(len(params))
-    )
+    g = _vertex_normal(long_path[-1])
+    for j in reversed(range(len(params))):
+        g = _over(params[j], g)
+        if g.ys != long_path[j]:
+            return False
+    return True
 
 
 def check_certificate(loop, moves):
     """Re-verify a contraction certificate: the first entry matches the
     loop, each move is locally valid in a cluster given by its recorded
-    parameters, and the final path is trivial."""
+    parameters, and the final path is trivial.
+
+    The start loop is checked edge by edge.  A later path q differs from
+    the path p before it only in the window `_window` finds, so its edges
+    outside the window are edges of p, already checked; only the edges
+    that enter, cross or leave the window are checked again."""
     loop = [tuple(v) for v in loop]
     if not all(isinstance(m, tuple) and len(m) == 3 for m in moves):
         return False
@@ -293,9 +304,9 @@ def check_certificate(loop, moves):
     for (_, p, _), (kind, q, params) in zip(moves, moves[1:]):
         if q[0] != TRIVIAL or q[-1] != TRIVIAL:
             return False
-        if not _valid_path(q):
-            return False
         a, wp, wq = _window(p, q)
+        if not _valid_path(q[max(a - 1, 0):a + len(wq) + 1]):
+            return False
         if kind == REARRANGEMENT:
             if p != q:
                 return False
@@ -309,12 +320,11 @@ def check_certificate(loop, moves):
                 return False
             if not _good_params(params) or len(params) != 2:
                 return False
-            u, v = q[a - 1], q[a + 1]
-            if _corner(params[:1], v) != wp[0]:
+            u, g = q[a - 1], _vertex_normal(q[a + 1])
+            if _over(params[0], g).ys != wp[0]:
                 return False
-            if _corner(params[1:], v) != wq[0]:
-                return False
-            if _corner(params, v) != u:
+            g = _over(params[1], g)
+            if g.ys != wq[0] or _over(params[0], g).ys != u:
                 return False
         elif kind in (SPLIT, EXPANSION):
             if not _good_params(params):

@@ -1,17 +1,20 @@
 """Differential tests of the memos under the envelope pipeline against the
 computations they keep: `thompson.compose` against its unmemoized merge,
 `normalize` against the reduction of the merged word, the criterion
-readings against the whole quotient word normalized and `supp_y`, and the
-canonical parameters of a cell against `quotient_form`.  Each is compared
-from a cold memo and then from a warm one.  Every process-global memo is a
-`functools.lru_cache` bounded by its named size."""
+readings against the whole quotient word normalized and `supp_y`, the
+canonical parameters of a cell against `quotient_form`, and the verdicts
+and minimal forms of special forms against the unmemoized verdict and
+`canonical_oracles.minimal_form`.  Each is compared from a cold memo and
+then from a warm one.  Every process-global memo is a `functools.lru_cache`
+bounded by its named size."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorg import calculus, complexes, pipeline, rewrite, thompson
+import canonical_oracles
+from cantorg import calculus, complexes, pipeline, rewrite, special, thompson
 from cantorg.binseq import RationalSeq
 from cantorg.calculus import evaluate, supp_y
 from cantorg.cli import parse_word
@@ -30,7 +33,8 @@ from cantorg.rewrite import (
     reduce_word,
     split_standard,
 )
-from cantorg.special import from_letters
+from cantorg.special import from_letters, is_special, minimal_form
+from test_canonical_oracles import random_special_form
 from test_hash_seed import DRAWS
 from test_rewrite import random_word
 from test_work_counts import LOOP_WORDS, _loop_of, rebind, record_cells
@@ -189,6 +193,78 @@ def test_parameter_of_a_non_end_is_refused():
 
 
 # ---------------------------------------------------------------------------
+# special forms
+
+
+def _check_special_memos(forms):
+    """From cold memos and then from warm ones, each form's verdict is the
+    unmemoized one, and its minimal form the oracle's; a form that is not
+    special raises and leaves the minimal-form memo as it was.  The warm
+    round is all hits."""
+    verdict = special._is_special.__wrapped__
+    special._is_special.cache_clear()
+    special._minimal_form.cache_clear()
+    for warm in (False, True):
+        before = (special._is_special.cache_info(),
+                  special._minimal_form.cache_info())
+        for form in forms:
+            want = verdict(form)
+            assert is_special(form) is want
+            if want:
+                key = tuple(tuple(lt) for lt in form)
+                assert minimal_form(form) == canonical_oracles.minimal_form(key)
+                continue
+            info = special._minimal_form.cache_info()
+            with pytest.raises(ValueError):
+                minimal_form(form)
+            assert special._minimal_form.cache_info() == info
+        if warm:
+            after = (special._is_special.cache_info(),
+                     special._minimal_form.cache_info())
+            assert [a.misses for a in after] == [b.misses for b in before]
+
+
+def test_special_memos_match_on_checked_forms(monkeypatch):
+    """Every form whose verdict or minimal form the hash-seed envelopes and
+    the loop certificates ask for; all of them are special."""
+    forms = set()
+    with monkeypatch.context() as m:
+        for name in ("_is_special", "_minimal_form"):
+            real = getattr(special, name)
+
+            def recording(form, _real=real):
+                forms.add(form)
+                return _real(form)
+
+            m.setattr(special, name, recording)
+        _hash_seed_envelopes()
+        _loop_certificates()
+    assert len(forms) > 30
+    _check_special_memos(sorted(forms))
+
+
+DRAWN_FORM = st.lists(
+    st.tuples(st.text("01", max_size=4), st.sampled_from([1, -1, 2, 0])),
+    max_size=5,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=10**6), DRAWN_FORM)
+def test_special_memos_match_on_drawn_forms(seed, drawn):
+    """Drawn forms: constant subscripts and bad signs among them, and
+    special forms built of lists, reversed or with a sign flipped."""
+    rng = random.Random(seed)
+    form = random_special_form(rng)
+    flipped = list(form)
+    s, t = flipped[-1]
+    flipped[-1] = (s, -t)
+    forms = [drawn, form, list(form), [list(lt) for lt in form],
+             form[::-1], flipped]
+    _check_special_memos(forms)
+
+
+# ---------------------------------------------------------------------------
 # bounds
 
 
@@ -203,6 +279,8 @@ MEMOS = [
     (pipeline, "_quotient_cones", "QUOTIENT_CACHE_SIZE"),
     (complexes, "_quotient", "PAIR_QUOTIENT_CACHE_SIZE"),
     (complexes, "is_one_cell", "ONE_CELL_CACHE_SIZE"),
+    (special, "_is_special", "SPECIAL_CACHE_SIZE"),
+    (special, "_minimal_form", "SPECIAL_CACHE_SIZE"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from cantorg import pipeline
 from cantorg.binseq import ConeSet
 from cantorg.cli import parse_word
-from cantorg.commands import read_cluster_file, render_vertex
+from cantorg.commands import parse_cluster_line, read_cluster_file, render_vertex
 from cantorg.complexes import Cluster, vertex_of
 from cantorg.pipeline import (
     DISPARATE,
@@ -274,6 +274,18 @@ def test_cubulate_free_system():
     assert all(ok for ok, _ in out.flag_report.values())
     with pytest.raises(ValueError):
         cubulate(CellSystem({pc("y[10]"), pc("y[100]")}, {TRIV}))
+
+
+def test_cubulate_bounds_its_largest_span():
+    """Spans go by descending size, so `max_dim` is checked against the
+    largest before any cluster is built.  In this envelope's free system
+    the first tracked vertex spans at most 3 parameters and a later one 5;
+    in scan order alone the first span would be read as the largest."""
+    draw = "1 ; y[01]^-1 ; y[100] || 1 ; y[10]^-1"
+    clusters = [parse_cluster_line(part) for part in draw.split("||")]
+    with pytest.raises(ValueError, match="dimension 5 exceeds the bound of 4"):
+        envelope(clusters, max_dim=4)
+    assert max(c.n for c in envelope(clusters, max_dim=5).clusters) == 5
 
 
 def test_failed_flag_check_names_its_vertex(monkeypatch):
