@@ -257,15 +257,11 @@ def _good_params(params):
 
 
 def _over(form, g):
-    """The normal form of the letters of a form times the normal form g."""
+    """The normal form of the letters of a form times the normal form g.
+    A vertex is taken onto the identity the same way, so it need not be a
+    coset vertex; when it is one, each of its letters merges on the fast
+    path."""
     return normalize_onto(to_letters(form), g)
-
-
-def _vertex_normal(v):
-    """The normal form of the word v, letter by letter onto the identity,
-    so v need not be a coset vertex; when it is one, each of its letters
-    merges on the fast path."""
-    return normalize_onto(list(v), IDENTITY_NORMAL)
 
 
 def _facial_ok(params, long_path):
@@ -274,7 +270,7 @@ def _facial_ok(params, long_path):
     the corner of `params[j:]` is the j-th vertex."""
     if len(long_path) != len(params) + 1:
         return False
-    g = _vertex_normal(long_path[-1])
+    g = normalize_onto(long_path[-1], IDENTITY_NORMAL)
     for j in reversed(range(len(params))):
         g = _over(params[j], g)
         if g.ys != long_path[j]:
@@ -320,7 +316,7 @@ def check_certificate(loop, moves):
                 return False
             if not _good_params(params) or len(params) != 2:
                 return False
-            u, g = q[a - 1], _vertex_normal(q[a + 1])
+            u, g = q[a - 1], normalize_onto(q[a + 1], IDENTITY_NORMAL)
             if _over(params[0], g).ys != wp[0]:
                 return False
             g = _over(params[1], g)

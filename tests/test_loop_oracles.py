@@ -18,7 +18,12 @@ import loop_oracles as oracle
 from cantorg import loops
 from cantorg.cli import parse_word
 from cantorg.complexes import vertex_of
-from cantorg.loops import CANCELLATION, _window, check_certificate, contract_loop
+from cantorg.loops import (
+    CANCELLATION,
+    _window,
+    check_certificate,
+    contract_loop,
+)
 from cantorg.rewrite import normalize
 from test_work_counts import LOOP_WORDS, _loop_of
 
@@ -101,7 +106,7 @@ def _forgeries(loop, cert, bad):
         out.append((forged, [("start", forged, None)] + cert[1:]))
     for i in range(1, len(cert)):
         kind, q, params = cert[i]
-        a, _, wq = _window(cert[i - 1][1], q)
+        a = _window(cert[i - 1][1], q)[0]
         for at in {min(a, len(q) - 2), 1}:
             if 0 < at < len(q) - 1:
                 forged = list(cert)

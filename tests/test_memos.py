@@ -211,8 +211,9 @@ def _check_special_memos(forms):
             want = verdict(form)
             assert is_special(form) is want
             if want:
-                key = tuple(tuple(lt) for lt in form)
-                assert minimal_form(form) == canonical_oracles.minimal_form(key)
+                key = tuple(map(tuple, form))
+                oracle = canonical_oracles.minimal_form(key)
+                assert minimal_form(form) == oracle
                 continue
             info = special._minimal_form.cache_info()
             with pytest.raises(ValueError):

@@ -6,7 +6,11 @@ import pytest
 from cantorg import pipeline
 from cantorg.binseq import ConeSet
 from cantorg.cli import parse_word
-from cantorg.commands import parse_cluster_line, read_cluster_file, render_vertex
+from cantorg.commands import (
+    parse_cluster_line,
+    read_cluster_file,
+    render_vertex,
+)
 from cantorg.complexes import Cluster, vertex_of
 from cantorg.pipeline import (
     DISPARATE,
