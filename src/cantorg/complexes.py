@@ -355,46 +355,39 @@ def meet_in_face(c1, c2):
 # ---------------------------------------------------------------------------
 # cube fillings via the junction hyperplane arrangement
 
+# the relations, in "<=>" order, that a cut allows between its lower and
+# upper coordinate for their 0/1/interior statuses
+CUT_RELATIONS = {
+    ("0", "0"): "=", ("0", "1"): "<", ("0", "*"): "<",
+    ("1", "0"): ">", ("1", "1"): "=", ("1", "*"): ">",
+    ("*", "0"): ">", ("*", "1"): "<", ("*", "*"): "<=>",
+}
+
 
 class CellComplexPiece:
     """The filled cluster: cells of the unit cube subdivided by the
     hyperplanes z_i = z_{i+1}, one per consecutive junction.  Cells are
     signatures: a 0/1/interior status per coordinate and an order relation
-    per cut junction."""
+    per cut junction.
+
+    A cut compares only its two neighbouring coordinates, so the cells are
+    every status assignment extended by every choice of the relations its
+    cuts allow (`CUT_RELATIONS`), in `itertools.product` order.  An '='
+    between interior coordinates joins them into one free class, and every
+    other '=' is forced between equal pins: a cell's dimension is its count
+    of interior coordinates, less its '=' relations, plus its forced ones."""
 
     def __init__(self, n, cut_junctions):
         self.n = n
         self.cuts = tuple(sorted(cut_junctions))
-        self.cells = [
-            sig
-            for sig in itertools.product(
-                *(["01*"] * n + ["<=>"] * len(self.cuts))
-            )
-            if self._feasible(sig)
-        ]
-        self._dims = {sig: self._dimension(sig) for sig in self.cells}
-
-    def _feasible(self, sig):
-        # a cut only compares neighbouring coordinates, so the order
-        # constraints form a path and hold together iff each holds alone
-        for j, rel in zip(self.cuts, sig[self.n:]):
-            lo, hi = sig[j], sig[j + 1]
-            if rel == "=":
-                if lo != hi:
-                    return False
-                continue
-            if rel == ">":
-                lo, hi = hi, lo
-            if lo == "1" or hi == "0":
-                return False
-        return True
-
-    def _dimension(self, sig):
-        # an '=' cut between interior coordinates joins them into one free
-        # class
-        joined = sum(rel == "=" and sig[j] == "*"
-                     for j, rel in zip(self.cuts, sig[self.n:]))
-        return sig[: self.n].count("*") - joined
+        self._dims = {}
+        for status in itertools.product("01*", repeat=n):
+            choices = [CUT_RELATIONS[status[j], status[j + 1]]
+                       for j in self.cuts]
+            free = status.count("*") + choices.count("=")
+            for rels in itertools.product(*choices):
+                self._dims[status + rels] = free - rels.count("=")
+        self.cells = list(self._dims)
 
     def dim(self, cell):
         return self._dims[cell]

@@ -29,7 +29,7 @@ from .complexes import (
     quotient_form,
     quotient_word,
 )
-from .rewrite import FToken, GNormal, normalize, normalize_onto
+from .rewrite import GNormal, normalize, normalize_onto
 from .special import (
     cancellation_free,
     check_sorted_forms,
@@ -131,7 +131,7 @@ class ParamCell:
     @classmethod
     def from_edge(cls, u, v):
         """The cell joining two coset vertices, based at the second."""
-        return cls(from_letters(quotient_form(u, v)), normalize(list(v)))
+        return cls(from_letters(quotient_form(u, v)), GNormal(IDENTITY, v))
 
     def __eq__(self, other):
         return isinstance(other, ParamCell) and self.vertices == other.vertices
@@ -216,7 +216,7 @@ def _criterion_cell(support, form, base, v):
     g, cones = _quotient_cones(base, v)
     if not support.intersect(cones).is_null():
         return cones, None
-    return cones, ParamCell(form, normalize([FToken(g.f.invert())] + list(v)))
+    return cones, ParamCell(form, GNormal(g.f.invert(), v))
 
 
 def equivalent_cells(e1, e2):
@@ -366,7 +366,7 @@ def decouple(cells, at):
     ordered = sorted(set(cells), key=_by_vertices)
     if any(at not in e.vertices for e in ordered):
         raise ValueError("cell is not incident to the vertex")
-    tau = normalize(list(at))
+    tau = GNormal(IDENTITY, at)
     seqs = _refine_letters([param_form_at(e, at) for e in ordered])
     blocks_by_cell = [[(lt,) for lt in seq] for seq in seqs]
     _merge_blocks(blocks_by_cell)
@@ -646,7 +646,7 @@ def cubulate(system, max_dim=None):
                          f"of {max_dim}")
     clusters = []
     for v, combo in spans:
-        base = normalize(list(v))
+        base = GNormal(IDENTITY, v)
         ends = [v] + [normalize_onto(to_letters(f), base).ys for f in combo]
         if any(all(w in c.mask_of for w in ends) for c in clusters):
             continue

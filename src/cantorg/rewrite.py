@@ -540,7 +540,12 @@ def _lex_sorted(ys):
 
 class GNormal(NamedTuple):
     """The unique normal form: a reduced tree pair times a sorted,
-    cancellation- and contraction-free y-letter sequence."""
+    cancellation- and contraction-free y-letter sequence.
+
+    Those three conditions concern the y-part alone.  So when v is the
+    y-part of a normal form, such as a coset vertex, `GNormal(f, v)` is
+    the normal form of f v for every reduced tree pair f, and the pipeline
+    builds it so instead of normalizing the word again."""
 
     f: TreePair
     ys: tuple

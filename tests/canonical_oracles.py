@@ -5,7 +5,8 @@ These are the versions the library used before each became a single
 left-to-right pass: tree-pair reduction, the canonical antichain of a cone
 set, the minimal special form, `act_f`, and the feasibility, dimension and
 vertex subset of a cube-cell signature (a union-find over the '=' cuts and a
-cycle search over the strict order they leave).  Each changes one thing and
+cycle search over the strict order they leave, tried on every signature,
+where the library makes only the feasible ones).  Each changes one thing and
 rescans from the start until nothing changes, so its answer does not depend
 on the order the single pass relies on.
 
@@ -20,6 +21,8 @@ every pair of leaves for compatibility, and then finds the two leaves above
 each leaf of the common refinement by a linear scan, so it needs no sorted
 order either.
 """
+
+import itertools
 
 from cantorg.binseq import incompatible, lex_key
 from cantorg.complexes import CellComplexPiece
@@ -119,7 +122,20 @@ def act_f(form, f):
 
 class FixpointCellComplexPiece(CellComplexPiece):
     """The cube filling with its cells decided by a union-find over the '='
-    cuts and a cycle search over the strict order digraph."""
+    cuts and a cycle search over the strict order digraph, testing every
+    one of the 3^(n+k) signatures of n coordinates and k cuts."""
+
+    def __init__(self, n, cut_junctions):
+        self.n = n
+        self.cuts = tuple(sorted(cut_junctions))
+        self.cells = [
+            sig
+            for sig in itertools.product(
+                *(["01*"] * n + ["<=>"] * len(self.cuts))
+            )
+            if self._feasible(sig)
+        ]
+        self._dims = {sig: self._dimension(sig) for sig in self.cells}
 
     def _classes(self, sig):
         # union-find over coordinates joined by '=' at cut junctions

@@ -168,6 +168,18 @@ def test_enumerate_cells_f_vectors():
     assert sum(piece.f_vector()) == 9
 
 
+def test_enumerate_cells_nine_cluster_with_eight_cuts():
+    # every junction of the nine parameters is consecutive; computed once
+    # by testing all 3^17 signatures
+    c = cl("", "y[0100]", "y[0101]^-1", "y[011]", "y[100]^-1", "y[1010]",
+           "y[1011]^-1", "y[110]", "y[1110]^-1", "y[11110]")
+    piece = enumerate_cells(c, max_dim=9)
+    assert len(piece.cuts) == 8
+    assert piece.f_vector() == (512, 4097, 14846, 31748, 44024, 40976,
+                                25568, 10304, 2432, 256)
+    assert piece.euler_characteristic() == 1
+
+
 def test_enumerate_cells_three_cluster():
     c = cl("", "y[001]", "y[01]^-1", "y[10]")
     piece = enumerate_cells(c)

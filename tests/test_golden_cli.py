@@ -3,8 +3,10 @@ capture in tests/golden/.  Captures larger than 100 kB are gzipped.  Help
 texts are captured at a fixed terminal width of 80 columns.
 
 To capture the corpus from a reference version of the program, run
-`python tests/test_golden_cli.py` with that version's `src` on PYTHONPATH;
-it overwrites the capture files.
+`python tests/test_golden_cli.py [NAME ...]` with that version's `src` on
+PYTHONPATH.  It overwrites the capture files of the named calls, or of
+every call when no name is given, so a new call can be captured from an
+older version without rewriting the others.
 """
 
 import contextlib
@@ -31,6 +33,12 @@ CALLS = {
     "cluster_diagonals": ["cluster", "1 ; y[001] ; y[01] ; y[10]"],
     "cluster_diagonals_cells": [
         "cluster", "1 ; y[001] ; y[01]^-1 ; y[100] y[101]^-1", "--cells"
+    ],
+    "cluster_cuts_cells": [
+        "--max-dim", "7", "cluster",
+        "1 ; y[0100] ; y[0101]^-1 ; y[011] ; y[100]^-1 ; y[1010]"
+        " ; y[1011]^-1 ; y[110]",
+        "--cells",
     ],
     "intersect": ["intersect", "1 ; y[001] ; y[011]", "1 ; y[011] ; y[101]"],
     "cubulate_seven_cube": [
@@ -81,8 +89,8 @@ def test_golden_output(name):
 
 
 if __name__ == "__main__":
-    for name, argv in CALLS.items():
-        data = _stdout_of(argv)
+    for name in sys.argv[1:] or CALLS:
+        data = _stdout_of(CALLS[name])
         path = os.path.join(GOLDEN, name + ".out")
         for old in (path, path + ".gz"):
             if os.path.exists(old):

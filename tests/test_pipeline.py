@@ -34,9 +34,10 @@ from cantorg.pipeline import (
     separation_procedure,
     supp,
 )
-from cantorg.rewrite import normalize
+from cantorg.rewrite import FToken, GNormal, normalize
 from cantorg.special import from_letters
 from cantorg.thompson import InternalError
+from test_hash_seed import DRAWS, SQUARES
 from verifiers import orthogonal_pair
 
 
@@ -373,3 +374,31 @@ def test_envelope_of_empty_is_empty():
 def test_separation_fixpoint_on_balanced_input():
     free = CellSystem({pc("y[10]")}, {TRIV, v("y[10]^2")})
     assert separation_procedure(free) == free
+
+
+def test_vertex_normal_forms_match_normalize(monkeypatch):
+    """The normal forms that the pipeline builds from a reduced tree pair f
+    and a coset vertex v, without normalizing f v, are its normal forms:
+    every pair the envelopes of the hash-seed draws and of the golden
+    squares file build, from cold cell memos."""
+    seen = []
+
+    class Recording(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, GNormal)
+
+        def __call__(cls, f, ys):
+            seen.append((f, ys))
+            return GNormal(f, ys)
+
+    monkeypatch.setattr(pipeline, "GNormal", Recording("GNormal", (), {}))
+    pipeline._cell.cache_clear()
+    inputs = [[parse_cluster_line(p) for p in draw.split("||")]
+              for draw in DRAWS]
+    inputs.append(read_cluster_file(SQUARES))
+    for clusters in inputs:
+        envelope(clusters)
+    pairs = set(seen)
+    assert any(not f.is_identity() for f, _ in pairs)
+    for f, ys in pairs:
+        assert normalize([FToken(f)] + list(ys)) == GNormal(f, ys)
