@@ -191,11 +191,6 @@ def exponent(c):
                     return True
         return False
 
-    # initial adjacency check
-    for j in range(k - 1):
-        if buffers[j] == "" and signs[j] == -signs[j + 1]:
-            return POTENTIAL_CANCELLATION
-
     while True:
         if drain():
             return POTENTIAL_CANCELLATION

@@ -8,10 +8,10 @@ cluster, ending at the trivial loop.  Moves that use a cluster record its
 parameters, so every move can be re-checked locally from the certificate
 alone.
 
-Once the diagonal edges are split, `normalize`'s engine
-(`rewrite.reduce_word`) drives the loop word to the empty word.  A `_Word`
-holds unit letters: each rewrite is a splice that records its move, and
-commuting and sorting are runs of adjacent swaps, one move each.
+Once the diagonal edges are split, `normalize`'s cancellation pass
+(`rewrite.remove_potential_cancellations`) drives the loop word to the
+empty word.  A `_Word` holds unit letters: each rewrite is a splice that
+records its move, and a commute is a run of adjacent swaps, one move each.
 
 The word carries the normal form of each of its suffixes.  Every move
 replaces a window of the word by a word equal to it in the group, and
@@ -20,7 +20,7 @@ its window; only the suffixes starting inside the new window are
 normalized.
 """
 
-from .binseq import incompatible, lex_key
+from .binseq import incompatible
 from .complexes import is_one_cell, quotient
 from .rewrite import (
     CANCELLATION,
@@ -33,10 +33,9 @@ from .rewrite import (
     Letter,
     _is_y,
     _merge,
-    contraction,
     normalize,
     normalize_onto,
-    reduce_word,
+    remove_potential_cancellations,
 )
 from .special import from_letters, independent, is_special, to_letters
 from .thompson import InternalError
@@ -91,56 +90,15 @@ class _Word:
         return _merge([it for it in self.items if _is_y(it)])
 
     def commute(self, src, dst):
-        """Move the y-letter at src to dst by adjacent swaps, one
-        commuting move each; returns the least index changed."""
+        """Move the y-letter at src left to dst by adjacent swaps, one
+        commuting move each; returns dst."""
         items = self.items
-        step = -1 if dst < src else 1
-        for k in range(src, dst, step):
-            if not incompatible(items[k].sub, items[k + step].sub):
+        for k in range(src, dst, -1):
+            if not incompatible(items[k - 1].sub, items[k].sub):
                 raise InternalError("tried to commute a compatible pair")
-            lo = min(k, k + step)
-            self.rewrite(lo, lo + 2, [items[lo + 1], items[lo]], COMMUTING,
-                         (lo, lo + 2))
-        return min(src, dst)
-
-    def sort(self):
-        """Bubble-sort the y-letters into lex order by commuting swaps."""
-        items = self.items
-        start = next((k for k, it in enumerate(items) if _is_y(it)),
-                     len(items))
-        swapped = True
-        while swapped:
-            swapped = False
-            for k in range(start, len(items) - 1):
-                if lex_key(items[k].sub) > lex_key(items[k + 1].sub):
-                    self.commute(k, k + 1)
-                    swapped = True
-
-    def contract(self, case, s):
-        """Bring a contractible triple together by commuting moves and
-        replace it by its one-letter equivalent (a reverse expansion)."""
-        items = self.items
-        triple, repl = contraction(case, s)
-        (sub1, sign1), (sub2, sign2), (sub3, sign3) = triple
-
-        def unit_pos(sub, sign, last):
-            idx = [k for k, it in enumerate(items)
-                   if _is_y(it) and it.sub == sub and it.exp == sign]
-            return idx[-1] if last else idx[0]
-
-        # move the middle unit next to the third, then the first next to them
-        p3 = unit_pos(sub3, sign3, last=False)
-        p2 = unit_pos(sub2, sign2, last=True)
-        self.commute(p2, p3 - 1)
-        p2 = p3 - 1
-        p1 = unit_pos(sub1, sign1, last=True)
-        self.commute(p1, p2 - 1)
-        base = p2 - 1
-        if [(it.sub, it.exp) for it in items[base:base + 3]] != list(triple):
-            raise InternalError("contraction triple did not come together")
-        params = self.params(base, base + 3)
-        self.splice(base, base + 3, repl)
-        self.moves.emit(EXPANSION, self.path(), params)
+            self.rewrite(k - 1, k + 1, [items[k], items[k - 1]], COMMUTING,
+                         (k - 1, k + 1))
+        return dst
 
     def path(self):
         """Suffix cosets at each percolating letter; the closed path the
@@ -181,7 +139,15 @@ class _Contraction(list):
 def contract_loop(loop):
     """Contract a loop at the base vertex to the trivial loop.  Returns the
     move certificate, beginning with ("start", the input path, None) and
-    ending with a path of base vertices only."""
+    ending with a path of base vertices only.
+
+    The loop word spells a closed path at the base vertex, so it is an
+    element of F, and removing its potential cancellations leaves no
+    y-letter: at a point of a deepest cone, the calculation of a
+    cancellation-free standard form with a y-letter has a positive
+    exponent (Lodha-Moore), so near that point the word does not act by
+    prefix replacement, as an element of F does.  So the loop word needs
+    no sorting and no contraction."""
     loop = [tuple(v) for v in loop]
     if len(loop) < 1 or loop[0] != TRIVIAL or loop[-1] != TRIVIAL:
         raise ValueError("loop must start and end at the base vertex")
@@ -219,7 +185,7 @@ def contract_loop(loop):
         raise InternalError("split phase lost track of the path")
 
     # phase 2: drive the single-letter word to the empty word
-    reduce_word(word)
+    remove_potential_cancellations(word)
     if any(_is_y(it) for it in word.items):
         raise InternalError("loop word did not reduce inside F")
     return list(state)

@@ -15,15 +15,17 @@ The rewriting rules used are exactly the group identities:
   - commuting     y_u y_v = y_v y_u for incompatible u, v
   - exponent split/merge and deletion of y^i y^-i
 
-One engine applies them (`standardize`, `remove_potential_cancellations`
-and the driver `reduce_word`) to a word object.  It reads the word's
+One engine applies them (`standardize` and
+`remove_potential_cancellations`) to a word object.  It reads the word's
 `items` and merged y-letters (`ys()`), and changes it only by `rewrite(lo,
-hi, new, move, window)` and `commute(src, dst)`, which return the least
-index they changed, where `standardize` resumes its scans, `sort()` and
-`contract(case, s)`.  `normalize` passes a `_ListWord`: a plain list with
-merged exponents that spends a step budget, commutes in one jump and sorts
-with `sorted`.  A `loops._Word` holds unit letters and records each
-rewrite as a move of a loop-contraction certificate.
+hi, new, move, window)` and `commute(src, dst)`, a move to the left, which
+return the least index they changed, where `standardize` resumes its
+scans.  `normalize` passes a `_ListWord`: a plain list with merged
+exponents that spends a step budget and commutes in one jump, and the
+driver `reduce_word` sorts and contracts its y-letters.  A `loops._Word`
+holds unit letters and records each rewrite as a move of a
+loop-contraction certificate; its word lies in F, so the cancellation
+pass alone empties it (see `loops.contract_loop`).
 
 `normalize_onto(letters, g)` is the normal form of some letters times a
 normal form g, such as a loop word's suffix, a cluster's smaller corner or
@@ -213,15 +215,6 @@ class _ListWord:
 
     def ys(self):
         return split_standard(self.items)[1]
-
-    def sort(self):
-        ys = self.ys()
-        self.items[len(self.items) - len(ys):] = _lex_sorted(ys)
-
-    def contract(self, case, s):
-        self.budget.spend()
-        self.items[:] = _merge(_apply_contraction(
-            *split_standard(self.items), case, s))
 
     def _fuse(self, lo, hi):
         """Merge across the edges of `items[lo:hi]`, which holds no fusable
@@ -449,16 +442,19 @@ def remove_potential_cancellations(items, budget=None):
 
 
 def reduce_word(word):
-    """Drive a word object to its normal form and return it: remove the
+    """Drive a `_ListWord` to its normal form and return it: remove the
     potential cancellations, sort the y-letters, contract a contractible
-    triple, and repeat until none is left."""
+    triple (one budget step), and repeat until none is left."""
+    items = word.items
     while True:
-        remove_potential_cancellations(word)
-        word.sort()
-        found = find_potential_contraction(word.ys())
+        f, ys = split_standard(remove_potential_cancellations(word))
+        ys = _lex_sorted(ys)
+        items[len(items) - len(ys):] = ys
+        found = find_potential_contraction(ys)
         if found is None:
             return word
-        word.contract(*found)
+        word.budget.spend()
+        items[:] = _merge(_apply_contraction(f, ys, *found))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ plain list of items and merged the whole list again after every step;
 drove its word with rewriters of its own (`_standardize_moves`,
 `_remove_cancellations_moves`, `_sort_moves`, `_contract_moves`), each
 emitting the certificate moves of its rewrites.  The library runs the
-rules once, in `rewrite.standardize`, `rewrite.remove_potential_cancellations`
-and `rewrite.reduce_word`, on a `rewrite._ListWord` or a `loops._Word`.
+rules once, in `rewrite.standardize` and
+`rewrite.remove_potential_cancellations`, on a `rewrite._ListWord` or a
+`loops._Word`, and `rewrite.reduce_word` sorts and contracts the former.
+A loop word lies in F, so the library never sorts or contracts it; the
+oracle keeps its sort and contraction moves as the reference.
 
 The engine's passes as they were before they resumed at the rewritten
 window are kept too: `scan_standardize` restarts its first scan at

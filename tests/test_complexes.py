@@ -20,7 +20,7 @@ from cantorg.complexes import (
     vertex_of,
 )
 from cantorg.rewrite import normalize
-from cantorg.special import from_letters
+from cantorg.special import from_letters, type_of
 from cluster_oracles import (
     brute_intersection,
     check_incidence,
@@ -84,6 +84,14 @@ def test_balanced_parametrizations():
     c = cl("", "y[01]", "y[10]")
     p1, p2 = balanced_parametrizations(c)
     assert is_balanced(p1.params) and is_balanced(p2.params)
+    # the first reparametrization already starts with a type-1 form
+    c = cl("", "y[01]^-1", "y[10]")
+    p1, p2 = balanced_parametrizations(c)
+    assert is_balanced(p1.params) and is_balanced(p2.params)
+    assert type_of(p1.params[0]) == 1
+    # a cluster without parameters is its own two parametrizations
+    c = cl("y[01]")
+    assert balanced_parametrizations(c) == (c, c)
 
 
 def test_is_proper():

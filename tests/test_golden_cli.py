@@ -58,6 +58,9 @@ CALLS = {
     "calc_cancellation": ["calc", "y[10]^-1 y[100]", "100(0)"],
     "special": ["special", "y[100] y[1010]^-1 y[1011]"],
     "contract_loop": ["contract-loop", os.path.join(GOLDEN, "loop.txt")],
+    "contraction_loop": [
+        "contract-loop", os.path.join(GOLDEN, "contraction_loop.txt")
+    ],
     "help": ["--help"],
     "cluster_help": ["cluster", "--help"],
     "calc_help": ["calc", "--help"],

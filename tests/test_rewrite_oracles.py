@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import rewrite_oracles as oracle
 from cantorg import rewrite
 from cantorg.cli import parse_word
-from cantorg.loops import contract_loop
+from cantorg.loops import TRIVIAL, check_certificate, contract_loop, path_of
 from cantorg.rewrite import (
     BudgetExceeded,
     GNormal,
@@ -24,13 +24,16 @@ from cantorg.rewrite import (
     _merge,
     find_merge,
     find_misordered,
+    inverse_word,
     neighboring_pairs,
+    normalize,
     pair_potential_cancellation,
     reduce_word,
     remove_potential_cancellations,
     split_standard,
     standardize,
 )
+from cantorg.thompson import expand_letter
 from substitution_oracles import pair_cancellation_bruteforce
 from test_rewrite import random_word
 from test_work_counts import _loop_of
@@ -117,6 +120,39 @@ def test_loop_certificates_match_oracle(word):
     loop = _loop_of(word)
     assert _certificate(contract_loop, loop) == _certificate(
         oracle.contract_loop, loop)
+
+
+# where planted expansion triples sit: all three subscripts nonconstant
+TRIPLE_AT = ["01", "10", "010", "011", "100", "101"]
+
+
+def f_valued_word(rng, plant):
+    """u Y^-1 for a seeded word u of at most six unit y-letters, where Y is
+    the y-part of u's normal form, so that the word lies in F.  A planted
+    u carries an expansion triple, which its normal form may contract."""
+    u = [Letter("y", rng.choice(SUBS), rng.choice((1, -1)))
+         for _ in range(rng.randint(1, 3 if plant else 6))]
+    if plant:
+        k = rng.randint(0, len(u))
+        u[k:k] = [Letter("y", s, e) for s, e in expand_letter(
+            rng.choice(TRIPLE_AT), rng.choice((1, -1)))]
+    return u + inverse_word(list(normalize(u).ys))
+
+
+def test_f_valued_loop_words_reduce_by_cancellation_alone():
+    """The cancellation pass leaves no y-letter on a word in F, so the
+    loop contraction, which runs that pass alone, makes the certificate
+    of the oracle, which still sorts and contracts."""
+    rng = random.Random(1408)
+    for n in range(120):
+        word = f_valued_word(rng, plant=n % 3 == 0)
+        assert not any(_is_y(it)
+                       for it in remove_potential_cancellations(word))
+        path = path_of(word)
+        loop = [TRIVIAL] + path if path[0] != TRIVIAL else path
+        cert = contract_loop(loop)
+        assert cert == oracle.contract_loop(loop)
+        assert check_certificate(loop, cert)
 
 
 @settings(deadline=None, max_examples=60)

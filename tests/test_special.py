@@ -195,11 +195,21 @@ def test_complete_tree():
     assert complete_tree(["10"]) == ["0", "10", "11"]
 
 
+# forms whose minimal forms differ in length, so that `find_carrier`
+# expands each side in turn; every minimal form `random_form` draws has one
+# letter
+UNEQUAL_LENGTHS = [
+    ("y[010]^-1 y[011] y[10]^-1", "y[01]^-1"),
+    ("y[10]", "y[0100] y[0101]^-1 y[011]"),
+]
+
+
 def test_four_orbits_with_explicit_carriers():
     rng = random.Random(17)
-    for _ in range(20):
-        a = random_form(rng)
-        b = random_form(rng)
+    pairs = [(random_form(rng), random_form(rng)) for _ in range(20)]
+    for a, b in UNEQUAL_LENGTHS:
+        pairs += [(form_of(a), form_of(b)), (form_of(b), form_of(a))]
+    for a, b in pairs:
         f = find_carrier(a, b)
         same_class = (type_of(a), parity_of(a)) == (type_of(b), parity_of(b))
         if not same_class:

@@ -105,7 +105,6 @@ def test_exponent_matches_oracle():
     words2 = [
         [Letter("y", a, e), Letter("y", b, f)]
         for a in subs for b in subs for e in (1, -1, 2) for f in (1, -1)
-        if a != b
     ]
     for xi in POINTS[::7]:
         for ys in words2:
