@@ -12,7 +12,7 @@ Every letter x_s^±1 and y_s^±1 fixes each point outside cone(s), so
 the cone both letters read the sign ±1 rows of `Y_STEP` on the digits
 after s: x_s^±1 takes one step of them, as y_s^±1 does for the digits it
 consumes, and y_s^±1 runs them along the whole tail (`eval_letter`).  A
-tree-pair factor (`FToken`, or the x-part of a normal form) acts by
+tree pair (a factor of the word, or the x-part of a normal form) acts by
 `TreePair.act_on_seq`.
 
 The image of a point under a letter is memoized, keyed on the (letter,
@@ -28,8 +28,8 @@ import functools
 from typing import NamedTuple
 
 from .binseq import ConeSet, RationalSeq
-from .rewrite import FToken, GNormal, Letter
-from .thompson import Y_STEP, consume_digits
+from .rewrite import GNormal, Letter
+from .thompson import Y_STEP, TreePair, consume_digits
 
 
 # what `exponent` returns when the substitution process can bring two
@@ -96,11 +96,11 @@ def evaluate(word, xi):
     rational point.  Letters act left to right."""
     if isinstance(word, GNormal):
         word = word.to_items()
-    if isinstance(word, (Letter, FToken)):
+    if isinstance(word, (Letter, TreePair)):
         word = [word]
     for item in word:
-        if type(item) is FToken:
-            xi = item.pair.act_on_seq(xi)
+        if type(item) is TreePair:
+            xi = item.act_on_seq(xi)
             continue
         sub = item.sub
         # `starts_with` inline for the common case of a subscript no
@@ -139,7 +139,7 @@ def calc_string(ys, xi):
     after that prefix."""
     marks = []  # (position, sign) per symbol, in application order
     for lt in ys:
-        if isinstance(lt, FToken) or lt.kind != "y":
+        if isinstance(lt, TreePair) or lt.kind != "y":
             raise ValueError("calculation strings take y-letter words")
         if xi.starts_with(lt.sub):
             sign = 1 if lt.exp > 0 else -1

@@ -43,7 +43,6 @@ import operator
 
 from .binseq import incompatible
 from .rewrite import (
-    FToken,
     GNormal,
     Letter,
     inverse_word,
@@ -61,7 +60,7 @@ from .special import (
     to_letters,
     type_of,
 )
-from .thompson import InternalError
+from .thompson import InternalError, TreePair
 
 FACE = "Face"
 DIAGONAL = "Diagonal"
@@ -111,8 +110,8 @@ def quotient_word(u, v):
     letter of D.  Words with another item, a repeated letter or D in two
     orders are returned whole."""
     tail = []
-    if v and isinstance(v[0], FToken):
-        tail = [FToken(v[0].pair.invert())]
+    if v and isinstance(v[0], TreePair):
+        tail = [v[0].invert()]
         v = v[1:]
     drop = _commuting_shared(u, v)
     return ([lt for lt in u if lt not in drop]
@@ -138,16 +137,11 @@ def _commuting_shared(u, v):
     return shared
 
 
-def quotient_form(u, v):
-    """The y-part of u * v^-1 for two coset representatives."""
-    return quotient(u, v).ys
-
-
 @functools.lru_cache(maxsize=ONE_CELL_CACHE_SIZE)
 def is_one_cell(u, v):
     """Whether two cosets, as vertex tuples, are joined by an edge: their
     quotient must be a special form.  Kept per pair."""
-    return u != v and is_special(from_letters(quotient_form(u, v)))
+    return u != v and is_special(from_letters(quotient(u, v).ys))
 
 
 def _concat_forms(forms):

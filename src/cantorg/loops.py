@@ -28,7 +28,6 @@ from .rewrite import (
     EXPANSION,
     IDENTITY_NORMAL,
     REARRANGEMENT,
-    FToken,
     GNormal,
     Letter,
     _is_y,
@@ -161,7 +160,7 @@ def contract_loop(loop):
     spans = []
     for nf in normals:
         if not nf.f.is_identity():
-            letters.append(FToken(nf.f))
+            letters.append(nf.f)
         spans.append((len(letters), len(nf.ys)))
         letters.extend(nf.ys)
     word = _Word(letters, state)

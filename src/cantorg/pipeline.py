@@ -26,7 +26,7 @@ from .complexes import (
     link_flag_check,
     maximal_cliques,
     meet_in_face,
-    quotient_form,
+    quotient,
     quotient_word,
 )
 from .rewrite import GNormal, normalize, normalize_onto
@@ -131,7 +131,7 @@ class ParamCell:
     @classmethod
     def from_edge(cls, u, v):
         """The cell joining two coset vertices, based at the second."""
-        return cls(from_letters(quotient_form(u, v)), GNormal(IDENTITY, v))
+        return cls(from_letters(quotient(u, v).ys), GNormal(IDENTITY, v))
 
     def __eq__(self, other):
         return isinstance(other, ParamCell) and self.vertices == other.vertices
@@ -188,7 +188,7 @@ def param_form_at(cell, v):
     of the opposite endpoint over it, kept in the cell's `params`."""
     form = cell.params.get(v)
     if form is None:
-        form = cell.params[v] = from_letters(quotient_form(cell.other(v), v))
+        form = cell.params[v] = from_letters(quotient(cell.other(v), v).ys)
     return form
 
 
@@ -247,24 +247,17 @@ def disparate_cell_vertex(cell, u):
     return NEITHER, None
 
 
-def _shared_vertex(e1, e2, at):
-    shared = e1.vertices & e2.vertices
-    if at is not None:
-        if at not in shared:
-            raise ValueError("cells are not both incident to the vertex")
-        return at
-    if not shared:
-        raise ValueError("cells share no vertex")
-    return min(shared)
-
-
-def disparate_pair(e1, e2, at=None):
+def disparate_pair(e1, e2):
     """Whether two cells at a shared vertex are disparate: their parameter
-    cosets there must be cancellation free.  A cell is coupled with
-    itself."""
-    v = _shared_vertex(e1, e2, at)
+    cosets there must be cancellation free.  Cells compare by their ends,
+    so two distinct cells share at most one, which fixes the vertex; a
+    cell is coupled with itself."""
     if e1 == e2:
         return False
+    shared = e1.vertices & e2.vertices
+    if not shared:
+        raise ValueError("cells share no vertex")
+    (v,) = shared
     return cancellation_free(param_form_at(e1, v), param_form_at(e2, v))
 
 
@@ -374,7 +367,7 @@ def decouple(cells, at):
         ParamCell(tuple(b), tau) for blocks in blocks_by_cell for b in blocks
     ))
     for a, b in itertools.combinations(out, 2):
-        if not disparate_pair(a, b, at):
+        if not disparate_pair(a, b):
             raise InternalError("decoupling left a coupled pair")
     return out
 
@@ -426,7 +419,7 @@ class CellSystem:
         """The first tracked vertex, in sorted order, whose coupling graph
         has an edge, with a coupled component there; else None."""
         for v in sorted(self.vertices):
-            comp = _coupled_component(self.incident_cells(v), v)
+            comp = _coupled_component(self.incident_cells(v))
             if comp is not None:
                 return v, comp
         return None
@@ -519,13 +512,13 @@ def separation_procedure(system):
 # equivariant decoupling: make a balanced system free
 
 
-def _coupled_component(cells_at_v, at):
+def _coupled_component(cells_at_v):
     """A connected component of the coupling graph containing an edge, as a
     list of cells, or None when the graph is edgeless."""
     n = len(cells_at_v)
     adj = {i: set() for i in range(n)}
     for i, j in itertools.combinations(range(n), 2):
-        if not disparate_pair(cells_at_v[i], cells_at_v[j], at):
+        if not disparate_pair(cells_at_v[i], cells_at_v[j]):
             adj[i].add(j)
             adj[j].add(i)
     for i in range(n):

@@ -1,13 +1,13 @@
 """Words in the generators, standard forms, and the unique normal form.
 
 A word is a list of letters x_s^k / y_s^k (y-subscripts must be nonconstant)
-plus, internally, opaque tree-pair tokens.  The engine reads every x-letter
-as a tree-pair token, so a standard form is at most one leading token (an
-element of F) followed by y-letters.  It rewrites any word into the
-canonical pair (reduced tree pair, sorted cancellation- and
-contraction-free y-letter sequence), which is the unique representative of
-the group element; two words are equal in the group iff they normalize to
-the same pair.
+and tree pairs, each standing in the word as itself.  The engine reads
+every x-letter as a tree pair, so a standard form is at most one leading
+tree pair (an element of F) followed by y-letters.  It rewrites any word
+into the canonical pair (reduced tree pair, sorted cancellation- and
+contraction-free y-letter sequence), which is the unique representative
+of the group element; two words are equal in the group iff they
+normalize to the same pair.
 
 The rewriting rules used are exactly the group identities:
   - rearranging   y_t^i x_s^±1  ->  x_s^±1 y_{t'}^i   (t' the image of t)
@@ -78,21 +78,15 @@ class Letter(NamedTuple):
         return base if self.exp == 1 else f"{base}^{self.exp}"
 
 
-class FToken(NamedTuple):
-    """An opaque tree-pair factor inside a word being rewritten."""
-
-    pair: TreePair
-
-
 def inverse_word(letters):
-    return [FToken(it.pair.invert()) if isinstance(it, FToken)
-            else it.inverse() for it in reversed(list(letters))]
+    return [it.invert() if isinstance(it, TreePair) else it.inverse()
+            for it in reversed(list(letters))]
 
 
 def _as_factor(item):
     """An x-letter as its tree-pair factor; any other item as it is."""
     if isinstance(item, Letter) and item.kind == "x":
-        return FToken(power(x_gen(item.sub), item.exp))
+        return power(x_gen(item.sub), item.exp)
     return item
 
 
@@ -103,14 +97,13 @@ def _merge(items):
     out = []
     for item in items:
         item = _as_factor(item)
-        if isinstance(item, FToken):
-            if item.pair.is_identity():
+        if isinstance(item, TreePair):
+            if item.is_identity():
                 continue
-            if out and isinstance(out[-1], FToken):
-                p = compose(out[-1].pair, item.pair)
-                out.pop()
+            if out and isinstance(out[-1], TreePair):
+                p = compose(out.pop(), item)
                 if not p.is_identity():
-                    out.append(FToken(p))
+                    out.append(p)
                 continue
             out.append(item)
             continue
@@ -184,7 +177,7 @@ CANCELLATION = "cancellation"
 
 def _fusable(a, b):
     """Whether `_merge` fuses the adjacent items a and b."""
-    return type(a) is type(b) and (type(a) is FToken or a.sub == b.sub)
+    return type(a) is type(b) and (type(a) is TreePair or a.sub == b.sub)
 
 
 class _ListWord:
@@ -264,12 +257,11 @@ def standardize(items, budget=None):
     while True:
         for i in range(start, len(items) - 1):
             a, b = items[i], items[i + 1]
-            if isinstance(b, FToken):
-                if isinstance(a, FToken):
-                    p = compose(a.pair, b.pair)
-                    lo = word.rewrite(i, i + 2,
-                                      [] if p.is_identity() else [FToken(p)])
-                elif (t2 := b.pair.act_on_word(a.sub)) is None:
+            if isinstance(b, TreePair):
+                if isinstance(a, TreePair):
+                    p = compose(a, b)
+                    lo = word.rewrite(i, i + 2, [] if p.is_identity() else [p])
+                elif (t2 := b.act_on_word(a.sub)) is None:
                     lo = _expand(word, i, False)
                 else:
                     lo = word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)],
@@ -280,7 +272,7 @@ def standardize(items, budget=None):
                 break
         else:
             # a merge pair spans three y-letters, a misordered pair two
-            first = bool(items) and isinstance(items[0], FToken)
+            first = bool(items) and isinstance(items[0], TreePair)
             found = (find_merge(items, merge_lo)
                      if max(merge_lo, first + 2) < len(items) else None)
             merge_lo = len(items)
@@ -330,8 +322,8 @@ def find_misordered(items):
 
 def split_standard(items):
     """Split a standard form into (TreePair, y-letter list)."""
-    if items and isinstance(items[0], FToken):
-        return items[0].pair, items[1:]
+    if items and isinstance(items[0], TreePair):
+        return items[0], items[1:]
     return IDENTITY, items
 
 
@@ -496,9 +488,7 @@ def contraction(case, s):
     """The expansion triple of a contraction found at (case, s), as
     (subscript, sign) letters, and the word x_s^-sign y_s^sign it equals."""
     sign = _CONTRACTIONS[case - 1][1]
-    return expand_letter(s, sign), [
-        FToken(x_unit(s, -sign)), Letter("y", s, sign)
-    ]
+    return expand_letter(s, sign), [x_unit(s, -sign), Letter("y", s, sign)]
 
 
 def _apply_contraction(f, ys, case, s):
@@ -507,7 +497,7 @@ def _apply_contraction(f, ys, case, s):
     triple, repl = contraction(case, s)
     last = triple[-1][0]
     triple = dict(triple)
-    out = [FToken(f)]
+    out = [f]
     inserted = False
     for lt in ys:
         if lt.sub in triple:
@@ -550,7 +540,7 @@ class GNormal(NamedTuple):
         return self.f.is_identity() and not self.ys
 
     def to_items(self):
-        return [FToken(self.f)] + list(self.ys)
+        return [self.f] + list(self.ys)
 
     def render(self):
         parts = []
@@ -570,7 +560,7 @@ NORMALIZE_CACHE_SIZE = 1_000_000
 
 
 def normalize(word):
-    """The unique normal form of a word (letters and/or tree-pair tokens).
+    """The unique normal form of a word (letters and/or tree pairs).
 
     The memo is keyed by the merged word (see `_merge`), so words that
     differ only in what the merge fuses or cancels, such as `y[10]
@@ -611,8 +601,8 @@ def _onto(item, g):
     what is left is then a normal form.  Any other item is normalized with
     g's items by the engine."""
     item = _as_factor(item)
-    if isinstance(item, FToken):
-        return GNormal(compose(item.pair, g.f), g.ys)
+    if isinstance(item, TreePair):
+        return GNormal(compose(item, g.f), g.ys)
     t = g.f.act_on_word(item.sub)
     merged = None if t is None else _merge_letter(t, item.exp, g.ys)
     if merged is None:
@@ -644,16 +634,14 @@ def _merge_letter(t, exp, ys):
 
 
 def normalize_product(*factors):
-    """Normal form of a product whose factors are words, letters or normal
-    forms: the group's multiplication on normal forms."""
+    """Normal form of a product whose factors are words, letters, tree
+    pairs or normal forms: the group's multiplication on normal forms."""
     items = []
     for fac in factors:
         if isinstance(fac, GNormal):
             items.extend(fac.to_items())
-        elif isinstance(fac, (Letter, FToken)):
+        elif isinstance(fac, (Letter, TreePair)):
             items.append(fac)
-        elif isinstance(fac, TreePair):
-            items.append(FToken(fac))
         else:
             items.extend(fac)
     return normalize(items)

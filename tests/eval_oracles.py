@@ -15,8 +15,8 @@ and tree-pair factors are computed independently here.
 
 import binseq_oracles as seq
 from cantorg.calculus import eval_letter
-from cantorg.rewrite import FToken, GNormal, Letter
-from cantorg.thompson import x_unit
+from cantorg.rewrite import GNormal, Letter
+from cantorg.thompson import TreePair, x_unit
 
 
 def _apply_y(sub, exp, xi):
@@ -34,11 +34,11 @@ def evaluate(word, xi):
     rational point.  Letters act left to right."""
     if isinstance(word, GNormal):
         word = word.to_items()
-    if isinstance(word, (Letter, FToken)):
+    if isinstance(word, (Letter, TreePair)):
         word = [word]
     for item in word:
-        if isinstance(item, FToken):
-            xi = seq.act_on_seq(item.pair, xi)
+        if isinstance(item, TreePair):
+            xi = seq.act_on_seq(item, xi)
         elif item.kind == "x":
             g = x_unit(item.sub, item.exp)
             for _ in range(abs(item.exp)):

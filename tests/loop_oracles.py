@@ -23,7 +23,7 @@ from cantorg.loops import (
     _good_params,
     _window,
 )
-from cantorg.rewrite import FToken, Letter, _is_y, normalize
+from cantorg.rewrite import Letter, _is_y, normalize
 from cantorg.special import from_letters
 
 
@@ -48,7 +48,7 @@ def _conj_form(letter, psi):
     coordinates of the suffix representative."""
     items = [letter]
     if not psi.is_identity():
-        items.append(FToken(psi))
+        items.append(psi)
     return from_letters(normalize(items).ys)
 
 

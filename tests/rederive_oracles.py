@@ -27,7 +27,6 @@ from cantorg.pipeline import (
     supp,
 )
 from cantorg.rewrite import (
-    FToken,
     _Budget,
     _expand_end,
     _is_y,
@@ -76,7 +75,7 @@ def _criterion_cell(form, g, v):
     quotient g of v over the parameter's base; else None."""
     if not supp(form).intersect(supp_y(g)).is_null():
         return None
-    tau3 = normalize([FToken(g.f.invert())] + list(v))
+    tau3 = normalize([g.f.invert()] + list(v))
     return ParamCell(form, tau3)
 
 

@@ -38,7 +38,6 @@ from cantorg.loops import (
 from cantorg.rewrite import (
     CANCELLATION as _CANCELLATION,
     REARRANGEMENT as _REARRANGEMENT,
-    FToken,
     GNormal,
     Letter,
     _apply_contraction,
@@ -57,7 +56,13 @@ from cantorg.rewrite import (
     split_standard,
 )
 from cantorg.special import from_letters
-from cantorg.thompson import Y_RULES, InternalError, compose, consume_digits
+from cantorg.thompson import (
+    Y_RULES,
+    InternalError,
+    TreePair,
+    compose,
+    consume_digits,
+)
 
 # ---------------------------------------------------------------------------
 # the engine's full scans
@@ -79,13 +84,13 @@ def scan_standardize(items, budget=None):
     while True:
         for i in range(len(items) - 1):
             a, b = items[i], items[i + 1]
-            if isinstance(b, FToken):
-                if isinstance(a, FToken):
-                    p = compose(a.pair, b.pair)
+            if isinstance(b, TreePair):
+                if isinstance(a, TreePair):
+                    p = compose(a, b)
                     word.rewrite(i, i + 2,
-                                 [] if p.is_identity() else [FToken(p)])
+                                 [] if p.is_identity() else [p])
                     break
-                t2 = b.pair.act_on_word(a.sub)
+                t2 = b.act_on_word(a.sub)
                 if t2 is None:
                     _expand(word, i, False)
                 else:
@@ -241,9 +246,9 @@ def standardize(items, budget=None):
         # expand
         for i in range(len(items) - 1):
             a, b = items[i], items[i + 1]
-            if _is_y(a) and isinstance(b, FToken):
+            if _is_y(a) and isinstance(b, TreePair):
                 budget.spend()
-                t2 = b.pair.act_on_word(a.sub)
+                t2 = b.act_on_word(a.sub)
                 if t2 is None:
                     items[i:i + 1] = _expand_end(a, False)
                 else:
@@ -335,7 +340,7 @@ def contract_loop(loop):
     spans = []
     for nf in normals:
         if not nf.f.is_identity():
-            letters.append(FToken(nf.f))
+            letters.append(nf.f)
         spans.append((len(letters), len(nf.ys)))
         letters.extend(nf.ys)
     word = _Word(letters)
@@ -394,14 +399,14 @@ def _standardize_moves(word, state):
         changed = False
         for i in range(len(items) - 1):
             a, b = items[i], items[i + 1]
-            if isinstance(a, FToken) and isinstance(b, FToken):
+            if isinstance(a, TreePair) and isinstance(b, TreePair):
                 # merge adjacent tree-pair factors; the path is unaffected
-                p = compose(a.pair, b.pair)
-                word.splice(i, i + 2, [] if p.is_identity() else [FToken(p)])
+                p = compose(a, b)
+                word.splice(i, i + 2, [] if p.is_identity() else [p])
                 changed = True
                 break
-            if _is_y(a) and isinstance(b, FToken):
-                t2 = b.pair.act_on_word(a.sub)
+            if _is_y(a) and isinstance(b, TreePair):
+                t2 = b.act_on_word(a.sub)
                 if t2 is not None:
                     word.splice(i, i + 2, [b, Letter("y", t2, a.exp)])
                     state.emit(REARRANGEMENT, word.path())

@@ -9,7 +9,7 @@ made before it let one symbol consume the digits between the subscripts.
 """
 
 from cantorg.binseq import RationalSeq
-from cantorg.rewrite import FToken, Letter
+from cantorg.rewrite import Letter
 from cantorg.thompson import Y_RULES, x_gen
 
 
@@ -194,8 +194,8 @@ def find_potential_contraction(ys):
 def contraction_replacement(case, s):
     """The word a found triple contracts to: x_s^-1 y_s or x_s y_s^-1."""
     if case == 1:
-        return [FToken(x_gen(s).invert()), Letter("y", s, 1)]
-    return [FToken(x_gen(s)), Letter("y", s, -1)]
+        return [x_gen(s).invert(), Letter("y", s, 1)]
+    return [x_gen(s), Letter("y", s, -1)]
 
 
 def pair_cancellation_bruteforce(outer, inner, depth=8):

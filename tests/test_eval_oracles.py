@@ -10,7 +10,7 @@ import eval_oracles as oracle
 from cantorg import calculus
 from cantorg.binseq import RationalSeq, is_constant
 from cantorg.calculus import evaluate
-from cantorg.rewrite import FToken, GNormal, Letter
+from cantorg.rewrite import GNormal, Letter
 from cantorg.thompson import IDENTITY, compose, x_unit
 from test_eval_work_counts import POINTS, relation_slice
 
@@ -53,7 +53,7 @@ def words(draw, xi):
     for _ in range(draw(st.integers(0, 6))):
         choice = draw(st.sampled_from("xyf"))
         if choice == "f":
-            word.append(FToken(draw(pairs(xi))))
+            word.append(draw(pairs(xi)))
             continue
         sub = draw(subscripts(xi))
         kind = "x" if choice == "x" or is_constant(sub) else "y"

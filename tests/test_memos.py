@@ -2,11 +2,11 @@
 computations they keep: `thompson.compose` against its unmemoized merge,
 `normalize` against the reduction of the merged word, the criterion
 readings against the whole quotient word normalized and `supp_y`, the
-canonical parameters of a cell against `quotient_form`, and the verdicts
-and minimal forms of special forms against the unmemoized verdict and
-`canonical_oracles.minimal_form`.  Each is compared from a cold memo and
-then from a warm one.  Every process-global memo is a `functools.lru_cache`
-bounded by its named size."""
+canonical parameters of a cell against the y-part of `quotient`, and
+the verdicts and minimal forms of special forms against the unmemoized
+verdict and `canonical_oracles.minimal_form`.  Each is compared from a
+cold memo and then from a warm one.  Every process-global memo is a
+`functools.lru_cache` bounded by its named size."""
 
 import random
 
@@ -19,11 +19,10 @@ from cantorg.binseq import RationalSeq
 from cantorg.calculus import evaluate, supp_y
 from cantorg.cli import parse_word
 from cantorg.commands import parse_cluster_line
-from cantorg.complexes import quotient_form
+from cantorg.complexes import quotient
 from cantorg.loops import check_certificate, contract_loop
 from cantorg.pipeline import ParamCell, envelope, param_form_at
 from cantorg.rewrite import (
-    FToken,
     GNormal,
     Letter,
     _ListWord,
@@ -159,7 +158,7 @@ def _criterion_oracle(support, form, base, v):
     cones = supp_y(g)
     if not support.intersect(cones).is_null():
         return cones, None
-    return cones, ParamCell(form, normalize([FToken(g.f.invert())] + list(v)))
+    return cones, ParamCell(form, normalize([g.f.invert()] + list(v)))
 
 
 def test_readings_and_parameters_match_quotients(monkeypatch):
@@ -182,7 +181,7 @@ def test_readings_and_parameters_match_quotients(monkeypatch):
                 assert got[1] is want[1]
         for cell, v in ends:
             assert param_form_at(cell, v) == from_letters(
-                quotient_form(cell.other(v), v))
+                quotient(cell.other(v), v).ys)
 
 
 def test_parameter_of_a_non_end_is_refused():

@@ -21,7 +21,6 @@ from cantorg.loops import check_certificate, contract_loop
 from cantorg.pipeline import envelope
 from cantorg.rewrite import (
     IDENTITY_NORMAL,
-    FToken,
     GNormal,
     Letter,
     _ListWord,
@@ -73,7 +72,7 @@ X_LETTERS = st.builds(
     lambda sub, exp: Letter("x", sub, exp),
     SUBSCRIPTS, st.sampled_from([-1, 1]))
 TOKENS = st.builds(
-    lambda sub, exp: FToken(power(x_gen(sub), exp)),
+    lambda sub, exp: power(x_gen(sub), exp),
     SUBSCRIPTS, st.sampled_from([-2, -1, 1]))
 LETTERS = st.lists(st.one_of(Y_LETTERS, Y_LETTERS, X_LETTERS, TOKENS),
                    min_size=1, max_size=4)

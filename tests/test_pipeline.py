@@ -34,7 +34,7 @@ from cantorg.pipeline import (
     separation_procedure,
     supp,
 )
-from cantorg.rewrite import FToken, GNormal, normalize
+from cantorg.rewrite import GNormal, normalize
 from cantorg.special import from_letters
 from cantorg.thompson import InternalError
 from test_hash_seed import DRAWS, SQUARES
@@ -204,7 +204,7 @@ def test_decouple_example():
         frozenset({TRIV, v("y[1010]^-1 y[1011]")}),
     }
     for a, b in itertools.combinations(got, 2):
-        assert disparate_pair(a, b, TRIV)
+        assert disparate_pair(a, b)
 
 
 def test_decouple_keeps_disparate_input():
@@ -401,4 +401,4 @@ def test_vertex_normal_forms_match_normalize(monkeypatch):
     pairs = set(seen)
     assert any(not f.is_identity() for f, _ in pairs)
     for f, ys in pairs:
-        assert normalize([FToken(f)] + list(ys)) == GNormal(f, ys)
+        assert normalize([f] + list(ys)) == GNormal(f, ys)

@@ -9,7 +9,6 @@ from cantorg.calculus import evaluate
 from cantorg.cli import parse_word
 from cantorg.rewrite import (
     IDENTITY_NORMAL,
-    FToken,
     Letter,
     _is_y,
     equal_words,
@@ -23,7 +22,7 @@ from cantorg.rewrite import (
     split_standard,
     standardize,
 )
-from cantorg.thompson import IDENTITY, compose, x_gen
+from cantorg.thompson import IDENTITY, TreePair, compose, x_gen
 from substitution_oracles import pair_cancellation_bruteforce
 
 
@@ -99,8 +98,8 @@ def test_standardize_preserves_element():
 def test_standard_form_is_one_leading_pair_then_y_letters(seed):
     word = random_word(random.Random(seed))
     items = standardize(list(word))
-    off = 1 if items and isinstance(items[0], FToken) else 0
-    assert off == 0 or not items[0].pair.is_identity()
+    off = 1 if items and isinstance(items[0], TreePair) else 0
+    assert off == 0 or not items[0].is_identity()
     assert all(_is_y(it) for it in items[off:])
 
 
