@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorg import commands
+from cantorg import calculus, commands, pipeline, rewrite
 from cantorg.cli import (
     MAX_WORD_EXPONENT,
     DomainError,
@@ -17,6 +17,7 @@ from cantorg.cli import (
     parse_word,
     render_word,
 )
+from test_work_counts import _clear_normalize_memos
 
 
 def run(capsys, *argv):
@@ -313,6 +314,42 @@ def test_normalize_work_is_bounded():
     assert done.returncode == 3
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("internal error: ")
+
+
+SQUARES_FILE = pathlib.Path(__file__).resolve().parent / "golden" / "squares.txt"
+K2_WORD = "y[01]^2 y[011]^-2 y[01]^-2 y[011]^2 y[010]^-2"
+
+
+# (module, constant, value in the test or None for the real one, argv,
+# message).  Rewriting K2_WORD grows its word past 20 items; a word that
+# passes the real 2,000 takes about 2 s.  `y[01]^18` at 01(1) reads past the
+# real step bound.  After each drain of `exponent` every buffer holds at
+# most one digit and a step of the innermost symbol writes at most two, so
+# the real buffer bound is never reached; two digits are passed at once.
+# `squares.txt` needs a round of separation and two of decoupling.
+BOUNDS = [
+    (rewrite, "MAX_WORD_ITEMS", 20, ("normalize", K2_WORD),
+     "rewriting grew a word past 20 items"),
+    (calculus, "MAX_STEPS", None, ("calc", "y[01]^18", "01(1)"),
+     "calculation did not stabilize within the step bound"),
+    (calculus, "MAX_BUFFER", 2, ("calc", "y[01]^2", "(01)"),
+     "calculation buffer exceeded bound"),
+    (pipeline, "SEPARATION_ROUNDS", 1, ("cubulate", str(SQUARES_FILE)),
+     "separation rounds exceeded without balance"),
+    (pipeline, "DECOUPLING_ROUNDS", 1, ("cubulate", str(SQUARES_FILE)),
+     "decoupling rounds exceeded"),
+]
+
+
+@pytest.mark.parametrize("module, name, value, argv, message", BOUNDS,
+                         ids=[b[1] for b in BOUNDS])
+def test_documented_bounds_exit_3(module, name, value, argv, message,
+                                  monkeypatch, capsys):
+    if value is not None:
+        monkeypatch.setattr(module, name, value)
+    _clear_normalize_memos()
+    assert commands.run(list(argv)) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 def test_committed_words_stay_under_the_exponent_bound():

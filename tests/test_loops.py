@@ -8,11 +8,13 @@ from cantorg.loops import (
     CANCELLATION,
     COMMUTING,
     EXPANSION,
+    SPLIT,
     check_certificate,
     contract_loop,
     path_of,
 )
 from cantorg.rewrite import inverse_word
+from cantorg.special import invert_form
 from test_work_counts import _loop_of
 
 
@@ -122,3 +124,93 @@ def test_contract_loop_through_a_power():
     loop = _loop_of(parse_word("y[01]^2 y[010]^-1 y[0110]"))
     cert = contract_loop(loop)
     assert check_certificate(loop, cert)
+
+
+# `check_certificate` reads certificates that may come from outside the
+# program.  Each forgery below is one edit of the certificate of a loop
+# whose contraction splits, expands, rearranges, commutes and cancels, and
+# each breaks a different condition of the checker.
+FORGED_WORD = "y[010] y[0110]^-1 y[100] y[10]"
+
+
+def _edit(cert, k, **fields):
+    """The certificate with fields of its k-th move replaced."""
+    move = dict(zip(("kind", "path", "params"), cert[k]))
+    move.update(fields)
+    return cert[:k] + [tuple(move.values())] + cert[k + 1:]
+
+
+def _at(kind, forge):
+    """A forgery of the first move of the given kind: forge(move, path
+    before it) gives the replaced fields."""
+    def edit(loop, cert):
+        k = next(i for i, m in enumerate(cert) if m[0] == kind)
+        return loop, _edit(cert, k, **forge(cert[k], cert[k - 1][1]))
+    return edit
+
+
+def _start_at(path):
+    """The certificate started from another loop: path(cert) gives it."""
+    def edit(loop, cert):
+        start = path(cert)
+        return start, _edit(cert, 0, path=start)
+    return edit
+
+
+def _backtrack_at_end(move, before):
+    # the expansion's new vertices hang off the end of the path, so its
+    # window runs past the last vertex
+    return {"path": before + [before[1], TRIV]}
+
+
+FORGERIES = {
+    "move not a triple": lambda loop, cert: (
+        loop, cert[:1] + [cert[1][:2]] + cert[2:]),
+    "start loop steps in place": _start_at(lambda cert: [TRIV] + cert[0][1]),
+    "path ends off the base": _at(
+        SPLIT, lambda m, p: {"path": m[1][:-1] + [m[1][1]]}),
+    "commuting without parameters": _at(COMMUTING, lambda m, p: {
+        "params": ()}),
+    "commuting on dependent parameters": _at(COMMUTING, lambda m, p: {
+        "params": (m[2][0], m[2][0])}),
+    "commuting on one parameter": _at(COMMUTING, lambda m, p: {
+        "params": m[2][:1]}),
+    "commuting parameters swapped": _at(COMMUTING, lambda m, p: {
+        "params": m[2][::-1]}),
+    "commuting second parameter inverted": _at(COMMUTING, lambda m, p: {
+        "params": (m[2][0], invert_form(m[2][1]))}),
+    "expansion on dependent parameters": _at(EXPANSION, lambda m, p: {
+        "params": (m[2][0], m[2][0], m[2][2])}),
+    "expansion past the path's end": _at(EXPANSION, _backtrack_at_end),
+    "expansion recorded as a split": _at(EXPANSION, lambda m, p: {
+        "kind": SPLIT}),
+    "commuting recorded as an expansion": _at(COMMUTING, lambda m, p: {
+        "kind": EXPANSION}),
+    # the first move splits; from its path less the base vertex, the split
+    # adds the base vertex in front of the loop
+    "start loop off the base before a split": _start_at(
+        lambda cert: cert[1][1][1:]),
+    "unknown move kind": _at(CANCELLATION, lambda m, p: {"kind": "bogus"}),
+}
+
+
+@pytest.mark.parametrize("name", FORGERIES)
+def test_checker_refuses_forged_move(name):
+    loop = _loop_of(parse_word(FORGED_WORD))
+    cert = contract_loop(loop)
+    assert check_certificate(loop, cert)
+    forged_loop, forged = FORGERIES[name](loop, list(cert))
+    assert forged != cert
+    assert not check_certificate(forged_loop, forged)
+
+
+def test_checker_accepts_a_reversed_expansion():
+    """A certificate may undo an expansion: it starts from the path after
+    a genuine expansion, takes it back, and goes on as the genuine
+    certificate does from the path before it."""
+    loop = _loop_of(parse_word(FORGED_WORD))
+    cert = contract_loop(loop)
+    k = next(i for i, m in enumerate(cert) if m[0] == EXPANSION)
+    _, expanded, params = cert[k]
+    reverse = [("start", expanded, None), (EXPANSION, cert[k - 1][1], params)]
+    assert check_certificate(expanded, reverse + cert[k:])
