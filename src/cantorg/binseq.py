@@ -121,7 +121,7 @@ class RationalSeq:
     def starts_with(self, w):
         if len(w) <= len(self.pre):
             return self.pre.startswith(w)
-        return self.prefix(len(w)) == w
+        return w.startswith(self.pre) and self.prefix(len(w)) == w
 
     def replace_prefix(self, n, w):
         """The word w followed by this sequence without its first n digits."""

@@ -8,12 +8,14 @@ the periodic tail.  It never consults the rewriting engine; from `rewrite`
 it takes only the word and normal-form types.
 
 Every letter x_s^±1 and y_s^±1 fixes each point outside cone(s), so
-`evaluate` tests the cone first and leaves such a point as it is.  Inside
-the cone both letters read the sign ±1 rows of `Y_STEP` on the digits
-after s: x_s^±1 takes one step of them, as y_s^±1 does for the digits it
-consumes, and y_s^±1 runs them along the whole tail (`eval_letter`).  A
-tree pair (a factor of the word, or the x-part of a normal form) acts by
-`TreePair.act_on_seq`.
+`evaluate` tests the cone first, with string methods, and leaves such a
+point as it is: s no longer than the preperiod must prefix it; a longer s
+must extend it, and only then is its rest read against the period
+(`RationalSeq.starts_with`).  Inside the cone both letters read the sign
+±1 rows of `Y_STEP` on the digits after s: x_s^±1 takes one step of them,
+as y_s^±1 does for the digits it consumes, and y_s^±1 runs them along the
+whole tail (`eval_letter`).  A tree pair (a factor of the word, or the
+x-part of a normal form) acts by `TreePair.act_on_seq`.
 
 The image of a point under a letter is memoized, keyed on the (letter,
 point) pair, both immutable, in a bounded least-recently-used memo of
@@ -94,19 +96,19 @@ def _apply_in_cone(lt, xi):
 def evaluate(word, xi):
     """Evaluate a word (letter list, normal form, or single letter) at a
     rational point.  Letters act left to right."""
-    if isinstance(word, GNormal):
-        word = word.to_items()
-    if isinstance(word, (Letter, TreePair)):
-        word = [word]
+    if type(word) is not list:
+        if isinstance(word, GNormal):
+            word = word.to_items()
+        if isinstance(word, (Letter, TreePair)):
+            word = [word]
     for item in word:
         if type(item) is TreePair:
             xi = item.act_on_seq(xi)
             continue
-        sub = item.sub
-        # `starts_with` inline for the common case of a subscript no
-        # longer than the preperiod
-        if (xi.pre.startswith(sub) if len(sub) <= len(xi.pre)
-                else xi.starts_with(sub)):
+        sub, pre = item.sub, xi.pre
+        # the cone test of the module docstring
+        if (pre.startswith(sub) if len(sub) <= len(pre)
+                else sub.startswith(pre) and xi.starts_with(sub)):
             xi = _apply_in_cone(item, xi)
     return xi
 
@@ -210,6 +212,8 @@ def exponent(c):
         read += n
         if k >= 2:
             buffers[k - 2] += emit
+            # cannot fire: drain() leaves at most one digit per buffer (no
+            # row reads a lone 0 for y, 1 for y^-1), and a step adds two
             if len(buffers[k - 2]) > MAX_BUFFER:
                 raise RuntimeError("calculation buffer exceeded bound")
 

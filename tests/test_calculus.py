@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
+from cantorg import calculus
 from cantorg.binseq import RationalSeq, is_constant
 from cantorg.calculus import (
     POTENTIAL_CANCELLATION,
@@ -154,3 +156,44 @@ def test_normal_form_evaluates_as_its_word(word, points):
     normal = normalize(word)
     for xi in points:
         assert evaluate(word, xi) == evaluate(normal, xi)
+
+
+def _calculations(count):
+    """Seeded calculations of `exponent`: the y-part of the normal form of
+    1-5 y-letters (2-5-digit subscripts, exponents ±1 to ±3) at a point
+    with preperiod at most 6 and period at most 3."""
+    rng = random.Random(3800)
+    exps = (-3, -2, -1, 1, 2, 3)
+    subs = [w for n in range(2, 6)
+            for w in map("".join, product("01", repeat=n))
+            if not is_constant(w)]
+
+    def bits(lo, hi):
+        return "".join(rng.choice("01") for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(count):
+        word = [Letter("y", rng.choice(subs), rng.choice(exps))
+                for _ in range(rng.randint(1, 5))]
+        xi = RationalSeq(bits(0, 6), bits(1, 3))
+        yield calc_string(normalize(word).ys, xi)
+
+
+def _buffer_overruns(calculations):
+    overruns = 0
+    for c in calculations:
+        try:
+            exponent(c)
+        except RuntimeError as e:
+            assert str(e) == "calculation buffer exceeded bound"
+            overruns += 1
+    return overruns
+
+
+def test_exponent_buffers_hold_at_most_three_digits(monkeypatch):
+    """The buffer bound of `exponent` cannot fire: after a drain each buffer
+    holds at most one digit, and a step of the innermost symbol adds at most
+    two.  A bound of 3 is never passed; a bound of 2 is."""
+    monkeypatch.setattr(calculus, "MAX_BUFFER", 3)
+    assert _buffer_overruns(_calculations(3000)) == 0
+    monkeypatch.setattr(calculus, "MAX_BUFFER", 2)
+    assert _buffer_overruns(_calculations(300)) > 0

@@ -5,7 +5,9 @@ Both sides of each relation instance are evaluated at the 640 rational
 points with preperiod at most 6 and period at most 3.  The number of tree
 pair actions and of y-letter evaluations is fixed by the words and the
 points; the number of validated `RationalSeq` constructions shows whether
-prefix replacement still builds its results without re-validating them.
+prefix replacement still builds its results without re-validating them,
+and the number of `RationalSeq.starts_with` calls how often the cone test
+reads a subscript against the period.
 Both are counted from a cleared letter-application memo, whose misses and
 hits are pinned too.
 """
@@ -73,10 +75,14 @@ POINTS = sorted(
 # (letter, point) pairs, so "eval_letter" and the validated constructions
 # fell from 4320 each (one per y-letter unit per application) to 1200 each
 # (one per unit per distinct pair).
+# `evaluate` reaches `RationalSeq.starts_with` only for a subscript longer
+# than the point's preperiod that extends it.  Before that test it called
+# the method for every subscript longer than the preperiod: 2604 times.
 EXPECTED = {
     "act_on_seq": 0,
     "eval_letter": 1200,
     "RationalSeq.__init__": 1200,
+    "RationalSeq.starts_with": 1259,
 }
 EXPECTED_MEMO = {"misses": 5840, "hits": 11820}
 
@@ -100,6 +106,9 @@ def test_evaluation_work_counts(monkeypatch):
                         counted("eval_letter", calculus.eval_letter))
     monkeypatch.setattr(RationalSeq, "__init__",
                         counted("RationalSeq.__init__", RationalSeq.__init__))
+    monkeypatch.setattr(
+        RationalSeq, "starts_with",
+        counted("RationalSeq.starts_with", RationalSeq.starts_with))
     for lhs, rhs in instances:
         for xi in POINTS:
             assert evaluate(lhs, xi) == evaluate(rhs, xi)
