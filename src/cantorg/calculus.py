@@ -106,7 +106,7 @@ def evaluate(word, xi):
             xi = item.act_on_seq(xi)
             continue
         sub, pre = item.sub, xi.pre
-        # the cone test of the module docstring
+        # sub prefixes pre, or extends it and its rest matches the period
         if (pre.startswith(sub) if len(sub) <= len(pre)
                 else sub.startswith(pre) and xi.starts_with(sub)):
             xi = _apply_in_cone(item, xi)
@@ -213,7 +213,7 @@ def exponent(c):
         if k >= 2:
             buffers[k - 2] += emit
             # cannot fire: drain() leaves at most one digit per buffer (no
-            # row reads a lone 0 for y, 1 for y^-1), and a step adds two
+            # row reads a lone 0 for y, 1 for y^-1); a step adds at most two
             if len(buffers[k - 2]) > MAX_BUFFER:
                 raise RuntimeError("calculation buffer exceeded bound")
 

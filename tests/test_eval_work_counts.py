@@ -8,7 +8,7 @@ points; the number of validated `RationalSeq` constructions shows whether
 prefix replacement still builds its results without re-validating them,
 and the number of `RationalSeq.starts_with` calls how often the cone test
 reads a subscript against the period.
-Both are counted from a cleared letter-application memo, whose misses and
+All are counted from a cleared letter-application memo, whose misses and
 hits are pinned too.
 """
 
