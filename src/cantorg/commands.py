@@ -232,10 +232,7 @@ def run(argv):
         # the flush at interpreter exit must not report it either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except OSError as exc:
-        print("domain error: %s" % exc, file=sys.stderr)
-        return DOMAIN_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("domain error: %s" % exc, file=sys.stderr)
         return DOMAIN_ERROR
     except RuntimeError as exc:

@@ -397,16 +397,15 @@ class CellComplexPiece:
         """1: a filling is a subdivided cube (criterion 8)."""
         return sum((-1) ** d for d in self._dims.values())
 
-    def is_face(self, c1, c2):
-        """Whether cell c1 lies in the closure of cell c2: it keeps every
-        fixed coordinate of c2, and each cut relation of c2 or equality."""
-        n = self.n
-        return all(b == "*" or a == b for a, b in zip(c1[:n], c2[:n])) and all(
-            r1 in (r2, "=") for r1, r2 in zip(c1[n:], c2[n:]))
-
     def faces_of(self, cell):
-        """The proper faces of a cell in the subdivided cube."""
-        return [c for c in self.cells if c != cell and self.is_face(c, cell)]
+        """The proper faces of a cell, in `cells` order: the cells that keep
+        its pinned coordinates and, at each cut, its relation or '='."""
+        n, faces = self.n, []
+        for p in itertools.product(*(s.replace("*", "01*") for s in cell[:n])):
+            faces += (p + rels for rels in itertools.product(*(
+                [r for r in CUT_RELATIONS[p[j], p[j + 1]] if r in rel + "="]
+                for j, rel in zip(self.cuts, cell[n:]))))
+        return [face for face in faces if face != cell]
 
     def vertex_subset(self, cell):
         """The corner subset of a 0-cell: 0-cells are the corners."""

@@ -8,7 +8,9 @@ vertex subset of a cube-cell signature (a union-find over the '=' cuts and a
 cycle search over the strict order they leave, tried on every signature,
 where the library makes only the feasible ones).  Each changes one thing and
 rescans from the start until nothing changes, so its answer does not depend
-on the order the single pass relies on.
+on the order the single pass relies on.  The faces of a cell come from a
+scan that tests every cell against the cell's closure, where the library
+makes only the faces.
 
 `_refine_letters`, `_merge_blocks` and `_deep_singles` are the letter
 expansions and the block merge of decoupling and separation as they were
@@ -223,6 +225,17 @@ class FixpointCellComplexPiece(CellComplexPiece):
         return frozenset(
             i for i in range(self.n) if pin[find(i)] == "1"
         )
+
+    def is_face(self, c1, c2):
+        """Whether cell c1 lies in the closure of cell c2: it keeps every
+        fixed coordinate of c2, and each cut relation of c2 or equality."""
+        n = self.n
+        return all(b == "*" or a == b for a, b in zip(c1[:n], c2[:n])) and all(
+            r1 in (r2, "=") for r1, r2 in zip(c1[n:], c2[n:]))
+
+    def faces_of(self, cell):
+        """The proper faces of a cell, found by testing every cell."""
+        return [c for c in self.cells if c != cell and self.is_face(c, cell)]
 
 
 def compose(f, g):

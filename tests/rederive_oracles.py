@@ -9,11 +9,11 @@ vertex over every side's base again, and `_criterion_cell(form, g, v)`
 takes its support again; `top_base` normalizes a cell's top element again.
 The balance scan `_undecided` decides every cell against every vertex
 again on each call, and `_closure` is a second scan that adds the
-criterion cells; the library finds both in one scan.  The library reads
-the y-items by position, keeps both sides of a cell in `ParamCell.sides`
-and reads a cell at a vertex once per parametrization, through
-`ParamCell.at`.  `_two_sided_offsprings` expands both sides of a cell,
-also a side whose near end is not tracked.
+criterion cells; the library finds both in one scan.  The library expands
+the first item that has the flagged subscript, keeps both sides of a cell
+in `ParamCell.sides` and reads a cell at a vertex once per
+parametrization, through `ParamCell.at`.  `_two_sided_offsprings` expands
+both sides of a cell, also a side whose near end is not tracked.
 """
 
 from cantorg.calculus import supp_y

@@ -167,3 +167,19 @@ def test_onto_matches_engine_on_loop_splices(monkeypatch):
         assert check_certificate(loop, contract_loop(loop))
     assert checked[0] > 500
     assert tally["fast"] > 0
+
+
+# ---------------------------------------------------------------------------
+# a word the engine does not finish
+
+
+def test_onto_finds_a_short_normal_form_the_engine_misses():
+    """The quotient of the two ends of seed 37156's cell in
+    `test_envelope_facts.test_random_cells_span_one_cells`.  Its normal
+    form is one letter, but `normalize` spends 762,463 steps on it, past
+    `REWRITE_STEPS` (758,885 of them rearrangements), so only
+    `normalize_onto` runs here."""
+    word = parse_word(
+        "y[1011111111111111]^-1 y[1011]^-2 y[101]^-2 y[10] y[1011]^2 "
+        "y[101111]^2 y[101111111111111111111111111111]")
+    assert normalize_onto(word, IDENTITY_NORMAL).render() == "y[10]"

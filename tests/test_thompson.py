@@ -85,6 +85,9 @@ def test_rejects_bad_leaves():
         TreePair(("0",), ("0",))  # not a complete code
     with pytest.raises(ValueError):
         TreePair(("0", "1"), ("0", "10", "11"))
+    # full measure, so only the prefix test refuses the domain
+    with pytest.raises(ValueError):
+        TreePair(("0", "00", "01"), ("00", "01", "1"))
 
 
 def test_rejects_extra_leaves_before_pairing_them():
