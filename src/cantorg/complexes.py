@@ -42,13 +42,7 @@ import itertools
 import operator
 
 from .binseq import incompatible
-from .rewrite import (
-    GNormal,
-    Letter,
-    inverse_word,
-    normalize,
-    normalize_onto,
-)
+from .rewrite import Letter, inverse_word, normalize, normalize_onto
 from .special import (
     check_sorted_forms,
     coset_vertex,
@@ -164,14 +158,13 @@ class Cluster:
     """The subgraph with vertices F(prod_{i in A} lambda_i) tau over all
     subsets A, together with every edge of the ambient complex among them.
 
-    `corners[mask]` is the corner of the subset with bitmask `mask`, and
-    `mask_of` inverts it.  Each corner is normalized from the next-smaller
-    one (the corner recursion of the module docstring).  `neighbours` reads
-    the edges at one corner; `edges` is built on first read only."""
+    `base` is the normal form tau.  `corners[mask]` is the corner of the
+    subset with bitmask `mask`, and `mask_of` inverts it.  Each corner is
+    normalized from the next-smaller one (the corner recursion of the
+    module docstring).  `neighbours` reads the edges at one corner;
+    `edges` is built on first read only."""
 
     def __init__(self, base, params):
-        if not isinstance(base, GNormal):
-            base = normalize(list(base))
         self.base = base
         self.params = check_sorted_forms(params)
         self.n = n = len(self.params)

@@ -31,7 +31,6 @@ from .rewrite import (
     GNormal,
     Letter,
     _is_y,
-    _merge,
     normalize,
     normalize_onto,
     remove_potential_cancellations,
@@ -84,9 +83,6 @@ class _Word:
             params = None if window is None else self.params(*window)
             self.moves.emit(move, self.path(), params)
         return lo
-
-    def ys(self):
-        return _merge([it for it in self.items if _is_y(it)])
 
     def commute(self, src, dst):
         """Move the y-letter at src left to dst by adjacent swaps, one
@@ -304,7 +300,9 @@ def check_certificate(loop, moves):
             window = long[base - 1:base + grow + 1]
             if not _facial_ok(params, window):
                 return False
-            # the replaced edge is a 1-cell of the cluster (the diagonal)
+            # the diagonal; kept for outside input, it cannot refuse here:
+            # its ends are consecutive in p (nothing removed), all of whose
+            # edges were checked, or in q's checked window (reversed)
             if not is_one_cell(window[0], window[-1]):
                 return False
         else:

@@ -17,15 +17,15 @@ The rewriting rules used are exactly the group identities:
 
 One engine applies them (`standardize` and
 `remove_potential_cancellations`) to a word object.  It reads the word's
-`items` and merged y-letters (`ys()`), and changes it only by `rewrite(lo,
-hi, new, move, window)` and `commute(src, dst)`, a move to the left, which
-return the least index they changed, where `standardize` resumes its
-scans.  `normalize` passes a `_ListWord`: a plain list with merged
-exponents that spends a step budget and commutes in one jump, and the
-driver `reduce_word` sorts and contracts its y-letters.  A `loops._Word`
-holds unit letters and records each rewrite as a move of a
-loop-contraction certificate; its word lies in F, so the cancellation
-pass alone empties it (see `loops.contract_loop`).
+`items`, and changes it only by `rewrite(lo, hi, new, move, window)` and
+`commute(src, dst)`, a move to the left, which return the least index
+they changed, where `standardize` resumes its scans.  `normalize` passes
+a `_ListWord`: a plain list with merged exponents that spends a step
+budget and commutes in one jump, and the driver `reduce_word` sorts and
+contracts its y-letters.  A `loops._Word` holds unit letters and records
+each rewrite as a move of a loop-contraction certificate; its word lies
+in F, so the cancellation pass alone empties it (see
+`loops.contract_loop`).
 
 `normalize_onto(letters, g)` is the normal form of some letters times a
 normal form g, such as a loop word's suffix, a cluster's smaller corner or
@@ -117,18 +117,12 @@ def _merge(items):
     return out
 
 
-_Y_TRIPLE = expand_letter("", 1)
-
-
 def expand_unit(sub, sign):
     """One expansion step of y_sub^sign as a letter list: y_s is x_s times
     the letters of `expand_letter(s, 1)`, and y_s^-1 is the inverse word."""
-    (w0, a0), (w1, a1), (w2, a2) = _Y_TRIPLE
-    if sign > 0:
-        return [Letter("x", sub, 1), Letter("y", sub + w0, a0),
-                Letter("y", sub + w1, a1), Letter("y", sub + w2, a2)]
-    return [Letter("y", sub + w2, -a2), Letter("y", sub + w1, -a1),
-            Letter("y", sub + w0, -a0), Letter("x", sub, -1)]
+    word = [Letter("x", sub, 1)] + [Letter("y", w, a)
+                                    for w, a in expand_letter(sub, 1)]
+    return word if sign > 0 else inverse_word(word)
 
 
 def _expand_end(lt, leftmost):
@@ -205,9 +199,6 @@ class _ListWord:
         self.budget.spend()
         self.items.insert(dst, self.items.pop(src))
         return self._fuse(dst, src + 1)
-
-    def ys(self):
-        return split_standard(self.items)[1]
 
     def _fuse(self, lo, hi):
         """Merge across the edges of `items[lo:hi]`, which holds no fusable
@@ -419,18 +410,18 @@ def remove_potential_cancellations(items, budget=None):
     """Rewrite a word so that no neighboring pair admits a cancellation.
     Flagged pairs are resolved by expanding the shallow letter; the expansion
     offspring either separate from or exactly cancel against the deep one.
-    Takes and returns what `standardize` does."""
+    Takes and returns what `standardize` does.  On a `loops._Word`'s unit
+    letters the flagged outer index is the first unit of the subscript the
+    merged letters flag: a standard form keeps a subscript's units
+    together, of one sign."""
     word = _as_word(items, budget)
     while True:
-        standardize(word)
-        ys = word.ys()
+        ys = split_standard(standardize(word))[1]
         found = has_potential_cancellation(ys)
         if found is None:
             return word.items
         # expand the outer (shallow, later) letter of the tightest pair
-        sub = ys[found[0]].sub
-        _expand(word, next(k for k, it in enumerate(word.items)
-                           if _is_y(it) and it.sub == sub), True)
+        _expand(word, len(word.items) - len(ys) + found[0], True)
 
 
 def reduce_word(word):

@@ -13,11 +13,20 @@ the tracer sees this process alone.  Arguments go to pytest:
     python tests/line_trace.py                      # the whole suite
     python tests/line_trace.py tests/test_loops.py  # one file
 
+With `--workload NAME[,NAME]` it traces one pass of those workloads of
+`bench/workloads.py` instead, on the seed `WORKLOAD_SEED`, and each
+workload checks its outputs with its own `check`.  The tracer starts
+before `cantorg` is imported, so module-level statements count as run,
+and no bytecode is written under `bench/`:
+
+    python tests/line_trace.py --workload envelope,relations,loops
+
 pytest does not collect this file.  The trace makes the suite about
 three times slower.
 """
 
 import ast
+import functools
 import os
 import pathlib
 import sys
@@ -25,6 +34,7 @@ import threading
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cantorg"
+WORKLOAD_SEED = 3001
 
 
 def statement_spans(path):
@@ -49,8 +59,37 @@ def statement_spans(path):
     return sorted(spans)
 
 
+def run_workloads(names):
+    """One pass of each named workload; 1 when an operation failed or a
+    check did not hold, else 0."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
+    import workloads
+
+    if not set(names) <= workloads.WORKLOADS.keys():
+        sys.exit(f"workloads are {', '.join(workloads.WORKLOADS)}")
+    code = 0
+    for name in names:
+        work = workloads.WORKLOADS[name](WORKLOAD_SEED)
+        outs = [work.run(op) for op in work.ops]
+        done = [(op, out) for op, out in zip(work.ops, outs)
+                if not work.failed(out)]
+        failed, ok = len(outs) - len(done), work.check(done)
+        print(f"{name}: {len(outs)} operations, {failed} failed, check "
+              f"{'held' if ok else 'FAILED'}", file=sys.stderr)
+        code |= bool(failed) or not ok
+    return code
+
+
 def main(argv):
-    import pytest
+    if argv[:1] == ["--workload"]:
+        if len(argv) != 2:
+            sys.exit("usage: line_trace.py --workload NAME[,NAME]")
+        run = functools.partial(run_workloads, argv[1].split(","))
+    else:
+        import pytest
+        run = functools.partial(
+            pytest.main, ["-q", "-p", "no:cacheprovider", *argv])
 
     sources = {str(p): p for p in sorted(SRC.glob("*.py"))}
     ran = {name: set() for name in sources}
@@ -73,7 +112,7 @@ def main(argv):
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+        code = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)

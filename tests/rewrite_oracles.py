@@ -218,8 +218,7 @@ def scan_remove_potential_cancellations(items, budget=None):
     Takes and returns what `scan_standardize` does."""
     word = _as_word(items, budget)
     while True:
-        scan_standardize(word)
-        ys = word.ys()
+        ys = split_standard(scan_standardize(word))[1]
         found = scan_has_potential_cancellation(ys)
         if found is None:
             return word.items

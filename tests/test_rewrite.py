@@ -222,6 +222,35 @@ def test_normalize_sound_on_potential_cancellations():
         assert normalize(n.to_items()) == n
 
 
+def test_units_flag_the_merged_outer_letter():
+    """Split into unit letters, as a `loops._Word` holds them, the y-part
+    of a standard form has its potential cancellation flagged at the same
+    subscripts as the merged y-part, and its outer index is the first unit
+    of that subscript: so `remove_potential_cancellations` expands by index
+    the letter a search by subscript would find."""
+    rng = random.Random(40)
+    flagged = powers = 0
+    for k in range(600):
+        word = (word_with_cancellation(rng) if k % 2
+                else random_word(rng, max_len=6, max_sub=3))
+        ys = split_standard(standardize(list(word)))[1]
+        units = [Letter("y", lt.sub, 1 if lt.exp > 0 else -1)
+                 for lt in ys for _ in range(abs(lt.exp))]
+        found = has_potential_cancellation(ys)
+        on_units = has_potential_cancellation(units)
+        if found is None:
+            assert on_units is None
+            continue
+        (j, i), (ju, iu) = found, on_units
+        assert (units[ju].sub, units[iu].sub) == (ys[j].sub, ys[i].sub)
+        assert ju == next(k for k, lt in enumerate(units)
+                          if lt.sub == ys[j].sub)
+        flagged += 1
+        powers += abs(ys[j].exp) > 1
+    # 312 flagged words, 144 of them with a power as the outer letter
+    assert flagged >= 300 and powers >= 100
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_inverse_roundtrip(seed):
