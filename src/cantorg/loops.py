@@ -6,7 +6,9 @@ moves (split of a diagonal edge, expansion, rearrangement, commuting,
 cancellation), each replacing a subpath by a homotopic subpath inside a
 cluster, ending at the trivial loop.  Moves that use a cluster record its
 parameters, so every move can be re-checked locally from the certificate
-alone.
+alone.  After the start loop, the check re-derives only a reversed
+expansion's new edge; each other move proves its new edges one-cells from
+its parameters (`check_certificate`).
 
 Once the diagonal edges are split, `normalize`'s cancellation pass
 (`rewrite.remove_potential_cancellations`) drives the loop word to the
@@ -202,11 +204,6 @@ def _window(p, q):
     return a, p[a:len(p) - b], q[a:len(q) - b]
 
 
-def _valid_path(path):
-    """Whether consecutive vertices are distinct and joined by a one-cell."""
-    return all(is_one_cell(u, v) for u, v in zip(path, path[1:]))
-
-
 def _good_params(params):
     if not params or not all(is_special(f) for f in params):
         return False
@@ -225,16 +222,16 @@ def _over(form, g):
     return normalize_onto(to_letters(form), g)
 
 
-def _facial_ok(params, long_path):
+def _facial_ok(params, long_path, g):
     """Whether the path is the descending facial walk of the cluster over
-    its last vertex with the given parameters, one parameter per step:
-    the corner of `params[j:]` is the j-th vertex."""
+    its last vertex, whose normal form is g, with the given parameters, one
+    parameter per step, and no step stays put: the corner of `params[j:]`
+    is the j-th vertex."""
     if len(long_path) != len(params) + 1:
         return False
-    g = normalize_onto(long_path[-1], IDENTITY_NORMAL)
     for j in reversed(range(len(params))):
         g = _over(params[j], g)
-        if g.ys != long_path[j]:
+        if g.ys != long_path[j] or g.ys == long_path[j + 1]:
             return False
     return True
 
@@ -244,44 +241,48 @@ def check_certificate(loop, moves):
     loop, each move is locally valid in a cluster given by its recorded
     parameters, and the final path is trivial.
 
-    The start loop is checked edge by edge.  A later path q differs from
-    the path p before it only in the window `_window` finds, so its edges
-    outside the window are edges of p, already checked; only the edges
-    that enter, cross or leave the window are checked again."""
+    Every path starts and ends at the base vertex, and the start loop is
+    checked edge by edge.  A later path q differs from the path p before it
+    only in the window `_window` finds, so its edges outside the window are
+    edges of p, and each move's own check proves its new edges one-cells.
+    A rearrangement has p == q.  A cancellation's new edge (p[a-1], p[a+2])
+    is the edge (p[a+1], p[a+2]) of p.  A commuting move, a split and an
+    expansion with q long walk q's window facially (`_facial_ok`), one
+    special parameter over a vertex per step, and such distinct ends span a
+    one-cell (`pipeline.ParamCell`).  An expansion with p long leaves one
+    new edge, its diagonal, which `is_one_cell` checks."""
     loop = [tuple(v) for v in loop]
     if not all(isinstance(m, tuple) and len(m) == 3 for m in moves):
         return False
     if not moves or moves[0][:2] != ("start", loop):
         return False
-    if not _valid_path(loop):
+    if not all(is_one_cell(u, v) for u, v in zip(loop, loop[1:])):
+        return False
+    if any(not path or path[0] != TRIVIAL or path[-1] != TRIVIAL
+           for _, path, _ in moves):
         return False
     last = moves[-1][1]
     if any(v != TRIVIAL for v in last):
         return False
     for (_, p, _), (kind, q, params) in zip(moves, moves[1:]):
-        if q[0] != TRIVIAL or q[-1] != TRIVIAL:
-            return False
-        a, wp, wq = _window(p, q)
-        if not _valid_path(q[max(a - 1, 0):a + len(wq) + 1]):
-            return False
+        a, wp, wq = _window(p, q)  # a >= 1: p and q share the base vertex
         if kind == REARRANGEMENT:
             if p != q:
                 return False
         elif kind == CANCELLATION:
-            if len(wp) != 2 or wq or a < 1 or a + 2 > len(p):
+            if len(wp) != 2 or wq:
                 return False
             if p[a - 1] != p[a + 1]:
                 return False
         elif kind == COMMUTING:
-            if len(wp) != 1 or len(wq) != 1 or a < 1:
+            if len(wp) != 1 or len(wq) != 1:
                 return False
             if not _good_params(params) or len(params) != 2:
                 return False
-            u, g = q[a - 1], normalize_onto(q[a + 1], IDENTITY_NORMAL)
-            if _over(params[0], g).ys != wp[0]:
+            g = normalize_onto(q[a + 1], IDENTITY_NORMAL)
+            if not _facial_ok(params, q[a - 1:a + 2], g):
                 return False
-            g = _over(params[1], g)
-            if g.ys != wq[0] or _over(params[0], g).ys != u:
+            if _over(params[0], g).ys != wp[0]:
                 return False
         elif kind in (SPLIT, EXPANSION):
             if not _good_params(params):
@@ -290,20 +291,16 @@ def check_certificate(loop, moves):
             if grow < 1 or (kind == SPLIT and grow != 1):
                 return False
             if len(wq) == grow and not wp:
-                long, base = q, a
+                long = q
             elif kind == EXPANSION and len(wp) == grow and not wq:
-                long, base = p, a
+                long = p
             else:
                 return False
-            if base < 1:
+            window = long[a - 1:a + grow + 1]
+            g = normalize_onto(window[-1], IDENTITY_NORMAL)
+            if not _facial_ok(params, window, g):
                 return False
-            window = long[base - 1:base + grow + 1]
-            if not _facial_ok(params, window):
-                return False
-            # the diagonal; kept for outside input, it cannot refuse here:
-            # its ends are consecutive in p (nothing removed), all of whose
-            # edges were checked, or in q's checked window (reversed)
-            if not is_one_cell(window[0], window[-1]):
+            if long is p and not is_one_cell(window[0], window[-1]):
                 return False
         else:
             return False

@@ -32,6 +32,7 @@ again is looked up, not merged again, and equal products are one object.
 """
 
 import functools
+from bisect import bisect_right
 
 from .binseq import check_bits, incompatible
 
@@ -165,10 +166,12 @@ class TreePair:
 
     def act_on_word(self, t):
         """Image of the finite word t, or None when t is a proper prefix of a
-        domain leaf (the action is undefined there)."""
-        for d, r in zip(self.domain, self.range):
-            if t.startswith(d):
-                return r + t[len(d):]
+        domain leaf (the action is undefined there).  The domain is sorted
+        and prefix-free, so no leaf lies between a leaf d and a word that
+        starts with d: the leaf over t is the last leaf <= t, if any."""
+        i = bisect_right(self.domain, t) - 1
+        if i >= 0 and t.startswith(self.domain[i]):
+            return self.range[i] + t[len(self.domain[i]):]
         return None
 
     def act_on_seq(self, xi):

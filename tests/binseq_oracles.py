@@ -6,7 +6,8 @@ prefixes as slices and rebuilt prefix replacements in one step
 validating constructor, so a field that the fast path carries over
 unchecked is recomputed from scratch here.  `lex_compare` is the
 comparison of binary words that `binseq.lex_key` sorted by before it
-became a string key.
+became a string key.  `act_on_word` is the leaf scan that
+`TreePair.act_on_word` made before it found the leaf by bisection.
 """
 
 from cantorg.binseq import RationalSeq
@@ -67,3 +68,12 @@ def act_on_seq(pair, xi):
         if starts_with(xi, d):
             return prepend(drop(xi, len(d)), r)
     raise InternalError("complete code must match some prefix")
+
+
+def act_on_word(pair, t):
+    """Image of a finite word under a tree pair, trying the leaves one by
+    one; None when t is a proper prefix of a leaf."""
+    for d, r in zip(pair.domain, pair.range):
+        if t.startswith(d):
+            return r + t[len(d):]
+    return None

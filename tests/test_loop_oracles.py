@@ -6,25 +6,28 @@ form, the path, and every window's cluster parameters, on the loops of
 `test_work_counts`, the benchmark's `loop.txt` and every twelfth word of its
 loop pool.
 
-`check_certificate`, which checks a later path's edges in the move's window
-only, is compared with the check of every edge of every path on the same
-certificates and on forgeries of them."""
+`check_certificate`, which proves a later path's new edges from its move's
+parameters, is compared with the check of every edge of every path on the
+same certificates, on forgeries of them and on random single edits."""
 
 import os
+import random
 
 import pytest
 
 import loop_oracles as oracle
 from cantorg import loops
 from cantorg.cli import parse_word
-from cantorg.complexes import vertex_of
+from cantorg.complexes import is_one_cell, vertex_of
 from cantorg.loops import (
     CANCELLATION,
+    COMMUTING,
     _window,
     check_certificate,
     contract_loop,
 )
-from cantorg.rewrite import normalize
+from cantorg.rewrite import normalize, normalize_onto
+from cantorg.special import to_letters
 from test_work_counts import LOOP_WORDS, _loop_of
 
 INPUTS = os.path.join(
@@ -155,20 +158,82 @@ def test_a_non_edge_in_the_start_loop_is_refused():
     assert check_certificate(loop, cert)
 
 
-def test_window_checks_reach_every_edge(monkeypatch):
-    """Every edge of every path of a certificate is among the pairs that
-    `check_certificate` tests: the start loop's, and then the edges of
-    each move's window."""
-    for loop, cert in _certificates():
-        asked = set()
-        real = loops.is_one_cell
+def test_a_start_vertex_is_normalized_as_a_base():
+    """A start loop vertex may be any word of its coset's element, here
+    y[100] y[100]^-1 y[10].  A commuting move over it is accepted, as the
+    oracle accepts it: the checker normalizes the base word and does not
+    take it for a normal form's y-part."""
+    triv, w = vertex_of([]), tuple(parse_word("y[100] y[100]^-1 y[10]"))
+    params = ((("0100", 1),), (("0101", -1),))
+    g = normalize(list(w))
+    c0, c1 = (normalize_onto(to_letters(f), g) for f in params)
+    top = normalize_onto(to_letters(params[0]), c1).ys
+    loop = [triv, w, c1.ys, top, c0.ys, w, triv]
+    cert = [("start", loop, None),
+            (COMMUTING, [triv, w, c1.ys, top, c1.ys, w, triv], params),
+            (CANCELLATION, [triv, w, c1.ys, w, triv], None),
+            (CANCELLATION, [triv, w, triv], None),
+            (CANCELLATION, [triv], None)]
+    assert w != g.ys
+    assert oracle.check_certificate(loop, cert)
+    assert check_certificate(loop, cert)
 
-        def recording(u, v):
-            asked.add((u, v))
-            return real(u, v)
 
-        with monkeypatch.context() as m:
-            m.setattr(loops, "is_one_cell", recording)
-            assert check_certificate(loop, cert)
-        edges = {(u, v) for _, path, _ in cert for u, v in zip(path, path[1:])}
-        assert edges <= asked
+def _single_edit(rng, loop, cert):
+    """One seeded edit of a valid certificate: an interior vertex of one
+    path (inside or next to its move's window, or anywhere) becomes another
+    vertex of the certificate or its neighbour in that path, or one recorded
+    parameter becomes another form of the certificate.  An edit of the start
+    loop is made to the loop too."""
+    cert = list(cert)
+    moved = [i for i, (_, _, params) in enumerate(cert) if params]
+    if moved and rng.random() < 0.25:
+        i = rng.choice(moved)
+        kind, q, params = cert[i]
+        k = rng.randrange(len(params))
+        forms = {f for _, _, ps in cert if ps for f in ps} - {params[k]}
+        if not forms:
+            return None
+        params = params[:k] + (rng.choice(sorted(forms)),) + params[k + 1:]
+        cert[i] = (kind, q, params)
+        return loop, cert
+    i = rng.randrange(len(cert))
+    kind, q, params = cert[i]
+    if len(q) < 3:
+        return None
+    j = rng.randrange(1, len(q) - 1)
+    if len(cert) > 1 and rng.random() < 0.5:
+        if i == 0:
+            a, window, _ = _window(q, cert[1][1])
+        else:
+            a, _, window = _window(cert[i - 1][1], q)
+        j = min(max(rng.randint(a - 1, a + len(window)), 1), len(q) - 2)
+    if rng.random() < 0.25:
+        bad = q[j + rng.choice((-1, 1))]
+    else:
+        bad = rng.choice(sorted({v for _, path, _ in cert for v in path}
+                                - {q[j]}))
+    q = q[:j] + [bad] + q[j + 1:]
+    cert[i] = (kind, q, params)
+    return (q, cert) if i == 0 else (loop, cert)
+
+
+def test_single_edits_get_the_oracles_verdict():
+    """Every edge of every path of a valid certificate is a one-cell,
+    checked here edge by edge; and on seeded random single edits of those
+    certificates `check_certificate`, which re-derives no window edge,
+    gives the whole-path oracle's verdict, accepting some and refusing
+    others."""
+    certs = list(_certificates())
+    for _, cert in certs:
+        for _, path, _ in cert:
+            assert all(is_one_cell(u, v) for u, v in zip(path, path[1:]))
+    rng = random.Random(41)
+    verdicts = []
+    while len(verdicts) < 2_000:
+        edit = _single_edit(rng, *rng.choice(certs))
+        if edit is not None:
+            want = oracle.check_certificate(*edit)
+            assert check_certificate(*edit) == want
+            verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import loop_oracles as oracle
 from cantorg.cli import parse_word
 from cantorg.complexes import vertex_of
 from cantorg.loops import (
@@ -214,3 +215,54 @@ def test_checker_accepts_a_reversed_expansion():
     _, expanded, params = cert[k]
     reverse = [("start", expanded, None), (EXPANSION, cert[k - 1][1], params)]
     assert check_certificate(expanded, reverse + cert[k:])
+
+
+@pytest.mark.parametrize("consecutive", [True, False])
+def test_reversed_expansion_is_checked_on_its_diagonal(consecutive):
+    """Taking A out of T, A, B, A, T, where A = λ1·T and B = λ0·λ1·T walk
+    two independent parameters facially, leaves the step B -> T, the one
+    new edge.  It is a one-cell when the parameters are consecutive, and
+    not one for y[010], y[101]; putting A back and cancelling are valid
+    moves either way, so only the diagonal check refuses the forgery."""
+    params = (((("100", 1),), (("101", -1),)) if consecutive
+              else ((("010", 1),), (("101", 1),)))
+    a = v(" ".join(f"y[{s}]^{t}" for s, t in params[1]))
+    b = v(" ".join(f"y[{s}]^{t}" for f in params for s, t in f))
+    loop = [TRIV, a, b, a, TRIV]
+    cert = [("start", loop, None), (EXPANSION, [TRIV, a, b, TRIV], params),
+            (EXPANSION, loop, params), (CANCELLATION, [TRIV, a, TRIV], None),
+            (CANCELLATION, [TRIV], None)]
+    assert oracle.check_certificate(loop, cert) == consecutive
+    assert check_certificate(loop, cert) == consecutive
+
+
+@pytest.mark.parametrize("genuine", [True, False])
+def test_commuting_is_checked_on_the_corner_it_replaces(genuine):
+    """Commuting T, A, U, Z, T to T, A, U, A, T in the square of y[0100]
+    and y[0101]^-1 over T (A = y[0101]^-1·T, U the top corner) needs Z to
+    be the square's other corner.  Z = y[0100] y[0101]^-1 y[011]·T is
+    joined to U and to T by one-cells, so only the corner check refuses
+    it."""
+    params = ((("0100", 1),), (("0101", -1),))
+    a, top = v("y[0101]^-1"), v("y[0100] y[0101]^-1")
+    z = v("y[0100]") if genuine else v("y[0100] y[0101]^-1 y[011]")
+    loop = [TRIV, a, top, z, TRIV]
+    cert = [("start", loop, None),
+            (COMMUTING, [TRIV, a, top, a, TRIV], params),
+            (CANCELLATION, [TRIV, a, TRIV], None),
+            (CANCELLATION, [TRIV], None)]
+    assert oracle.check_certificate(loop, cert) == genuine
+    assert check_certificate(loop, cert) == genuine
+
+
+def test_checker_refuses_paths_off_the_base_vertex():
+    """A start loop that ends off the base vertex, at the vertex a
+    commuting move replaces, and an empty later path are refused, not
+    read past their ends."""
+    x = v("y[10]")
+    params = ((("0100", 1),), (("0101", -1),))
+    cert = [("start", [TRIV, x], None), (COMMUTING, [TRIV, TRIV], params)]
+    assert not check_certificate([TRIV, x], cert)
+    loop = [TRIV, x, TRIV]
+    assert not check_certificate(
+        loop, [("start", loop, None), (CANCELLATION, [], None)])

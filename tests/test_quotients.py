@@ -5,17 +5,19 @@ they replace, `normalize(list(u) + inverse_word(list(v)))`.
 out of u * v^-1 (its docstring gives the argument), `complexes.quotient`
 keeps the normal form per pair, and `pipeline._quotient_cones` normalizes
 the stripped word of a vertex over a base.  Each is compared with the slow
-path on every quotient that the hash-seed envelopes and the certificates
-of the loops of `LOOP_WORDS` make, and on hypothesis-drawn pairs: sorted
-y-words over a small tree, whose shared letters often nest in the ones
-where they differ, and arbitrary words, which may repeat a letter, hold
-x-letters or stand in another order.
+path on every quotient that the hash-seed envelopes make, on those of every
+edge of every path of the certificates of the loops of `LOOP_WORDS` (the
+whole-path checker of `loop_oracles` asks for them all), and on
+hypothesis-drawn pairs: sorted y-words over a small tree, whose shared
+letters often nest in the ones where they differ, and arbitrary words,
+which may repeat a letter, hold x-letters or stand in another order.
 """
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+import loop_oracles as oracle
 from cantorg import complexes
 from cantorg.binseq import is_constant, lex_key
 from cantorg.cli import parse_word
@@ -89,7 +91,9 @@ def test_loop_certificate_quotients_match_slow_path(monkeypatch):
 
     def run():
         for loop in loops:
-            assert check_certificate(loop, contract_loop(loop))
+            cert = contract_loop(loop)
+            assert check_certificate(loop, cert)
+            assert oracle.check_certificate(loop, cert)
 
     pairs = _recorded(monkeypatch, run)
     assert len(pairs) > 50

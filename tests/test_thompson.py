@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import binseq_oracles as seq
 from cantorg.binseq import RationalSeq
 from cantorg.thompson import IDENTITY, TreePair, compose, power, x_gen
 
@@ -37,6 +38,24 @@ def test_x_gen_action_examples():
     assert x_gen("1").act_on_word("1010") == "1100"
     assert x_gen("1").act_on_word("10") is None
     assert IDENTITY.act_on_word("0101") == "0101"
+
+
+def test_leaf_lookup_matches_leaf_scan():
+    """The bisected leaf lookup gives the leaf scan's image on every word
+    of up to 7 digits, proper prefixes of leaves (None) included, under
+    random pairs and their inverses."""
+    words = ["".join(bits) for n in range(8)
+             for bits in itertools.product("01", repeat=n)]
+    rng = random.Random(7)
+    undefined = 0
+    for _ in range(200):
+        f = random_pair(rng)
+        for g in (f, f.invert()):
+            for t in words:
+                want = seq.act_on_word(g, t)
+                assert g.act_on_word(t) == want
+                undefined += want is None
+    assert undefined
 
 
 def test_x_gen_on_sequences():
