@@ -300,6 +300,7 @@ def check_certificate(loop, moves):
             g = normalize_onto(window[-1], IDENTITY_NORMAL)
             if not _facial_ok(params, window, g):
                 return False
+            # a reversed expansion's one new edge is its window's diagonal
             if long is p and not is_one_cell(window[0], window[-1]):
                 return False
         else:
