@@ -225,13 +225,12 @@ def _over(form, g):
 def _facial_ok(params, long_path, g):
     """Whether the path is the descending facial walk of the cluster over
     its last vertex, whose normal form is g, with the given parameters, one
-    parameter per step, and no step stays put: the corner of `params[j:]`
-    is the j-th vertex."""
+    parameter per step: the corner of `params[j:]` is the j-th vertex."""
     if len(long_path) != len(params) + 1:
         return False
     for j in reversed(range(len(params))):
         g = _over(params[j], g)
-        if g.ys != long_path[j] or g.ys == long_path[j + 1]:
+        if g.ys != long_path[j]:
             return False
     return True
 
@@ -248,7 +247,8 @@ def check_certificate(loop, moves):
     A rearrangement has p == q.  A cancellation's new edge (p[a-1], p[a+2])
     is the edge (p[a+1], p[a+2]) of p.  A commuting move, a split and an
     expansion with q long walk q's window facially (`_facial_ok`), one
-    special parameter over a vertex per step, and such distinct ends span a
+    special parameter over a vertex per step.  A special form lies outside
+    F, so it moves every coset vertex, and the ends of such a step span a
     one-cell (`pipeline.ParamCell`).  An expansion with p long leaves one
     new edge, its diagonal, which `is_one_cell` checks."""
     loop = [tuple(v) for v in loop]
