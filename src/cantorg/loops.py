@@ -2,13 +2,13 @@
 
 A loop is a closed edge path of coset vertices starting and ending at the
 base vertex.  The contraction emits a certificate: a sequence of elementary
-moves (split of a diagonal edge, expansion, rearrangement, commuting,
-cancellation), each replacing a subpath by a homotopic subpath inside a
-cluster, ending at the trivial loop.  Moves that use a cluster record its
-parameters, so every move can be re-checked locally from the certificate
-alone.  After the start loop, the check re-derives only a reversed
-expansion's new edge; each other move proves its new edges one-cells from
-its parameters (`check_certificate`).
+moves (split of a diagonal edge, expansion, commuting, cancellation), each
+replacing a subpath by a homotopic subpath inside a cluster, ending at the
+trivial loop.  Moves that use a cluster record its parameters, so every
+move can be re-checked locally from the certificate alone.  After the start
+loop, the check re-derives only a reversed expansion's new edge; each other
+move proves its new edges one-cells from its parameters
+(`check_certificate`).
 
 Once the diagonal edges are split, `normalize`'s cancellation pass
 (`rewrite.remove_potential_cancellations`) drives the loop word to the
@@ -29,7 +29,6 @@ from .rewrite import (
     COMMUTING,
     EXPANSION,
     IDENTITY_NORMAL,
-    REARRANGEMENT,
     GNormal,
     Letter,
     _is_y,
@@ -56,17 +55,17 @@ def _edge_normal(u, v):
 
 
 class _Word:
-    """A loop word and the normal forms of its suffixes: `sfx[k]` is the
-    normal form of `items[k:]`, and the last entry is the identity's.  The
-    rewrites that name a move append it to `moves`.
+    """A loop word, the normal forms of its suffixes and its certificate:
+    `sfx[k]` is the normal form of `items[k:]`, the last one the identity's.
+    `moves` holds the moves; `spent`, bounded by `MAX_MOVES`, counts them
+    and each factor moved past a y-letter, which moves no vertex.
 
     A move keeps the suffix normal forms outside its window: it replaces the
     window by a word equal to it in the group, and normal forms are unique."""
 
-    def __init__(self, items, moves=None):
-        self.items = []
-        self.sfx = [IDENTITY_NORMAL]
-        self.moves = moves
+    def __init__(self, items):
+        self.items, self.sfx = [], [IDENTITY_NORMAL]
+        self.moves, self.spent = [], 0
         self.splice(0, 0, items)
 
     def splice(self, lo, hi, new):
@@ -83,8 +82,22 @@ class _Word:
         self.splice(lo, hi, new)
         if move is not None:
             params = None if window is None else self.params(*window)
-            self.moves.emit(move, self.path(), params)
+            self.emit(move, self.path(), params)
+        elif any(map(_is_y, new)):  # a factor moved past a y-letter
+            self.spend()
         return lo
+
+    def emit(self, kind, path, params=None):
+        self.moves.append((kind, list(path), params))
+        self.spend()
+
+    def spend(self):
+        self.spent += 1
+        if self.spent > MAX_MOVES:
+            raise RuntimeError(
+                f"loop contraction exceeded the move budget: on a loop of "
+                f"{len(self.moves[0][1])} vertices it spent {self.spent:,} "
+                f"steps and recorded {len(self.moves):,} of them")
 
     def commute(self, src, dst):
         """Move the y-letter at src left to dst by adjacent swaps, one
@@ -126,13 +139,6 @@ def path_of(items):
     return _Word(units).path()
 
 
-class _Contraction(list):
-    def emit(self, kind, path, params=None):
-        self.append((kind, list(path), params))
-        if len(self) > MAX_MOVES:
-            raise RuntimeError("loop contraction exceeded the move budget")
-
-
 def contract_loop(loop):
     """Contract a loop at the base vertex to the trivial loop.  Returns the
     move certificate, beginning with ("start", the input path, None) and
@@ -149,8 +155,6 @@ def contract_loop(loop):
     if len(loop) < 1 or loop[0] != TRIVIAL or loop[-1] != TRIVIAL:
         raise ValueError("loop must start and end at the base vertex")
     normals = [_edge_normal(u, v) for u, v in zip(loop, loop[1:])]
-    state = _Contraction()
-    state.emit("start", loop)
 
     # phase 1: split every diagonal edge into single-letter edges; the
     # intermediate vertices are the suffix cosets of the exact loop word
@@ -161,7 +165,8 @@ def contract_loop(loop):
             letters.append(nf.f)
         spans.append((len(letters), len(nf.ys)))
         letters.extend(nf.ys)
-    word = _Word(letters, state)
+    word = _Word(letters)
+    word.emit("start", loop)
     fine = word.path()
     path = list(loop)
     pos = 0
@@ -175,7 +180,7 @@ def contract_loop(loop):
                 params = (parts[t], from_letters(normalize(
                     [Letter("y", s, sg) for s, sg in rest]).ys))
                 path.insert(pos + 1 + t, fine[pos + 1 + t])
-                state.emit(SPLIT, path, params)
+                word.emit(SPLIT, path, params)
         pos += k
 
     if fine != path:
@@ -185,7 +190,7 @@ def contract_loop(loop):
     remove_potential_cancellations(word)
     if any(_is_y(it) for it in word.items):
         raise InternalError("loop word did not reduce inside F")
-    return list(state)
+    return word.moves
 
 
 # ---------------------------------------------------------------------------
@@ -236,40 +241,37 @@ def _facial_ok(params, long_path, g):
 
 
 def check_certificate(loop, moves):
-    """Re-verify a contraction certificate: the first entry matches the
-    loop, each move is locally valid in a cluster given by its recorded
-    parameters, and the final path is trivial.
+    """Re-verify a contraction certificate: the first entry is ("start",
+    loop, None), each move is locally valid in a cluster given by its
+    recorded parameters, and the final path is trivial.  A move is a split,
+    an expansion, a commuting or a cancellation; each changes its path.
 
     Every path starts and ends at the base vertex, and the start loop is
     checked edge by edge.  A later path q differs from the path p before it
     only in the window `_window` finds, so its edges outside the window are
     edges of p, and each move's own check proves its new edges one-cells.
-    A rearrangement has p == q.  A cancellation's new edge (p[a-1], p[a+2])
-    is the edge (p[a+1], p[a+2]) of p.  A commuting move, a split and an
-    expansion with q long walk q's window facially (`_facial_ok`), one
-    special parameter over a vertex per step.  A special form lies outside
-    F, so it moves every coset vertex, and the ends of such a step span a
-    one-cell (`pipeline.ParamCell`).  An expansion with p long leaves one
-    new edge, its diagonal, which `is_one_cell` checks."""
+    A cancellation's new edge (p[a-1], p[a+2]) is the edge (p[a+1], p[a+2])
+    of p.  A commuting move, a split and an expansion with q long walk q's
+    window facially (`_facial_ok`), one special parameter over a vertex per
+    step.  A special form lies outside F, so it moves every coset vertex,
+    and the ends of such a step span a one-cell (`pipeline.ParamCell`).  An
+    expansion with p long leaves one new edge, its diagonal, which
+    `is_one_cell` checks."""
     loop = [tuple(v) for v in loop]
     if not all(isinstance(m, tuple) and len(m) == 3 for m in moves):
         return False
-    if not moves or moves[0][:2] != ("start", loop):
+    if not moves or moves[0] != ("start", loop, None):
         return False
     if not all(is_one_cell(u, v) for u, v in zip(loop, loop[1:])):
         return False
     if any(not path or path[0] != TRIVIAL or path[-1] != TRIVIAL
            for _, path, _ in moves):
         return False
-    last = moves[-1][1]
-    if any(v != TRIVIAL for v in last):
+    if any(v != TRIVIAL for v in moves[-1][1]):
         return False
     for (_, p, _), (kind, q, params) in zip(moves, moves[1:]):
         a, wp, wq = _window(p, q)  # a >= 1: p and q share the base vertex
-        if kind == REARRANGEMENT:
-            if p != q:
-                return False
-        elif kind == CANCELLATION:
+        if kind == CANCELLATION:
             if len(wp) != 2 or wq:
                 return False
             if p[a - 1] != p[a + 1]:

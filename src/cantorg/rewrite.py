@@ -23,7 +23,7 @@ they changed, where `standardize` resumes its scans.  `normalize` passes
 a `_ListWord`: a plain list with merged exponents that spends a step
 budget and commutes in one jump, and the driver `reduce_word` sorts and
 contracts its y-letters.  A `loops._Word` holds unit letters and records
-each rewrite as a move of a loop-contraction certificate; its word lies
+each rewrite that changes its path as a certificate move; its word lies
 in F, so the cancellation pass alone empties it (see
 `loops.contract_loop`).
 
@@ -164,7 +164,6 @@ def _is_y(item):
 
 # the kinds of move a loop word records for its rewrites
 EXPANSION = "expansion"
-REARRANGEMENT = "rearrangement"
 COMMUTING = "commuting"
 CANCELLATION = "cancellation"
 
@@ -255,8 +254,7 @@ def standardize(items, budget=None):
                 elif (t2 := b.act_on_word(a.sub)) is None:
                     lo = _expand(word, i, False)
                 else:
-                    lo = word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)],
-                                      REARRANGEMENT)
+                    lo = word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)])
                 break
             if isinstance(a, Letter) and a.sub == b.sub and a.exp == -b.exp:
                 lo = word.rewrite(i, i + 2, [], CANCELLATION)

@@ -17,7 +17,6 @@ from cantorg.loops import (
     CANCELLATION,
     COMMUTING,
     EXPANSION,
-    REARRANGEMENT,
     SPLIT,
     TRIVIAL,
     _good_params,
@@ -83,7 +82,7 @@ def check_certificate(loop, moves):
     loop = [tuple(v) for v in loop]
     if not all(isinstance(m, tuple) and len(m) == 3 for m in moves):
         return False
-    if not moves or moves[0][:2] != ("start", loop):
+    if not moves or moves[0] != ("start", loop, None):
         return False
     if not _valid_path(loop):
         return False
@@ -93,10 +92,7 @@ def check_certificate(loop, moves):
         if q[0] != TRIVIAL or q[-1] != TRIVIAL or not _valid_path(q):
             return False
         a, wp, wq = _window(p, q)
-        if kind == REARRANGEMENT:
-            if p != q:
-                return False
-        elif kind == CANCELLATION:
+        if kind == CANCELLATION:
             if len(wp) != 2 or wq or a < 1 or a + 2 > len(p):
                 return False
             if p[a - 1] != p[a + 1]:

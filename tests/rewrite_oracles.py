@@ -27,17 +27,14 @@ from cantorg.loops import (
     CANCELLATION,
     COMMUTING,
     EXPANSION,
-    REARRANGEMENT,
     SPLIT,
     TRIVIAL,
-    _Contraction,
     _edge_normal,
     _Word,
     path_of,
 )
 from cantorg.rewrite import (
     CANCELLATION as _CANCELLATION,
-    REARRANGEMENT as _REARRANGEMENT,
     GNormal,
     Letter,
     _apply_contraction,
@@ -94,8 +91,7 @@ def scan_standardize(items, budget=None):
                 if t2 is None:
                     _expand(word, i, False)
                 else:
-                    word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)],
-                                 _REARRANGEMENT)
+                    word.rewrite(i, i + 2, [b, Letter("y", t2, a.exp)])
                 break
             if isinstance(a, Letter) and a.sub == b.sub and a.exp == -b.exp:
                 word.rewrite(i, i + 2, [], _CANCELLATION)
@@ -330,8 +326,6 @@ def contract_loop(loop):
     if len(loop) < 1 or loop[0] != TRIVIAL or loop[-1] != TRIVIAL:
         raise ValueError("loop must start and end at the base vertex")
     normals = [_edge_normal(u, v) for u, v in zip(loop, loop[1:])]
-    state = _Contraction()
-    state.emit("start", loop)
 
     # phase 1: split every diagonal edge into single-letter edges; the
     # intermediate vertices are the suffix cosets of the exact loop word
@@ -343,6 +337,7 @@ def contract_loop(loop):
         spans.append((len(letters), len(nf.ys)))
         letters.extend(nf.ys)
     word = _Word(letters)
+    word.emit("start", loop)
     fine = word.path()
     path = list(loop)
     pos = 0
@@ -356,7 +351,7 @@ def contract_loop(loop):
                 params = (parts[t], from_letters(_normalize(
                     [Letter("y", s, sg) for s, sg in rest]).ys))
                 path.insert(pos + 1 + t, fine[pos + 1 + t])
-                state.emit(SPLIT, path, params)
+                word.emit(SPLIT, path, params)
         pos += k
 
     if path_of(word.items) != path:
@@ -364,20 +359,20 @@ def contract_loop(loop):
 
     # phase 2: drive the single-letter word to the empty word
     while True:
-        _standardize_moves(word, state)
-        _remove_cancellations_moves(word, state)
-        _sort_moves(word, state)
+        _standardize_moves(word)
+        _remove_cancellations_moves(word)
+        _sort_moves(word)
         ys = [it for it in word.items if _is_y(it)]
         found = find_potential_contraction(_merge(ys))
         if found is None:
             break
-        _contract_moves(word, state, *found)
+        _contract_moves(word, *found)
     if any(_is_y(it) for it in word.items):
         raise InternalError("loop word did not reduce inside F")
-    return list(state)
+    return word.moves
 
 
-def _expand_item(word, state, i):
+def _expand_item(word, i):
     """Expand the unit letter at index i into its one-step substitution,
     its x-letter read as a tree-pair factor, and emit the expansion move
     with the cluster parameters at the suffix."""
@@ -386,10 +381,10 @@ def _expand_item(word, state, i):
     word.splice(i, i + 1, _merge(expand_unit(lt.sub, sign)))
     # the y-letters of the block follow x_s for y_s and precede x_s^-1
     lo = i + 1 if sign > 0 else i
-    state.emit(EXPANSION, word.path(), word.params(lo, lo + 3))
+    word.emit(EXPANSION, word.path(), word.params(lo, lo + 3))
 
 
-def _standardize_moves(word, state):
+def _standardize_moves(word):
     """Unit-letter standardization with move emission: push tree-pair factors
     to the front, cancel adjacent inverse letters, merge equal subscripts,
     expand ordering violations."""
@@ -408,14 +403,14 @@ def _standardize_moves(word, state):
                 t2 = b.act_on_word(a.sub)
                 if t2 is not None:
                     word.splice(i, i + 2, [b, Letter("y", t2, a.exp)])
-                    state.emit(REARRANGEMENT, word.path())
+                    word.spend()
                 else:
-                    _expand_item(word, state, i)
+                    _expand_item(word, i)
                 changed = True
                 break
             if _is_y(a) and _is_y(b) and a.sub == b.sub and a.exp == -b.exp:
                 word.splice(i, i + 2, [])
-                state.emit(CANCELLATION, word.path())
+                word.emit(CANCELLATION, word.path())
                 changed = True
                 break
         if changed:
@@ -424,16 +419,16 @@ def _standardize_moves(word, state):
         found = find_merge(items)
         if found is not None:
             i, j = found
-            _commute_to(word, state, j, i + 1)
+            _commute_to(word, j, i + 1)
             continue
         # ordering: expand a y-letter preceding an extension of its subscript
         i = find_misordered(items)
         if i is None:
             return
-        _expand_item(word, state, i)
+        _expand_item(word, i)
 
 
-def _commute_to(word, state, src, dst):
+def _commute_to(word, src, dst):
     """Move the y-letter at src to index dst by adjacent commuting swaps,
     emitting one move per swap."""
     items = word.items
@@ -444,11 +439,11 @@ def _commute_to(word, state, src, dst):
             raise InternalError("tried to commute a compatible pair")
         lo = min(k, k + step)
         word.splice(lo, lo + 2, [items[lo + 1], items[lo]])
-        state.emit(COMMUTING, word.path(), word.params(lo, lo + 2))
+        word.emit(COMMUTING, word.path(), word.params(lo, lo + 2))
         k += step
 
 
-def _remove_cancellations_moves(word, state):
+def _remove_cancellations_moves(word):
     while True:
         ys = _merge([it for it in word.items if _is_y(it)])
         found = has_potential_cancellation(ys)
@@ -459,11 +454,11 @@ def _remove_cancellations_moves(word, state):
             k for k, it in enumerate(word.items)
             if _is_y(it) and it.sub == target
         )
-        _expand_item(word, state, pos)
-        _standardize_moves(word, state)
+        _expand_item(word, pos)
+        _standardize_moves(word)
 
 
-def _sort_moves(word, state):
+def _sort_moves(word):
     """Bubble-sort the y-letters into lex order by commuting swaps."""
     items = word.items
     start = next((k for k, it in enumerate(items) if _is_y(it)), len(items))
@@ -471,13 +466,13 @@ def _sort_moves(word, state):
         swapped = False
         for k in range(start, len(items) - 1):
             if lex_key(items[k].sub) > lex_key(items[k + 1].sub):
-                _commute_to(word, state, k, k + 1)
+                _commute_to(word, k, k + 1)
                 swapped = True
         if not swapped:
             return
 
 
-def _contract_moves(word, state, case, s):
+def _contract_moves(word, case, s):
     """Bring a contractible triple together by commuting moves and replace
     it by its one-letter equivalent (a reverse expansion)."""
     items = word.items
@@ -495,13 +490,13 @@ def _contract_moves(word, state, case, s):
     # move the middle unit next to the third, then the first next to them
     p3 = unit_pos(sub3, sign3, last=False)
     p2 = unit_pos(sub2, sign2, last=True)
-    _commute_to(word, state, p2, p3 - 1)
+    _commute_to(word, p2, p3 - 1)
     p2 = p3 - 1
     p1 = unit_pos(sub1, sign1, last=True)
-    _commute_to(word, state, p1, p2 - 1)
+    _commute_to(word, p1, p2 - 1)
     base = p2 - 1
     if [(it.sub, it.exp) for it in items[base:base + 3]] != list(triple):
         raise InternalError("contraction triple did not come together")
     params = word.params(base, base + 3)
     word.splice(base, base + 3, repl)
-    state.emit(EXPANSION, word.path(), params)
+    word.emit(EXPANSION, word.path(), params)

@@ -5,7 +5,8 @@ Each word w of `bench/inputs/loop_pool.txt` spells the loop w w^-1, built
 as `test_work_counts._loop_of` builds it.  Every move of every certificate
 is rendered as its kind, its path and its cluster parameters, and the
 SHA-256 of all of them is pinned, so a change to how `contract_loop`
-rewrites shows up as a different digest.  Every certificate must check.
+rewrites shows up as a different digest.  Every certificate must check,
+and every move must change its path.
 """
 
 import hashlib
@@ -19,10 +20,11 @@ from test_work_counts import _loop_of
 POOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                     "bench", "inputs", "loop_pool.txt")
 
-# measured on the 600 words of the pool, whose certificates have 4,922
-# moves in all
-WORDS, MOVES = 600, 4922
-DIGEST = "9bc264bdde85a96145da251840cb874f7bb94bb443d39db09b12341daa771454"
+# measured on the 600 words of the pool, whose certificates have 3,437
+# moves in all; they had 4,922 while a certificate also recorded the loop
+# word's 1,485 rearrangements, which leave the path as it is
+WORDS, MOVES = 600, 3437
+DIGEST = "449856506916c015dda8c8d7c4b09cec74126ca417b7498de0a6503311c30c59"
 
 
 def _pool_words():
@@ -45,6 +47,7 @@ def test_loop_pool_certificates_digest():
         cert = contract_loop(loop)
         assert check_certificate(loop, cert), text
         moves += len(cert) - 1
+        assert all(p != q for (_, p, _), (_, q, _) in zip(cert, cert[1:]))
         for move in cert:
             digest.update(_render(*move).encode())
     assert (len(words), moves) == (WORDS, MOVES)

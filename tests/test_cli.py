@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorg import calculus, commands, pipeline, rewrite
+from cantorg import calculus, commands, loops, pipeline, rewrite
 from cantorg.cli import (
     MAX_WORD_EXPONENT,
     DomainError,
@@ -317,6 +317,7 @@ def test_normalize_work_is_bounded():
 
 
 SQUARES_FILE = pathlib.Path(__file__).resolve().parent / "golden" / "squares.txt"
+LOOP_FILE = SQUARES_FILE.with_name("loop.txt")
 K2_WORD = "y[01]^2 y[011]^-2 y[01]^-2 y[011]^2 y[010]^-2"
 
 
@@ -326,7 +327,10 @@ K2_WORD = "y[01]^2 y[011]^-2 y[01]^-2 y[011]^2 y[010]^-2"
 # real step bound.  After each drain of `exponent` every buffer holds at
 # most one digit and a step of the innermost symbol writes at most two, so
 # the real buffer bound is never reached; two digits are passed at once.
-# `squares.txt` needs a round of separation and two of decoupling.
+# `squares.txt` needs a round of separation and two of decoupling.  The
+# contraction of `loop.txt` spends 22 steps: one on each of its 9
+# certificate entries and one on each of the 13 rearrangements of its
+# word, which record no move.
 BOUNDS = [
     (rewrite, "MAX_WORD_ITEMS", 20, ("normalize", K2_WORD),
      "rewriting grew a word past 20 items"),
@@ -338,6 +342,9 @@ BOUNDS = [
      "separation rounds exceeded without balance"),
     (pipeline, "DECOUPLING_ROUNDS", 1, ("cubulate", str(SQUARES_FILE)),
      "decoupling rounds exceeded"),
+    (loops, "MAX_MOVES", 9, ("contract-loop", str(LOOP_FILE)),
+     "loop contraction exceeded the move budget: on a loop of 9 vertices "
+     "it spent 10 steps and recorded 4 of them"),
 ]
 
 

@@ -129,8 +129,8 @@ def test_contract_loop_through_a_power():
 
 # `check_certificate` reads certificates that may come from outside the
 # program.  Each forgery below is one edit of the certificate of a loop
-# whose contraction splits, expands, rearranges, commutes and cancels, and
-# each breaks a different condition of the checker.
+# whose contraction splits, expands, commutes and cancels, and each breaks
+# a different condition of the checker.
 FORGED_WORD = "y[010] y[0110]^-1 y[100] y[10]"
 
 
@@ -192,6 +192,12 @@ FORGERIES = {
     "start loop off the base before a split": _start_at(
         lambda cert: cert[1][1][1:]),
     "unknown move kind": _at(CANCELLATION, lambda m, p: {"kind": "bogus"}),
+    "start entry with parameters": lambda loop, cert: (
+        loop, _edit(cert, 0, params=(("01", 1),))),
+    # a move that leaves its path as it is, in the format that recorded
+    # each rearrangement of the loop word
+    "rearrangement move": lambda loop, cert: (
+        loop, cert[:2] + [("rearrangement", cert[1][1], None)] + cert[2:]),
 }
 
 

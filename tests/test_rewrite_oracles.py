@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rewrite_oracles as oracle
-from cantorg import rewrite
+from cantorg import loops, rewrite
 from cantorg.cli import parse_word
 from cantorg.loops import TRIVIAL, check_certificate, contract_loop, path_of
 from cantorg.rewrite import (
@@ -36,6 +36,7 @@ from cantorg.rewrite import (
 from cantorg.thompson import expand_letter
 from substitution_oracles import pair_cancellation_bruteforce
 from test_rewrite import random_word
+from test_loops import FORGED_WORD
 from test_work_counts import _loop_of
 
 
@@ -120,6 +121,17 @@ def test_loop_certificates_match_oracle(word):
     loop = _loop_of(word)
     assert _certificate(contract_loop, loop) == _certificate(
         oracle.contract_loop, loop)
+
+
+def test_unrecorded_rewrites_spend_the_move_budget(monkeypatch):
+    """A rearrangement records no move but spends a step of `MAX_MOVES`:
+    at a bound that the certificate's entries alone meet, the library and
+    the oracle both raise, with the same message."""
+    loop = _loop_of(parse_word(FORGED_WORD))
+    monkeypatch.setattr(loops, "MAX_MOVES", len(contract_loop(loop)))
+    message = _certificate(contract_loop, loop)
+    assert message.startswith("loop contraction exceeded the move budget")
+    assert _certificate(oracle.contract_loop, loop) == message
 
 
 # where planted expansion triples sit: all three subscripts nonconstant

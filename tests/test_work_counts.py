@@ -224,7 +224,8 @@ def test_normalize_tail_budget_steps(monkeypatch, case):
     assert steps == TAIL_STEPS[case]
 
 
-# a loop of 901 moves whose contraction made 30,710 `normalize` calls while
+# a loop of 437 moves (901 while the certificate recorded the loop word's
+# 464 rearrangements) whose contraction made 30,710 `normalize` calls while
 # every move normalized every suffix of the word again, 2,674 while the
 # split phase checked its path against a rebuilt copy of its 26-letter
 # word, and 2,648 while each new suffix was normalized from the letter and
@@ -240,7 +241,7 @@ def test_contract_loop_blowup_normalize_count(monkeypatch):
     _clear_normalize_memos()
     counts = _install_counters(monkeypatch, [("rewrite", "normalize")])
     cert = contract_loop(loop)
-    assert len(cert) - 1 == 901
+    assert len(cert) - 1 == 437
     counts["onto_misses"] = rewrite._onto.cache_info().misses
     assert counts == BLOWUP_WORK
     assert check_certificate(loop, cert)
